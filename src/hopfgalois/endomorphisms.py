@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import BudgetError, FiniteGroup, invert_perm
+from .groups import BudgetError, FiniteGroup, all_coords, invert_perm
 
 __all__ = [
     "StructuredEndo",
@@ -34,7 +34,6 @@ __all__ = [
     "count_aut0",
     "enumerate_end0",
     "enumerate_aut0",
-    "all_coords",
     "image_coords_table",
     "parse_pair_file",
     "format_pair_file",
@@ -190,20 +189,6 @@ def enumerate_aut0(T, n, budget=DEFAULT_ENDO_BUDGET):
 
 # ── Vectorised application over all of T^n ──────────────────────────────
 
-_COORDS_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def all_coords(T, n):
-    """(|T|^n, n) array of every coordinate tuple, in power-index order."""
-    key = (id(T), n)
-    if key not in _COORDS_CACHE:
-        arr = np.array(
-            list(itertools.product(range(T.order), repeat=n)), dtype=np.int64
-        )
-        arr.setflags(write=False)
-        _COORDS_CACHE[key] = arr
-    return _COORDS_CACHE[key]
-
 
 def image_coords_table(e, coords=None):
     """Images of every element of T^n under ``e``, as an (N, n) array.
@@ -214,7 +199,7 @@ def image_coords_table(e, coords=None):
     T, n = e.group, e.n
     if coords is None:
         coords = all_coords(T, n)
-    auts_arr = np.array(T.automorphisms(), dtype=np.int64)
+    auts_arr = T.aut_array()
     out = np.zeros_like(coords)
     for i, (t, p) in enumerate(zip(e.theta, e.phis)):
         if t != 0:

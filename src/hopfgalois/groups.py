@@ -4,19 +4,21 @@ Everything downstream (structured endomorphisms, pair graphs, holomorph
 searches) works with element *indices* into a validated Cayley table, with
 the identity pinned at index 0.  This module provides the table type, a
 small catalog of named groups, homomorphism and automorphism enumeration by
-generator-image backtracking, direct powers T^n, prime-order subgroup
-choices, and the structural queries (center, normal subgroups, solvability)
-that the verification suites lean on.
+generator-image backtracking, direct powers T^n and their coordinate
+arrays, prime-order subgroup choices, and the structural queries (center,
+normal subgroups, solvability) that the verification suites lean on.
 
 Tables are kept both as nested tuples (hashable, cheap scalar access) and
 as a read-only int64 numpy array for vectorised validation and
-homomorphism checking.
+homomorphism checking.  Everything computed from a table (automorphisms
+and their array, element orders, the powers T^n, the coordinate arrays of
+T^n, the holomorph) is kept in one memo on the group itself, so it lives
+exactly as long as the group does.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,13 +38,9 @@ __all__ = [
     "has_fpf_automorphism",
     "power_group",
     "power_identity",
-    "power_mul",
-    "power_inv",
-    "power_apply_perm",
-    "power_order",
     "power_index",
     "power_coords",
-    "power_elements",
+    "all_coords",
     "PrimeSubgroupChoice",
     "choose_prime_subgroups",
     "subgroup_closure",
@@ -72,6 +70,11 @@ def compose_perm(a, b):
     return tuple(a[x] for x in b)
 
 
+def _read_only(arr):
+    arr.setflags(write=False)
+    return arr
+
+
 def invert_perm(a):
     inv = [0] * len(a)
     for i, x in enumerate(a):
@@ -86,8 +89,8 @@ class FiniteGroup:
     """A finite group given by its full multiplication table.
 
     Elements are the integers ``0 .. order-1`` with 0 the identity.  The
-    instance is immutable in practice: all caches are derived data and all
-    public operations are pure.
+    instance is immutable in practice: all public operations are pure, and
+    whatever is computed from the table is kept in :meth:`memo`.
     """
 
     def __init__(self, mul, name="?", validate=True):
@@ -101,23 +104,25 @@ class FiniteGroup:
                     f"expected {self.order}"
                 )
         arr = np.array(self.mul, dtype=np.int64) if self.order else np.zeros((0, 0), dtype=np.int64)
-        arr.setflags(write=False)
-        self.np_mul = arr
+        self.np_mul = _read_only(arr)
         if validate:
             self._validate()
         self.inv = tuple(int(np.argwhere(arr[x] == 0)[0, 0]) for x in range(self.order))
-        self._orders = None
-        self._center = None
-        self._auts = None
-        self._aut_index = None
-        self._inner_ids = None
-        self._conj_aut_id = None
-        self._gen_cache = {}
-        self._level_cache = {}
-        self._normals = None
+        self._memo = {}
 
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order={self.order})"
+
+    def memo(self, key, build):
+        """The derived value stored under ``key``, from ``build()`` on first use.
+
+        This is the one store for data computed from the table, here and in
+        the modules built on top (powers, coordinate arrays, holomorph); it
+        lives and dies with the group.
+        """
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     # -- validation ------------------------------------------------------
 
@@ -191,7 +196,7 @@ class FiniteGroup:
         return self.element_orders()[x]
 
     def element_orders(self):
-        if self._orders is None:
+        def build():
             orders = [1] * self.order
             for x in range(1, self.order):
                 y, k = x, 1
@@ -199,8 +204,9 @@ class FiniteGroup:
                     y = self.mul[y][x]
                     k += 1
                 orders[x] = k
-            self._orders = tuple(orders)
-        return self._orders
+            return tuple(orders)
+
+        return self.memo("orders", build)
 
     def is_abelian(self):
         return bool((self.np_mul == self.np_mul.T).all())
@@ -215,34 +221,27 @@ class FiniteGroup:
         then pairs, and only then falls back to greedy; it tends to give the
         smallest search trees for backtracking.
         """
-        if strategy in self._gen_cache:
-            return self._gen_cache[strategy]
+        if strategy not in ("greedy", "short"):
+            raise ValueError(f"unknown strategy {strategy!r}")
+        return self.memo(("gens", strategy), lambda: self._find_generators(strategy))
+
+    def _find_generators(self, strategy):
         if self.order == 1:
-            gens = ()
-        elif strategy == "greedy":
-            gens, have = [], {0}
-            while len(have) < self.order:
-                g = min(x for x in range(self.order) if x not in have)
-                gens.append(g)
-                have = set(subgroup_closure(self, have | {g}))
-            gens = tuple(gens)
-        elif strategy == "short":
-            gens = None
+            return ()
+        if strategy == "short":
             for x in range(1, self.order):
                 if len(subgroup_closure(self, [x])) == self.order:
-                    gens = (x,)
-                    break
-            if gens is None:
-                for x, y in itertools.combinations(range(1, self.order), 2):
-                    if len(subgroup_closure(self, [x, y])) == self.order:
-                        gens = (x, y)
-                        break
-            if gens is None:
-                gens = self.generating_sequence("greedy")
-        else:
-            raise ValueError(f"unknown strategy {strategy!r}")
-        self._gen_cache[strategy] = gens
-        return gens
+                    return (x,)
+            for x, y in itertools.combinations(range(1, self.order), 2):
+                if len(subgroup_closure(self, [x, y])) == self.order:
+                    return (x, y)
+            return self.generating_sequence("greedy")
+        gens, have = [], {0}
+        while len(have) < self.order:
+            g = min(x for x in range(self.order) if x not in have)
+            gens.append(g)
+            have = set(subgroup_closure(self, have | {g}))
+        return tuple(gens)
 
     def _word_levels(self, gens):
         """Closure bookkeeping for generator-image backtracking.
@@ -253,8 +252,9 @@ class FiniteGroup:
         candidate image assignment can be extended and checked without
         re-deriving words.
         """
-        if gens in self._level_cache:
-            return self._level_cache[gens]
+        return self.memo(("levels", gens), lambda: self._build_levels(gens))
+
+    def _build_levels(self, gens):
         levels = []
         elems = [0]
         known = {0}
@@ -276,7 +276,6 @@ class FiniteGroup:
             earr = np.array(elems, dtype=np.int64)
             sub = self.np_mul[np.ix_(earr, earr)]
             levels.append((list(elems), tuple(steps), earr, sub))
-        self._level_cache[gens] = levels
         return levels
 
     # -- automorphisms -------------------------------------------------------
@@ -288,16 +287,23 @@ class FiniteGroup:
         else (file formats, wreath coordinates, holomorph elements); the
         identity automorphism always lands at id 0.
         """
-        if self._auts is None:
-            found = sorted(enumerate_homomorphisms(self, self, bijective=True))
-            self._auts = tuple(found)
-            self._aut_index = {a: i for i, a in enumerate(found)}
-        return self._auts
+        return self.memo(
+            "auts", lambda: tuple(sorted(enumerate_homomorphisms(self, self, bijective=True)))
+        )
+
+    def aut_array(self):
+        """The automorphisms as a read-only (|Aut|, order) int64 array, row i
+        holding the images of automorphism id i."""
+        return self.memo(
+            "aut_array", lambda: _read_only(np.array(self.automorphisms(), dtype=np.int64))
+        )
 
     def aut_index(self, images):
-        self.automorphisms()
+        index = self.memo(
+            "aut_index", lambda: {a: i for i, a in enumerate(self.automorphisms())}
+        )
         try:
-            return self._aut_index[tuple(images)]
+            return index[tuple(images)]
         except KeyError:
             raise ValueError("images tuple is not an automorphism of this group") from None
 
@@ -307,32 +313,24 @@ class FiniteGroup:
         return tuple(mul[mul[g][x]][gi] for x in range(self.order))
 
     def conjugation_aut_id(self, g):
-        if self._conj_aut_id is None:
-            self._conj_aut_id = tuple(
-                self.aut_index(self.conjugation_images(x)) for x in range(self.order)
-            )
-        return self._conj_aut_id[g]
+        ids = self.memo(
+            "conj_aut_ids",
+            lambda: tuple(self.aut_index(self.conjugation_images(x)) for x in range(self.order)),
+        )
+        return ids[g]
 
     def inner_automorphism_ids(self):
         """Sorted, deduplicated list of aut ids realized by conjugation."""
-        if self._inner_ids is None:
-            self._inner_ids = tuple(
-                sorted({self.conjugation_aut_id(g) for g in range(self.order)})
-            )
-        return self._inner_ids
+        return self.memo(
+            "inner_ids",
+            lambda: tuple(sorted({self.conjugation_aut_id(g) for g in range(self.order)})),
+        )
 
     def center(self):
-        if self._center is None:
-            arr = self.np_mul
-            self._center = tuple(int(z) for z in np.argwhere((arr == arr.T).all(axis=1))[:, 0])
-        return self._center
-
-    # -- structure ----------------------------------------------------------
-
-    def normal_subgroup_list(self):
-        if self._normals is None:
-            self._normals = normal_subgroups(self)
-        return self._normals
+        arr = self.np_mul
+        return self.memo(
+            "center", lambda: tuple(int(z) for z in np.flatnonzero((arr == arr.T).all(axis=1)))
+        )
 
 
 # ── Catalog and file loading ───────────────────────────────────────────
@@ -540,26 +538,16 @@ def has_fpf_automorphism(G):
 # A power element is a plain tuple of n T-indices.  power_group builds the
 # same group as an honest FiniteGroup whose element k encodes the tuple in
 # row-major order, so tuple arithmetic and table arithmetic interconvert
-# through power_index / power_coords.
+# through power_index / power_coords, and all_coords lists every tuple.
 
 
 def power_identity(n):
     return (0,) * n
 
-def power_mul(T, a, b):
-    return tuple(T.mul[x][y] for x, y in zip(a, b))
-
-def power_inv(T, a):
-    return tuple(T.inv[x] for x in a)
-
-def power_order(T, a):
-    return math.lcm(*(T.element_order(x) for x in a)) if a else 1
-
-def power_apply_perm(images, a):
-    """Apply one T-automorphism (images table) to every coordinate."""
-    return tuple(images[x] for x in a)
-
 def power_index(T, coords):
+    """Row-major index of a coordinate tuple.  ``coords`` may also be an
+    array whose first axis runs over the coordinates; the result is then
+    the array of indices."""
     k = 0
     for c in coords:
         k = k * T.order + c
@@ -572,30 +560,29 @@ def power_coords(T, n, k):
         k //= T.order
     return tuple(out)
 
-def power_elements(T, n):
-    return itertools.product(range(T.order), repeat=n)
-
-
-_POWER_CACHE: dict[tuple[int, int], FiniteGroup] = {}
+def all_coords(T, n):
+    """Read-only (|T|^n, n) int64 array whose row k is power_coords(T, n, k);
+    built once per n and kept on T."""
+    return T.memo(
+        ("coords", n),
+        lambda: _read_only(np.indices((T.order,) * n, dtype=np.int64).reshape(n, -1).T),
+    )
 
 
 def power_group(T, n):
-    """The direct power T^n as a FiniteGroup (T itself when n = 1)."""
+    """The direct power T^n as a FiniteGroup (T itself when n = 1), built
+    once per n and kept on T."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n == 1:
         return T
-    key = (id(T), n)
-    if key in _POWER_CACHE:
-        return _POWER_CACHE[key]
-    order = T.order ** n
-    coords = np.array(list(power_elements(T, n)), dtype=np.int64)
-    prods = T.np_mul[coords[:, None, :], coords[None, :, :]]
-    weights = np.array([T.order ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-    mul = prods @ weights
-    G = FiniteGroup(mul.tolist(), name=f"{T.name}^{n}")
-    _POWER_CACHE[key] = G
-    return G
+
+    def build():
+        cols = all_coords(T, n).T  # cols[i] holds coordinate i of every element
+        mul = power_index(T, T.np_mul[cols[:, :, None], cols[:, None, :]])
+        return FiniteGroup(mul.tolist(), name=f"{T.name}^{n}")
+
+    return T.memo(("power", n), build)
 
 
 # ── Prime-order subgroup choices ────────────────────────────────────────

@@ -1,8 +1,12 @@
 """CLI subcommands: outputs and exit codes."""
 
+from pathlib import Path
+
 import pytest
 
 from hopfgalois.cli import main
+
+C2CUBE = Path(__file__).parent / "data" / "c2cube.txt"
 
 PAIR_FPF = """\
 n=2
@@ -130,6 +134,12 @@ def test_hol_regulars_cross_type(capsys):
     rc, _, err = run(capsys, "hol", "regulars", "--group", "a5", "--iso", "s3")
     assert rc == 1
     assert "too large" in err
+    # Hol(D4) has 2 regular subgroups isomorphic to C2^3, which pair
+    # closures cannot reach: the scan refuses instead of printing total 0.
+    rc, out, err = run(capsys, "hol", "regulars", "--group", "d4", "--iso", str(C2CUBE))
+    assert rc == 1
+    assert out == ""
+    assert "needs 3 generators" in err
 
 
 def test_hol_lemma_suite(capsys):

@@ -8,7 +8,6 @@ import pytest
 from hopfgalois.endomorphisms import (
     PairFileError,
     StructuredEndo,
-    all_coords,
     compose,
     count_aut0,
     count_end0,
@@ -22,7 +21,7 @@ from hopfgalois.endomorphisms import (
     parse_pair_file,
     trivial_endo,
 )
-from hopfgalois.groups import BudgetError, load_group, power_identity
+from hopfgalois.groups import BudgetError, all_coords, load_group, power_identity
 
 S3 = load_group("s3")
 A5 = load_group("a5")

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from hopfgalois import endomorphisms, groups, holomorph
 from hopfgalois.groups import (
     FiniteGroup,
     GroupValidationError,
+    all_coords,
     catalog_names,
     choose_prime_subgroups,
     commutator_closure,
@@ -152,6 +154,9 @@ def test_aut_index_round_trip():
         assert S3.aut_index(a) == i
     with pytest.raises(ValueError):
         S3.aut_index(tuple([0] * 6))
+    arr = S3.aut_array()
+    assert [tuple(map(int, row)) for row in arr] == list(S3.automorphisms())
+    assert not arr.flags.writeable
 
 
 def test_inner_automorphisms():
@@ -224,6 +229,10 @@ def test_power_index_round_trip():
     for _ in range(50):
         coords = tuple(rng.randrange(6) for _ in range(3))
         assert power_coords(S3, 3, power_index(S3, coords)) == coords
+    rows = all_coords(S3, 3)
+    assert rows.shape == (216, 3) and not rows.flags.writeable
+    assert [tuple(r) for r in rows.tolist()] == [power_coords(S3, 3, k) for k in range(216)]
+    assert (power_index(S3, rows.T) == range(216)).all()
 
 
 def test_power_multiplication_is_componentwise():
@@ -234,6 +243,30 @@ def test_power_multiplication_is_componentwise():
         b = tuple(rng.randrange(6) for _ in range(2))
         k = G.mul[power_index(S3, a)][power_index(S3, b)]
         assert power_coords(S3, 2, k) == tuple(S3.mul[x][y] for x, y in zip(a, b))
+
+
+@pytest.fixture
+def colliding_ids(monkeypatch):
+    """Every id() in the modules that build derived data returns 0, so a
+    cache keyed on id() would hand one group's data to the next."""
+    for module in (groups, endomorphisms, holomorph):
+        monkeypatch.setattr(module, "id", lambda obj: 0, raising=False)
+
+
+def test_power_and_holomorph_belong_to_their_own_group(colliding_ids):
+    c6_copy = FiniteGroup(C6.mul, name="c6copy")
+    assert power_group(c6_copy, 2).is_abelian()
+    assert holomorph.holomorph_of(c6_copy).group is c6_copy
+    s3_copy = FiniteGroup(S3.mul, name="s3copy")
+    P = power_group(s3_copy, 2)
+    assert P.name == "s3copy^2"
+    assert not P.is_abelian()
+    assert holomorph.holomorph_of(s3_copy).group is s3_copy
+
+
+def test_all_coords_belongs_to_its_own_group(colliding_ids):
+    assert all_coords(FiniteGroup(C6.mul), 2).shape == (36, 2)
+    assert all_coords(load_group("c5"), 2).shape == (25, 2)
 
 
 # ── Subgroup machinery ───────────────────────────────────────────────────

@@ -197,6 +197,13 @@ def test_cyclic_structures_on_s3_and_the_translation():
     assert byott_translate(len(keys), 2, 6) == golden["byott_c6_structures"] == 2
 
 
+def test_oracle_refuses_targets_it_cannot_reach():
+    c2cube = load_group(GOLDEN.parent / "c2cube.txt")
+    assert c2cube.generating_sequence("short") == (1, 2, 4)
+    with pytest.raises(ValueError, match="c2cube needs 3 generators"):
+        regular_subgroups_oracle(load_group("d4"), iso_type=c2cube)
+
+
 def test_byott_translate_arithmetic():
     assert byott_translate(3, 24, 6) == 12
     with pytest.raises(ValueError, match="not an integer"):
