@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .endomorphisms import all_coords, image_coords_table
-from .groups import BudgetError, has_fpf_automorphism, power_identity
+from .endomorphisms import image_coords_table
+from .groups import BudgetError, all_coords, has_fpf_automorphism, power_identity
 from .pairgraphs import (
     bfs_arrow_tree,
     build_directed,

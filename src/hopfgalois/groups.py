@@ -3,15 +3,18 @@
 Everything downstream (structured endomorphisms, pair graphs, holomorph
 searches) works with element *indices* into a validated Cayley table, with
 the identity pinned at index 0.  This module provides the table type, a
-small catalog of named groups, homomorphism and automorphism enumeration by
-generator-image backtracking, direct powers T^n and their coordinate
-arrays, prime-order subgroup choices, and the structural queries (center,
-normal subgroups, solvability) that the verification suites lean on.
+small catalog of named groups, one generator-image backtracker that
+enumerates homomorphisms, automorphisms and crossed homomorphisms (maps
+with c(st) = c(s)·a_s(c(t)), a homomorphism being the case of the trivial
+action), direct powers T^n and their coordinate arrays, prime-order
+subgroup choices, and the structural queries (center, normal subgroups,
+solvability) that the verification suites lean on.
 
 Tables are kept both as nested tuples (hashable, cheap scalar access) and
 as a read-only int64 numpy array for vectorised validation and
-homomorphism checking.  Everything computed from a table (automorphisms
-and their array, element orders, the powers T^n, the coordinate arrays of
+homomorphism checking.  Everything computed from a table (automorphisms,
+their array and Aut as a table group, element orders, whether some
+automorphism is fixed point free, the powers T^n, the coordinate arrays of
 T^n, the holomorph) is kept in one memo on the group itself, so it lives
 exactly as long as the group does.
 """
@@ -33,6 +36,7 @@ __all__ = [
     "load_group",
     "catalog_names",
     "enumerate_homomorphisms",
+    "crossed_homomorphisms",
     "find_isomorphism",
     "is_fixed_point_free",
     "has_fpf_automorphism",
@@ -117,8 +121,8 @@ class FiniteGroup:
         """The derived value stored under ``key``, from ``build()`` on first use.
 
         This is the one store for data computed from the table, here and in
-        the modules built on top (powers, coordinate arrays, holomorph); it
-        lives and dies with the group.
+        the modules built on top (powers, coordinate arrays, Aut as a table
+        group, holomorph); it lives and dies with the group.
         """
         if key not in self._memo:
             self._memo[key] = build()
@@ -456,50 +460,46 @@ def _parse_cayley_file(path):
 # ── Homomorphism search ─────────────────────────────────────────────────
 
 
-def enumerate_homomorphisms(src, dst, bijective=False, gens_strategy="greedy"):
-    """Yield all homomorphisms src → dst as full image tuples.
+def _backtrack_images(src, dst, gens, candidates, action=None, injective=False):
+    """Yield every map c: src → dst with c(st) = c(s)·a_s(c(t)), as a full
+    image tuple.
 
-    Backtracks over images of a generating sequence of ``src``; a partial
-    assignment is extended to the generated subgroup and checked as a
-    homomorphism on that whole subgroup before descending.  With
-    ``bijective=True`` only isomorphisms onto dst come out (orders must
-    already match).
+    ``action`` is an (|src|, |dst|) array whose row s is the permutation
+    a_s of dst; None stands for the trivial action, so the maps are then
+    the homomorphisms.  Backtracks over the images of ``gens``, taken from
+    ``candidates[k]`` for gens[k]; a partial assignment is extended to the
+    generated subgroup along its word levels and checked on that whole
+    subgroup before descending.  ``injective`` prunes assignments that
+    repeat an image.
     """
-    if bijective and src.order != dst.order:
-        return
-    if src.order == 1:
-        yield (0,)
-        return
-    gens = src.generating_sequence(gens_strategy)
-    levels = src._word_levels(gens)
-    src_orders = src.element_orders()
-    dst_orders = dst.element_orders()
-    candidates = []
-    for g in gens:
-        o = src_orders[g]
-        if bijective:
-            cand = [y for y in range(dst.order) if dst_orders[y] == o]
-        else:
-            cand = [y for y in range(dst.order) if o % dst_orders[y] == 0]
-        candidates.append(cand)
-    dmul = dst.np_mul
     img = [-1] * src.order
     img[0] = 0
+    if not gens:
+        yield tuple(img)
+        return
+    levels = src._word_levels(gens)
+    dmul, dnp = dst.mul, dst.np_mul
+    if action is not None:
+        act_np = np.asarray(action, dtype=np.int64)
+        act = act_np.tolist()
 
     def extend(k):
         elems, steps, earr, sub = levels[k]
         for y in candidates[k]:
             img[gens[k]] = y
-            ok = True
-            for new, parent, g in steps:
-                img[new] = dst.mul[img[parent]][img[g]]
+            if action is None:
+                for new, parent, g in steps:
+                    img[new] = dmul[img[parent]][img[g]]
+            else:
+                for new, parent, g in steps:
+                    img[new] = dmul[img[parent]][act[parent][img[g]]]
             imgs = np.fromiter((img[e] for e in elems), dtype=np.int64, count=len(elems))
-            if bijective and np.unique(imgs).size != imgs.size:
-                ok = False
+            ok = not injective or np.unique(imgs).size == imgs.size
             if ok:
                 full = np.zeros(src.order, dtype=np.int64)
                 full[earr] = imgs
-                ok = bool((full[sub] == dmul[imgs[:, None], imgs[None, :]]).all())
+                acted = imgs[None, :] if action is None else act_np[earr[:, None], imgs[None, :]]
+                ok = bool((full[sub] == dnp[imgs[:, None], acted]).all())
             if ok:
                 if k + 1 == len(gens):
                     yield tuple(img)
@@ -510,6 +510,42 @@ def enumerate_homomorphisms(src, dst, bijective=False, gens_strategy="greedy"):
             img[gens[k]] = -1
 
     yield from extend(0)
+
+
+def enumerate_homomorphisms(src, dst, bijective=False, gens_strategy="greedy"):
+    """Yield all homomorphisms src → dst as full image tuples.
+
+    Each generator of ``src`` may only go to an element whose order
+    divides its own (equals it, with ``bijective=True``, which yields only
+    isomorphisms onto dst; orders must already match).
+    """
+    if bijective and src.order != dst.order:
+        return
+    gens = src.generating_sequence(gens_strategy)
+    src_orders = src.element_orders()
+    dst_orders = dst.element_orders()
+    candidates = []
+    for g in gens:
+        o = src_orders[g]
+        if bijective:
+            cand = [y for y in range(dst.order) if dst_orders[y] == o]
+        else:
+            cand = [y for y in range(dst.order) if o % dst_orders[y] == 0]
+        candidates.append(cand)
+    yield from _backtrack_images(src, dst, gens, candidates, injective=bijective)
+
+
+def crossed_homomorphisms(N, f_perm_rows):
+    """All crossed maps g: N -> N relative to a homomorphism f into
+    permutations of N, i.e. g(st) = g(s)·f(s)(g(t)) with g(identity) = 1.
+
+    ``f_perm_rows`` is an (|N|, |N|) int array: row s is the permutation
+    f(s).  Every element is a candidate image of each generator.  Yields
+    image tuples.
+    """
+    gens = N.generating_sequence("short")
+    candidates = [range(N.order)] * len(gens)
+    yield from _backtrack_images(N, N, gens, candidates, action=f_perm_rows)
 
 
 def find_isomorphism(src, dst):
@@ -530,7 +566,11 @@ def is_fixed_point_free(images):
 
 
 def has_fpf_automorphism(G):
-    return any(is_fixed_point_free(a) for a in G.automorphisms())
+    """Whether some automorphism of G is fixed point free; decided once and
+    kept on G."""
+    return G.memo(
+        "has_fpf_aut", lambda: any(is_fixed_point_free(a) for a in G.automorphisms())
+    )
 
 
 # ── Direct powers T^n ───────────────────────────────────────────────────
@@ -611,11 +651,15 @@ class PrimeSubgroupChoice:
         return [tuple(c) for c in itertools.product(*axes)]
 
 
+def _is_prime(k):
+    return k >= 2 and all(k % d for d in range(2, int(k**0.5) + 1))
+
+
 def choose_prime_subgroups(T, n, p, variant=0):
     """Pick the variant-th lowest-index order-p element of T, reused in
     every coordinate.  variant=0 is the deterministic default; passing 1
     exercises independence from the choice when a second element exists."""
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if T.order % p != 0:
         raise ValueError(f"p = {p} does not divide |{T.name}| = {T.order}")

@@ -5,12 +5,14 @@ to aut(x)·trans⁻¹.  In these coordinates the right-translation embedding
 is aut-free, the composition law is (a, i)·(b, j) = (a·aut_i(b), i∘j), and
 a subgroup is regular exactly when its translation parts exhaust N; the
 translation-exhaustion test and the honest transitive-plus-free orbit test
-are both run and must agree.
+are both run and must agree.  The product i∘j of automorphism ids is read
+from Aut(N) as a table group, which is built once and kept on N.
 
 Regular subgroups isomorphic to N arise in parametrized form: a
 homomorphism f from N into Aut(N) plus a crossed map g (g(st) =
 g(s)·f(s)(g(t))) give the subgroup {(g(s), f(s))}, regular precisely when
-g is bijective.  Enumerating all (f, g) pairs and deduplicating element
+g is bijective.  Both f and g come from the generator-image backtracker
+of :mod:`.groups`.  Enumerating all (f, g) pairs and deduplicating element
 sets therefore enumerates the regular subgroups isomorphic to N, and an
 independent brute-force subgroup scan of the full holomorph table serves
 as the oracle for it.
@@ -35,9 +37,11 @@ from .fpf import is_fpf_bruteforce
 from .groups import (
     BudgetError,
     FiniteGroup,
+    _is_prime,
     all_coords,
     commutator_closure,
     choose_prime_subgroups,
+    crossed_homomorphisms,
     enumerate_homomorphisms,
     find_isomorphism,
     invert_perm,
@@ -55,7 +59,6 @@ __all__ = [
     "holomorph_of",
     "automorphism_table_group",
     "RegularSubgroup",
-    "crossed_homomorphisms",
     "subgroup_from_fg_pair",
     "enumerate_regular_subgroups",
     "regular_subgroups_oracle",
@@ -100,38 +103,19 @@ class Holomorph:
         self.aut_count = len(self.auts)
         self.order = N.order * self.aut_count
         self.inner_ids = frozenset(N.inner_automorphism_ids())
-        self._autmul = None
-        self._autinv = None
         self._table = None
+        self._aut_group = None
 
     # -- arithmetic -----------------------------------------------------
 
-    def aut_compose(self, i, j):
-        """Composite automorphism id: apply j first, then i."""
-        if self._autmul is None:
-            self._build_aut_tables()
-        return self._autmul[i][j]
-
-    def aut_inverse(self, i):
-        if self._autinv is None:
-            self._build_aut_tables()
-        return self._autinv[i]
-
-    def _build_aut_tables(self):
-        N = self.group
-        K = self.aut_count
-        mul = [[0] * K for _ in range(K)]
-        for i, a in enumerate(self.auts):
-            for j, b in enumerate(self.auts):
-                mul[i][j] = N.aut_index(tuple(a[x] for x in b))
-        self._autmul = tuple(tuple(r) for r in mul)
-        inv = [0] * K
-        for i in range(K):
-            for j in range(K):
-                if mul[i][j] == 0:
-                    inv[i] = j
-                    break
-        self._autinv = tuple(inv)
+    def aut_group(self):
+        """Aut(N) as a table group, bound on first use: fpf_pair_to_subgroup
+        builds holomorphs of powers with a large Aut that may never compose.
+        A method, not a property or functools.cached_property: both make
+        the reads in compose slower on CPython 3.11."""
+        if self._aut_group is None:
+            self._aut_group = automorphism_table_group(self.group)
+        return self._aut_group
 
     @property
     def identity(self):
@@ -141,12 +125,12 @@ class Holomorph:
         N = self.group
         return HolElement(
             N.mul[e1.trans][self.auts[e1.aut][e2.trans]],
-            self.aut_compose(e1.aut, e2.aut),
+            self.aut_group().mul[e1.aut][e2.aut],
         )
 
     def inverse(self, e):
         N = self.group
-        j = self.aut_inverse(e.aut)
+        j = self.aut_group().inv[e.aut]
         return HolElement(self.auts[j][N.inv[e.trans]], j)
 
     def action(self, e, x):
@@ -227,12 +211,13 @@ class Holomorph:
         """
         if self._table is None:
             N, K = self.group, self.aut_count
+            amul = self.aut_group().mul
             mul = [[0] * self.order for _ in range(self.order)]
             for a, i in itertools.product(range(N.order), range(K)):
                 row = mul[a * K + i]
                 for b, j in itertools.product(range(N.order), range(K)):
                     row[b * K + j] = (
-                        N.mul[a][self.auts[i][b]] * K + self.aut_compose(i, j)
+                        N.mul[a][self.auts[i][b]] * K + amul[i][j]
                     )
             self._table = FiniteGroup(mul, name=f"Hol({N.name})")
         return self._table
@@ -263,55 +248,21 @@ def holomorph_of(N):
 
 
 def automorphism_table_group(N):
-    """Aut(N) as a FiniteGroup whose element i is automorphism id i."""
-    hol = holomorph_of(N)
-    hol._build_aut_tables()
-    return FiniteGroup(hol._autmul, name=f"Aut({N.name})")
+    """Aut(N) as a FiniteGroup whose element i is automorphism id i and
+    whose product i·j applies j first, built once and kept on N."""
+
+    def build():
+        auts = N.aut_array()
+        # An automorphism is fixed by its images of a generating sequence.
+        gen_images = auts[:, list(N.generating_sequence())]
+        index = {row.tobytes(): i for i, row in enumerate(gen_images)}
+        mul = [[index[row.tobytes()] for row in a[gen_images]] for a in auts]
+        return FiniteGroup(mul, name=f"Aut({N.name})")
+
+    return N.memo("aut_group", build)
 
 
-# ── Crossed homomorphisms and (f, g) parametrized subgroups ────────────
-
-
-def crossed_homomorphisms(N, f_perm_rows):
-    """All crossed maps g: N -> N relative to a homomorphism f into
-    permutations of N, i.e. g(st) = g(s)·f(s)(g(t)) with g(identity) = 1.
-
-    ``f_perm_rows`` is an (|N|, |N|) int array: row s is the permutation
-    f(s).  Generator images are backtracked exactly like homomorphism
-    search, with the crossed law checked on the whole generated subgroup
-    at every level.  Yields image tuples.
-    """
-    F = np.asarray(f_perm_rows, dtype=np.int64)
-    if N.order == 1:
-        yield (0,)
-        return
-    gens = N.generating_sequence("short")
-    levels = N._word_levels(gens)
-    nmul = N.np_mul
-    g = [-1] * N.order
-    g[0] = 0
-
-    def extend(k):
-        elems, steps, earr, sub = levels[k]
-        for y in range(N.order):
-            g[gens[k]] = y
-            for new, parent, gen in steps:
-                g[new] = N.mul[g[parent]][int(F[parent, g[gen]])]
-            garr = np.fromiter((g[e] for e in elems), dtype=np.int64, count=len(elems))
-            gfull = np.zeros(N.order, dtype=np.int64)
-            gfull[earr] = garr
-            lhs = gfull[sub]
-            rhs = nmul[garr[:, None], F[earr[:, None], garr[None, :]]]
-            if (lhs == rhs).all():
-                if k + 1 == len(gens):
-                    yield tuple(g)
-                else:
-                    yield from extend(k + 1)
-            for new, _, _ in steps:
-                g[new] = -1
-            g[gens[k]] = -1
-
-    yield from extend(0)
+# ── (f, g) parametrized subgroups ───────────────────────────────────────
 
 
 @dataclass(frozen=True)
@@ -614,20 +565,10 @@ class FGPair:
         )
 
     def fsn_image(self):
-        """The set of coordinate actions realized by f (a subgroup of the
-        symmetric group on 1..n, closed because theta images of an abelian
-        or arbitrary group close under the anti-order product too)."""
-        thetas = {self.theta_of(s) for s in range(self.ctx.group.order)}
-        # close under composition to be safe (theta composes contravariantly)
-        frontier = True
-        while frontier:
-            frontier = False
-            for t1, t2 in itertools.product(tuple(thetas), repeat=2):
-                comp = tuple(t2[t1[i] - 1] for i in range(self.ctx.n))
-                if comp not in thetas:
-                    thetas.add(comp)
-                    frontier = True
-        return thetas
+        """The set of coordinate actions realized by f, closed under
+        composition (theta composes contravariantly, so the closure is
+        taken to be safe)."""
+        return _close_thetas(self.theta_of(s) for s in range(self.ctx.group.order))
 
     def g_is_bijective(self):
         return len(set(self.g_values)) == self.ctx.group.order
@@ -716,6 +657,16 @@ class OrbitDecomposition:
         return dict(self.transporters)[i]
 
 
+def _close_thetas(thetas):
+    """The closure of a set of 1-based permutation tuples under composition."""
+    group = set(thetas)
+    while True:
+        fresh = {tuple(t1[x - 1] for x in t2) for t1 in group for t2 in group} - group
+        if not fresh:
+            return group
+        group |= fresh
+
+
 def orbit_decompose_from_thetas(labelled_thetas, n, p, prefer=None):
     """Core decomposition engine working on realized coordinate
     permutations alone.
@@ -733,16 +684,7 @@ def orbit_decompose_from_thetas(labelled_thetas, n, p, prefer=None):
             raise ValueError(f"theta {theta} is not a permutation of 1..{n}")
         realized.setdefault(theta, []).append(label)
 
-    group = set(realized)
-    while True:
-        fresh = {
-            tuple(t1[t2[i] - 1] for i in range(n))
-            for t1 in group
-            for t2 in group
-        } - group
-        if not fresh:
-            break
-        group |= fresh
+    group = _close_thetas(realized)
     size = len(group)
     m = 0
     while p**m < size:
@@ -1217,7 +1159,3 @@ def run_power_lemma_suite(T, n=2, max_g_per_f=4):
             CheckResult(f"{name}: {prop1.name}", prop1.status, prop1.detail)
         )
     return results
-
-
-def _is_prime(k):
-    return k >= 2 and all(k % d for d in range(2, int(k**0.5) + 1))

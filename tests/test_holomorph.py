@@ -5,10 +5,14 @@ import json
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hopfgalois.endomorphisms import identity_endo, trivial_endo
 from hopfgalois.groups import (
+    FiniteGroup,
+    compose_perm,
+    crossed_homomorphisms,
     enumerate_homomorphisms,
     find_isomorphism,
     load_group,
@@ -24,7 +28,6 @@ from hopfgalois.holomorph import (
     check_rank_bounds,
     check_relations_lemma,
     classify_inn_out,
-    crossed_homomorphisms,
     enumerate_regular_subgroups,
     f_kernel_inner,
     fpf_pair_to_subgroup,
@@ -137,23 +140,49 @@ def test_table_group_and_subgroup_extraction():
 
 
 def test_automorphism_table_group():
-    aut = automorphism_table_group(S3)
-    assert aut.order == 6
-    assert find_isomorphism(aut, S3) is not None  # Aut(S3) = Inn(S3) = S3
+    for name, iso in (("s3", "s3"), ("q8", "s4")):  # Aut(S3) = S3, Aut(Q8) = S4
+        N = load_group(name)
+        aut = automorphism_table_group(N)
+        assert automorphism_table_group(N) is aut  # built once, kept on N
+        assert find_isomorphism(aut, load_group(iso)) is not None
+        auts = N.automorphisms()
+        for i, a in enumerate(auts):
+            for j, b in enumerate(auts):
+                assert aut.mul[i][j] == N.aut_index(compose_perm(a, b))
+            assert compose_perm(a, auts[aut.inv[i]]) == auts[0] == tuple(range(N.order))
 
 
 # ── Crossed homomorphisms ────────────────────────────────────────────────
 
 
 def test_crossed_homs_for_trivial_f_are_plain_endomorphisms():
-    import numpy as np
-
     auts = np.array(S3.automorphisms(), dtype=np.int64)
     F = auts[np.zeros(6, dtype=np.int64)]  # f constantly the identity
     crossed = sorted(crossed_homomorphisms(S3, F))
     plain = sorted(enumerate_homomorphisms(S3, S3))
     assert crossed == plain
     assert len(crossed) == 10
+
+
+@pytest.mark.parametrize("name, hom_count", [("s3", 10), ("c6", 2)])
+def test_crossed_homs_are_exactly_the_maps_obeying_the_crossed_law(name, hom_count):
+    N = load_group(name)
+    m, mul = N.order, N.np_mul
+    auts = np.array(N.automorphisms(), dtype=np.int64)
+    # Every map g with g(1) = 1, one per row: 6^5 candidates.
+    maps = np.zeros((m ** (m - 1), m), dtype=np.int64)
+    maps[:, 1:] = np.indices((m,) * (m - 1)).reshape(m - 1, -1).T
+    s = np.arange(m)[:, None]
+    homs = list(enumerate_homomorphisms(N, automorphism_table_group(N)))
+    assert len(homs) == hom_count
+    for f in homs:
+        F = auts[np.array(f)]  # row s is the permutation f(s)
+        lhs = maps[:, mul]  # [k, s, t] -> g_k(st)
+        rhs = mul[maps[:, :, None], F[s, maps[:, None, :]]]  # g_k(s)·f(s)(g_k(t))
+        lawful = maps[(lhs == rhs).all(axis=(1, 2))]
+        expected = sorted(tuple(row) for row in lawful.tolist())
+        assert expected  # g = 1 is always crossed
+        assert sorted(crossed_homomorphisms(N, F)) == expected
 
 
 # ── Regular subgroup enumeration against the golden oracle ──────────────
@@ -237,6 +266,14 @@ def test_non_fpf_pair_is_rejected_with_translation_counts():
     f = identity_endo(S3, 1)
     with pytest.raises(ValueError, match="translation parts"):
         fpf_pair_to_subgroup(f, f)
+
+
+def test_non_fpf_refusal_leaves_the_aut_table_unbuilt():
+    T = FiniteGroup(S3.mul, name="s3")  # fresh, so nothing is kept on it yet
+    f = identity_endo(T, 2)
+    with pytest.raises(ValueError, match="translation parts"):
+        fpf_pair_to_subgroup(f, f)
+    assert holomorph_of(power_group(T, 2))._aut_group is None
 
 
 def test_pair_to_subgroup_over_a_power():
