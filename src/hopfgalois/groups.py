@@ -55,12 +55,6 @@ __all__ = [
     "is_solvable",
 ]
 
-# How hard the table validator tries: a full associativity scan up to this
-# order, a fixed-seed sample of triples beyond it.
-FULL_SCAN_MAX_ORDER = 60
-SAMPLED_TRIPLES = 100_000
-
-
 class GroupValidationError(ValueError):
     """A multiplication table failed one of the group axioms."""
 
@@ -109,10 +103,10 @@ class FiniteGroup:
                 )
         arr = np.array(self.mul, dtype=np.int64) if self.order else np.zeros((0, 0), dtype=np.int64)
         self.np_mul = _read_only(arr)
+        self._memo = {}
         if validate:
             self._validate()
-        self.inv = tuple(int(np.argwhere(arr[x] == 0)[0, 0]) for x in range(self.order))
-        self._memo = {}
+        self.inv = tuple((arr == 0).argmax(axis=1).tolist()) if self.order else ()
 
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -156,39 +150,30 @@ class FiniteGroup:
             raise GroupValidationError(
                 f"identity violated: mul[{x}][0] = {self.mul[x][0]}, expected {x}"
             )
-        self._check_associativity(arr, m)
+        self._check_associativity(arr)
         # Every element needs a two-sided inverse.
-        for x in range(m):
-            ys = np.argwhere(arr[x] == 0)
-            if ys.size == 0 or self.mul[int(ys[0, 0])][x] != 0:
-                raise GroupValidationError(
-                    f"inverses violated: element {x} has no two-sided inverse"
-                )
+        inv = (arr == 0).argmax(axis=1)
+        bad = np.flatnonzero((arr[rng, inv] != 0) | (arr[inv, rng] != 0))
+        if bad.size:
+            raise GroupValidationError(
+                f"inverses violated: element {int(bad[0])} has no two-sided inverse"
+            )
 
-    def _check_associativity(self, arr, m):
-        if m <= FULL_SCAN_MAX_ORDER:
-            left = arr[arr]          # left[a,b,c] = (ab)c
-            right = arr[:, arr]      # right[a,b,c] = a(bc)
+    def _check_associativity(self, arr):
+        """Light's test (Clifford & Preston, The Algebraic Theory of
+        Semigroups, §1.2): the g with (x·g)·y = x·(g·y) for all x, y are
+        closed under products and include the identity, so checking the
+        greedy generating sequence decides associativity exactly."""
+        for g in self.generating_sequence():
+            left = arr[arr[:, g]]     # left[x, y] = (x·g)·y
+            right = arr[:, arr[g]]    # right[x, y] = x·(g·y)
             bad = np.argwhere(left != right)
             if bad.size:
-                a, b, c = map(int, bad[0])
+                a, c = map(int, bad[0])
                 raise GroupValidationError(
-                    f"associativity violated at ({a}, {b}, {c}): "
-                    f"(ab)c = {int(left[a, b, c])} but a(bc) = {int(right[a, b, c])}"
+                    f"associativity violated at ({a}, {g}, {c}): "
+                    f"(ab)c = {int(left[a, c])} but a(bc) = {int(right[a, c])}"
                 )
-            return
-        rng = np.random.default_rng(0)
-        t = rng.integers(0, m, size=(SAMPLED_TRIPLES, 3))
-        a, b, c = t[:, 0], t[:, 1], t[:, 2]
-        left = arr[arr[a, b], c]
-        right = arr[a, arr[b, c]]
-        bad = np.argwhere(left != right)
-        if bad.size:
-            i = int(bad[0, 0])
-            raise GroupValidationError(
-                f"associativity violated at ({int(a[i])}, {int(b[i])}, {int(c[i])}): "
-                f"(ab)c = {int(left[i])} but a(bc) = {int(right[i])}"
-            )
 
     # -- basic element arithmetic -----------------------------------------
 
@@ -221,7 +206,8 @@ class FiniteGroup:
         """A small generating sequence of element indices.
 
         ``greedy`` repeatedly appends the lowest-index element outside the
-        subgroup generated so far.  ``short`` first tries single elements,
+        closure under products of 0 and the elements so far (for a group,
+        the subgroup they generate).  ``short`` first tries single elements,
         then pairs, and only then falls back to greedy; it tends to give the
         smallest search trees for backtracking.
         """
@@ -240,11 +226,18 @@ class FiniteGroup:
                 if len(subgroup_closure(self, [x, y])) == self.order:
                     return (x, y)
             return self.generating_sequence("greedy")
-        gens, have = [], {0}
-        while len(have) < self.order:
-            g = min(x for x in range(self.order) if x not in have)
-            gens.append(g)
-            have = set(subgroup_closure(self, have | {g}))
+        # Assumes no axiom beyond the identity at 0, so validation can use
+        # it; the closure grows from the newest elements only.
+        arr, have, gens = self.np_mul, np.arange(self.order) == 0, []
+        while not have.all():
+            new = np.flatnonzero(~have)[:1]
+            gens.append(int(new[0]))
+            while new.size:
+                have[new] = True
+                members = np.flatnonzero(have)
+                reached = np.zeros_like(have)
+                reached[arr[new[:, None], members]] = reached[arr[members[:, None], new]] = True
+                new = np.flatnonzero(reached & ~have)
         return tuple(gens)
 
     def _word_levels(self, gens):

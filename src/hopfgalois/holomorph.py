@@ -6,7 +6,10 @@ is aut-free, the composition law is (a, i)·(b, j) = (a·aut_i(b), i∘j), and
 a subgroup is regular exactly when its translation parts exhaust N; the
 translation-exhaustion test and the honest transitive-plus-free orbit test
 are both run and must agree.  The product i∘j of automorphism ids is read
-from Aut(N) as a table group, which is built once and kept on N.
+from Aut(N) as a table group, which is built once and kept on N.  Checks
+on element sets (closure, regularity, the subgroup and holomorph tables)
+take the set as an array of flat indices trans·|Aut| + aut and gather all
+products at once; the scalar compose and action are their reference.
 
 Regular subgroups isomorphic to N arise in parametrized form: a
 homomorphism f from N into Aut(N) plus a crossed map g (g(st) =
@@ -38,7 +41,6 @@ from .groups import (
     BudgetError,
     FiniteGroup,
     _is_prime,
-    all_coords,
     commutator_closure,
     choose_prime_subgroups,
     crossed_homomorphisms,
@@ -95,7 +97,10 @@ class HolElement:
 
 
 class Holomorph:
-    """Hol(N) for a table group N, with composition and regularity tests."""
+    """Hol(N) for a table group N, with composition and regularity tests.
+
+    compose, inverse, action and xi work on single elements and are the
+    definitional reference; the set-level checks run on index arrays."""
 
     def __init__(self, N):
         self.group = N
@@ -103,7 +108,7 @@ class Holomorph:
         self.aut_count = len(self.auts)
         self.order = N.order * self.aut_count
         self.inner_ids = frozenset(N.inner_automorphism_ids())
-        self._table = None
+        self._inv = np.array(N.inv, dtype=np.int64)
         self._aut_group = None
 
     # -- arithmetic -----------------------------------------------------
@@ -160,40 +165,63 @@ class Holomorph:
     # -- regularity -------------------------------------------------------
 
     def check_closed(self, elements):
-        eset = set(elements)
-        if self.identity not in eset:
-            raise ValueError("subgroup candidate does not contain the identity")
-        for e1 in eset:
-            for e2 in eset:
-                if self.compose(e1, e2) not in eset:
-                    raise ValueError(
-                        f"set is not closed under composition: {e1} * {e2} escapes"
-                    )
+        """Raise ValueError unless ``elements`` contains the identity and
+        every product of two of its elements."""
+        self._closed_positions(np.unique(self._indices(elements)))
 
     def regularity_tests(self, elements):
         """(translation-exhaustion verdict, transitive-and-free verdict).
 
-        The two are logically equivalent; they are computed independently
-        so the test suite can compare them.
+        The two are logically equivalent; they are computed independently,
+        from the xi values and from the table of every element's action on
+        N, so the test suite can compare them.  Repeats count towards the
+        size.
         """
-        N = self.group
-        elements = list(elements)
-        xi_values = {self.xi(e) for e in elements}
-        xi_bijective = len(elements) == N.order and len(xi_values) == N.order
-        orbit = {self.action(e, 0) for e in elements}
-        transitive = len(orbit) == N.order
-        free = all(
-            all(self.action(e, x) != x for x in range(N.order))
-            for e in elements
-            if e != self.identity
-        )
-        return xi_bijective, (transitive and free and len(elements) == N.order)
+        return self._regularity(self._indices(elements))
 
     def is_regular(self, elements):
         """Regularity with the closure precondition enforced and the two
         independent tests cross-asserted."""
-        self.check_closed(elements)
-        by_xi, by_orbit = self.regularity_tests(elements)
+        return self._is_regular(self._indices(elements))
+
+    def _indices(self, elements):
+        """Flat indices of ``elements`` in the given order, repeats kept."""
+        return np.fromiter(map(self.index_of_element, elements), dtype=np.int64)
+
+    def _products(self, flat):
+        """Matrix of flat indices: entry (k, l) is element flat[k] composed
+        with element flat[l]."""
+        N, K = self.group, self.aut_count
+        t, a = np.divmod(flat, K)
+        trans = N.np_mul[t[:, None], N.aut_array()[a[:, None], t[None, :]]]
+        return trans * K + self.aut_group().np_mul[a[:, None], a[None, :]]
+
+    def _closed_positions(self, flat):
+        """Positions in the sorted distinct indices ``flat`` of all their
+        products; a ValueError names a product that escapes the set."""
+        if flat.size == 0 or flat[0] != 0:
+            raise ValueError("subgroup candidate does not contain the identity")
+        where = np.full(self.order, -1)  # position in flat of each holomorph element
+        where[flat] = np.arange(flat.size)
+        pos = where[self._products(flat)]
+        if (pos < 0).any():
+            e1, e2 = (self.element_of_index(int(flat[k])) for k in np.argwhere(pos < 0)[0])
+            raise ValueError(f"set is not closed under composition: {e1} * {e2} escapes")
+        return pos
+
+    def _regularity(self, flat):
+        N, m = self.group, self.group.order
+        t, a = np.divmod(flat, self.aut_count)
+        xi = self._inv[t]
+        xi_bijective = flat.size == m and np.bincount(xi, minlength=m).all()
+        action = N.np_mul[N.aut_array()[a], xi[:, None]]  # row k: x ↦ aut(x)·trans⁻¹
+        transitive = np.bincount(action[:, 0], minlength=m).all()
+        free = not (action[flat != 0] == np.arange(m)).any()
+        return bool(xi_bijective), bool(transitive and free and flat.size == m)
+
+    def _is_regular(self, flat):
+        self._closed_positions(np.unique(flat))
+        by_xi, by_orbit = self._regularity(flat)
         if by_xi != by_orbit:
             raise RuntimeError(
                 f"regularity tests disagree: xi-bijective {by_xi}, "
@@ -209,18 +237,9 @@ class Holomorph:
         Element index is trans·(aut count) + aut, so the identity (0, 0)
         sits at index 0 as required.
         """
-        if self._table is None:
-            N, K = self.group, self.aut_count
-            amul = self.aut_group().mul
-            mul = [[0] * self.order for _ in range(self.order)]
-            for a, i in itertools.product(range(N.order), range(K)):
-                row = mul[a * K + i]
-                for b, j in itertools.product(range(N.order), range(K)):
-                    row[b * K + j] = (
-                        N.mul[a][self.auts[i][b]] * K + amul[i][j]
-                    )
-            self._table = FiniteGroup(mul, name=f"Hol({N.name})")
-        return self._table
+        return self.group.memo("holomorph_table", lambda: FiniteGroup(
+            self._products(np.arange(self.order)).tolist(), name=f"Hol({self.group.name})"
+        ))
 
     def element_of_index(self, k):
         return HolElement(k // self.aut_count, k % self.aut_count)
@@ -231,15 +250,8 @@ class Holomorph:
     def subgroup_table_group(self, elements):
         """A subgroup of the holomorph as its own validated FiniteGroup,
         elements sorted so the identity is index 0."""
-        elems = sorted(set(elements))
-        if elems[0] != self.identity:
-            raise ValueError("subgroup does not contain the identity")
-        index = {e: i for i, e in enumerate(elems)}
-        mul = [
-            [index[self.compose(e1, e2)] for e2 in elems]
-            for e1 in elems
-        ]
-        return FiniteGroup(mul, name=f"sub{len(elems)}-of-Hol({self.group.name})")
+        pos = self._closed_positions(np.unique(self._indices(elements)))
+        return FiniteGroup(pos.tolist(), name=f"sub{pos.shape[0]}-of-Hol({self.group.name})")
 
 
 def holomorph_of(N):
@@ -282,29 +294,28 @@ def classify_inn_out(hol, elements):
 
 
 def _subgroup_from_tables(N, f_aut_ids, g_values):
-    """Element set {(g(s), f(s)) : s in N} with the regularity biconditional
-    (regular iff g bijective) asserted on it.
+    """Sorted holomorph indices of {(g(s), f(s)) : s in N}, and whether
+    that set is regular, with the regularity biconditional (regular iff g
+    bijective) asserted on it.
 
     A non-bijective g may still produce |N| distinct elements when f
     separates the collisions; such subgroups exist and are non-regular,
     so regularity is always decided by the tests, never by counting.
     """
     hol = holomorph_of(N)
-    elems = {HolElement(int(g_values[s]), int(f_aut_ids[s])) for s in range(N.order)}
+    flat = np.asarray(g_values, dtype=np.int64) * hol.aut_count + f_aut_ids
     g_bijective = len(set(g_values)) == N.order
     if g_bijective:
-        regular = hol.is_regular(elems)  # includes the closure check
-    else:
-        by_xi, by_orbit = hol.regularity_tests(elems)
-        if by_xi != by_orbit:
-            raise RuntimeError("regularity tests disagree on an (f, g) subgroup")
-        regular = by_xi
+        hol._closed_positions(np.unique(flat))
+    regular, by_orbit = hol._regularity(flat)
+    if regular != by_orbit:
+        raise RuntimeError("regularity tests disagree on an (f, g) subgroup")
     if regular != g_bijective:
         raise RuntimeError(
             f"regularity ({regular}) and g-bijectivity ({g_bijective}) "
             "disagree; the parametrization is broken"
         )
-    return frozenset(elems), regular
+    return np.sort(flat), regular
 
 
 def enumerate_regular_subgroups(N, iso_type=None, hol_budget=DEFAULT_HOL_BUDGET):
@@ -337,18 +348,15 @@ def enumerate_regular_subgroups(N, iso_type=None, hol_budget=DEFAULT_HOL_BUDGET)
             seen_images.add(image)
         F = auts_arr[np.array(f, dtype=np.int64)]
         for g in crossed_homomorphisms(N, F):
-            elems, regular = _subgroup_from_tables(N, f, g)
-            if not regular:
+            flat, regular = _subgroup_from_tables(N, f, g)
+            key = tuple(flat.tolist())
+            if not regular or key in found:
                 continue
-            key = tuple(sorted(elems))
-            if key in found:
-                continue
-            table = hol.subgroup_table_group(elems)
-            matched = find_isomorphism(table, target) is not None
+            elems = tuple(map(hol.element_of_index, key))
             found[key] = RegularSubgroup(
-                elements=key,
+                elements=elems,
                 classification=classify_inn_out(hol, elems),
-                iso_matched=matched,
+                iso_matched=find_isomorphism(hol.subgroup_table_group(elems), target) is not None,
             )
     subs = [found[k] for k in sorted(found)]
     return [s for s in subs if s.iso_matched]
@@ -426,30 +434,29 @@ def fpf_pair_to_subgroup(f, g, verdict=None):
     hol = holomorph_of(N)
     if verdict is None:
         verdict = is_fpf_bruteforce(f, g)
-    elems = set()
-    for coords in all_coords(T, n).tolist():
-        fv = power_index(T, f.apply(coords))
-        gv = power_index(T, g.apply(coords))
-        trans = N.mul[gv][N.inv[fv]]
-        elems.add(HolElement(trans, N.conjugation_aut_id(fv)))
-    translations = {e.trans for e in elems}
+    fv = power_index(T, image_coords_table(f).T)
+    gv = power_index(T, image_coords_table(g).T)
+    trans = N.np_mul[gv, hol._inv[fv]]
+    flat = trans * hol.aut_count + [N.conjugation_aut_id(v) for v in fv.tolist()]
+    translations = np.unique(trans).size
     if not verdict.is_fpf:
         # s and s' with f(s)f(s')^-1 = g(s)g(s')^-1 share a translation
         # part, so the evaluation-at-identity map cannot be injective.
-        if len(translations) == N.order:
+        if translations == N.order:
             raise RuntimeError("non-fpf pair produced distinct translations")
         raise ValueError(
-            f"pair is not fixed point free: only {len(translations)} of "
+            f"pair is not fixed point free: only {translations} of "
             f"{N.order} translation parts are distinct, the action cannot "
             "be regular"
         )
-    if len(elems) != N.order or len(translations) != N.order:
+    if np.unique(flat).size != N.order or translations != N.order:
         raise RuntimeError("fpf pair produced colliding holomorph elements")
-    if not hol.is_regular(elems):
+    if not hol._is_regular(flat):
         raise RuntimeError("fpf pair produced a non-regular subgroup")
+    elems = frozenset(map(hol.element_of_index, flat.tolist()))
     if classify_inn_out(hol, elems) != "inn":
         raise RuntimeError("fpf pair produced a subgroup with outer projection")
-    return frozenset(elems)
+    return elems
 
 
 def byott_translate(count_e_prime, aut_g_order, aut_n_order):
@@ -604,8 +611,8 @@ def subgroup_from_fg_pair(pair):
         plain = [
             N.aut_index(tuple(int(x) for x in perms[k])) for k in pair.f_ids
         ]
-    elems, _ = _subgroup_from_tables(N, plain, pair.g_values)
-    return elems
+    flat, _ = _subgroup_from_tables(N, plain, pair.g_values)
+    return frozenset(map(holomorph_of(N).element_of_index, flat.tolist()))
 
 
 # ── Orbit decompositions of the coordinate set ──────────────────────────

@@ -82,6 +82,20 @@ def test_rejects_broken_associativity():
         FiniteGroup(table)
 
 
+def test_rejects_a_loop_that_random_triples_miss():
+    # The XOR table of C2^9 with one intercalate swapped: rows 1 and 6 by
+    # columns 170 and 173 (1 ^ 6 = 170 ^ 173 = 7, no entry is 0).  It is
+    # still a Latin square with identity 0 and x·x = 0, so only
+    # associativity fails, at 8144 of the 512^3 triples; 100,000 uniform
+    # triples from numpy's default_rng(0) miss every one of them.
+    m = 512
+    table = [[x ^ y for y in range(m)] for x in range(m)]
+    for x, y in ((1, 170), (1, 173), (6, 170), (6, 173)):
+        table[x][y] ^= 7
+    with pytest.raises(GroupValidationError, match="associativity"):
+        FiniteGroup(table)
+
+
 def test_file_round_trip(tmp_path):
     path = tmp_path / "c3.tbl"
     body = "3\n" + "\n".join(" ".join(str(C3_MUL[x][y]) for y in range(3)) for x in range(3))

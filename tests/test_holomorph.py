@@ -3,6 +3,7 @@ structure lemmas over direct powers."""
 
 import json
 import random
+import re
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,103 @@ def test_check_closed_rejects_non_subgroups():
     broken = {hol.element_of_index(1), hol.element_of_index(7)}
     with pytest.raises(ValueError):
         hol.check_closed(broken)
+
+
+# Plain-Python references for the set-level checks, from the scalar
+# compose, action and xi alone.
+
+
+def _reference_escapes(hol, elements):
+    """Pairs of elements whose product leaves the set."""
+    eset = set(elements)
+    return {(e1, e2) for e1 in eset for e2 in eset if hol.compose(e1, e2) not in eset}
+
+
+def _reference_regularity(hol, elements):
+    elements = list(elements)
+    m = hol.group.order
+    by_xi = len(elements) == m and len({hol.xi(e) for e in elements}) == m
+    transitive = len({hol.action(e, 0) for e in elements}) == m
+    free = all(
+        hol.action(e, x) != x for e in elements if e != hol.identity for x in range(m)
+    )
+    return by_xi, transitive and free and len(elements) == m
+
+
+def _reference_closure(hol, seed):
+    have = {hol.identity, *seed}
+    work = list(have)
+    while work:
+        x = work.pop()
+        for y in list(have):
+            for z in (hol.compose(x, y), hol.compose(y, x)):
+                if z not in have:
+                    have.add(z)
+                    work.append(z)
+    return have
+
+
+def _candidate_sets(hol, rng):
+    """Closed subgroups (lambda, rho and small random closures), each also
+    with one element removed, one added, one swapped for an element with
+    the same translation part, the identity removed, and as a list with a
+    repeat."""
+    subgroups = [set(hol.lambda_image()), set(hol.rho_image())]
+    while len(subgroups) < 8:
+        seed = [hol.element_of_index(rng.randrange(hol.order)) for _ in range(rng.randint(1, 2))]
+        sub = _reference_closure(hol, seed)
+        if len(sub) < min(48, hol.order):
+            subgroups.append(sub)
+    for sub in subgroups:
+        ordered = sorted(sub)
+        outside = [e for e in map(hol.element_of_index, range(hol.order)) if e not in sub]
+        yield ordered
+        if len(ordered) > 1:
+            dropped = rng.choice(ordered[1:])
+            yield [e for e in ordered if e != dropped]
+        yield ordered + [rng.choice(outside)]
+        swaps = [(e, o) for e in ordered[1:] for o in outside if o.trans == e.trans]
+        if swaps:
+            gone, new = rng.choice(swaps)
+            yield [e for e in ordered if e != gone] + [new]
+        yield ordered[1:]
+        yield ordered + [rng.choice(ordered)]
+
+
+@pytest.mark.parametrize("name", ["s3", "d4", "a4"])
+def test_set_checks_agree_with_the_scalar_reference(name):
+    hol = holomorph_of(load_group(name))
+    rng = random.Random(f"set-checks-{name}")
+    for elements in _candidate_sets(hol, rng):
+        assert hol.regularity_tests(elements) == _reference_regularity(hol, elements)
+        escapes = _reference_escapes(hol, elements)
+        closure_checks = (hol.check_closed, hol.is_regular, hol.subgroup_table_group)
+        if hol.identity not in elements:
+            for check in closure_checks:
+                with pytest.raises(ValueError, match="identity"):
+                    check(elements)
+        elif escapes:
+            for check in closure_checks:
+                with pytest.raises(ValueError, match="escapes") as err:
+                    check(elements)
+                named = re.findall(r"HolElement\(trans=(\d+), aut=(\d+)\)", str(err.value))
+                e1, e2 = (HolElement(int(t), int(a)) for t, a in named)
+                assert (e1, e2) in escapes
+        else:
+            hol.check_closed(elements)
+            assert hol.is_regular(elements) == _reference_regularity(hol, elements)[0]
+            table = hol.subgroup_table_group(elements)
+            ordered = sorted(set(elements))
+            for i, e1 in enumerate(ordered):
+                for j, e2 in enumerate(ordered):
+                    assert ordered[table.mul[i][j]] == hol.compose(e1, e2)
+    full = hol.as_table_group()
+    for k in range(hol.order):
+        e1 = hol.element_of_index(k)
+        assert full.mul[k] == tuple(
+            hol.index_of_element(hol.compose(e1, hol.element_of_index(l)))
+            for l in range(hol.order)
+        )
 
 
 def test_table_group_and_subgroup_extraction():
