@@ -11,8 +11,8 @@ subgroup choices, and the structural queries (center, normal subgroups,
 solvability) that the verification suites lean on.
 
 Tables are kept both as nested tuples (hashable, cheap scalar access) and
-as a read-only int64 numpy array for vectorised validation and
-homomorphism checking.  Everything computed from a table (automorphisms,
+as a read-only int64 numpy array for vectorised validation of tables and
+of crossed-map actions.  Everything computed from a table (automorphisms,
 their array and Aut as a table group, element orders, whether some
 automorphism is fixed point free, the powers T^n, the coordinate arrays of
 T^n, the holomorph) is kept in one memo on the group itself, so it lives
@@ -241,38 +241,32 @@ class FiniteGroup:
         return tuple(gens)
 
     def _word_levels(self, gens):
-        """Closure bookkeeping for generator-image backtracking.
-
-        For each prefix ``gens[:k+1]`` this precomputes the elements of the
-        generated subgroup, the extension steps (new, parent, gen) with
-        new = parent·gen, and the subgroup's internal product table, so a
-        candidate image assignment can be extended and checked without
-        re-deriving words.
-        """
+        """Closure bookkeeping for generator-image backtracking, no product
+        table.  Level k covers the subgroup generated by ``gens[:k+1]`` (an
+        irredundant sequence): its elements, the spanning steps (new, parent,
+        gen) with new = parent·gen that extend a map to the new elements, and
+        the closing triples (x, gen, x·gen) whose product was already known.
+        Each pair of an element x ≠ 1 and a generator is a step or a closing
+        triple at exactly one level."""
         return self.memo(("levels", gens), lambda: self._build_levels(gens))
 
     def _build_levels(self, gens):
-        levels = []
-        elems = [0]
-        known = {0}
-        for k in range(len(gens)):
-            steps = []
-            if gens[k] not in known:
-                known.add(gens[k])
-                elems.append(gens[k])
-            i = 0
-            while i < len(elems):
-                x = elems[i]
-                for g in gens[: k + 1]:
+        levels, elems, known = [], [0], {0}
+        for k, gen in enumerate(gens):
+            start = len(elems)  # pairs of these with gens[:k] closed at earlier levels
+            known.add(gen)
+            elems.append(gen)
+            steps, closing = [], []
+            for i, x in enumerate(elems):  # runs over the elements appended below too
+                for g in gens[k : k + 1] if i < start else gens[: k + 1]:
                     y = self.mul[x][g]
                     if y not in known:
                         known.add(y)
                         elems.append(y)
                         steps.append((y, x, g))
-                i += 1
-            earr = np.array(elems, dtype=np.int64)
-            sub = self.np_mul[np.ix_(earr, earr)]
-            levels.append((list(elems), tuple(steps), earr, sub))
+                    elif x:
+                        closing.append((x, g, y))
+            levels.append((tuple(elems), tuple(steps), tuple(closing)))
         return levels
 
     # -- automorphisms -------------------------------------------------------
@@ -458,49 +452,44 @@ def _backtrack_images(src, dst, gens, candidates, action=None, injective=False):
     image tuple.
 
     ``action`` is an (|src|, |dst|) array whose row s is the permutation
-    a_s of dst; None stands for the trivial action, so the maps are then
-    the homomorphisms.  Backtracks over the images of ``gens``, taken from
-    ``candidates[k]`` for gens[k]; a partial assignment is extended to the
-    generated subgroup along its word levels and checked on that whole
-    subgroup before descending.  ``injective`` prunes assignments that
-    repeat an image.
+    a_s of dst, with s ↦ a_s a homomorphism into Aut(dst); None stands for
+    the trivial action, whose maps are the homomorphisms.  Backtracks over
+    the images of ``gens``, taken from ``candidates[k]`` for gens[k],
+    extends each along the spanning steps of its word level and checks it
+    only on the level's closing triples.  That is exact: given c(x·g) =
+    c(x)·a_x(c(g)) for every x and generator g, induction on the word
+    length of t gives the law for every pair s, t.  ``injective`` prunes
+    assignments that repeat an image.
     """
-    img = [-1] * src.order
-    img[0] = 0
-    if not gens:
-        yield tuple(img)
-        return
+    img = [0] * src.order
     levels = src._word_levels(gens)
-    dmul, dnp = dst.mul, dst.np_mul
-    if action is not None:
-        act_np = np.asarray(action, dtype=np.int64)
-        act = act_np.tolist()
+    dmul = dst.mul
+    act = None if action is None else np.asarray(action).tolist()
 
     def extend(k):
-        elems, steps, earr, sub = levels[k]
+        if k == len(gens):
+            yield tuple(img)
+            return
+        elems, steps, closing = levels[k]
         for y in candidates[k]:
             img[gens[k]] = y
-            if action is None:
-                for new, parent, g in steps:
-                    img[new] = dmul[img[parent]][img[g]]
+            ok = True
+            if act is None:
+                for new, x, g in steps:
+                    img[new] = dmul[img[x]][img[g]]
+                for x, g, xg in closing:
+                    if img[xg] != dmul[img[x]][img[g]]:
+                        ok = False
+                        break
             else:
-                for new, parent, g in steps:
-                    img[new] = dmul[img[parent]][act[parent][img[g]]]
-            imgs = np.fromiter((img[e] for e in elems), dtype=np.int64, count=len(elems))
-            ok = not injective or np.unique(imgs).size == imgs.size
-            if ok:
-                full = np.zeros(src.order, dtype=np.int64)
-                full[earr] = imgs
-                acted = imgs[None, :] if action is None else act_np[earr[:, None], imgs[None, :]]
-                ok = bool((full[sub] == dnp[imgs[:, None], acted]).all())
-            if ok:
-                if k + 1 == len(gens):
-                    yield tuple(img)
-                else:
-                    yield from extend(k + 1)
-            for new, _, _ in steps:
-                img[new] = -1
-            img[gens[k]] = -1
+                for new, x, g in steps:
+                    img[new] = dmul[img[x]][act[x][img[g]]]
+                for x, g, xg in closing:
+                    if img[xg] != dmul[img[x]][act[x][img[g]]]:
+                        ok = False
+                        break
+            if ok and (not injective or len({img[e] for e in elems}) == len(elems)):
+                yield from extend(k + 1)
 
     yield from extend(0)
 
@@ -529,16 +518,26 @@ def enumerate_homomorphisms(src, dst, bijective=False, gens_strategy="greedy"):
 
 
 def crossed_homomorphisms(N, f_perm_rows):
-    """All crossed maps g: N -> N relative to a homomorphism f into
-    permutations of N, i.e. g(st) = g(s)·f(s)(g(t)) with g(identity) = 1.
+    """All crossed maps g: N -> N relative to a homomorphism f into Aut(N),
+    i.e. g(st) = g(s)·f(s)(g(t)) with g(identity) = 1, as image tuples.
 
     ``f_perm_rows`` is an (|N|, |N|) int array: row s is the permutation
-    f(s).  Every element is a candidate image of each generator.  Yields
-    image tuples.
+    f(s).  Every element is a candidate image of each generator.  The
+    backtracker checks the law only on (x, generator) pairs, which is exact
+    only when f is a homomorphism into Aut(N); so, over the same generators
+    g, this first checks f(x·g) = f(x)∘f(g) for every x and that f(g) is a
+    bijection preserving products, and raises ValueError naming the check
+    that fails.
     """
     gens = N.generating_sequence("short")
-    candidates = [range(N.order)] * len(gens)
-    yield from _backtrack_images(N, N, gens, candidates, action=f_perm_rows)
+    F, mul = np.asarray(f_perm_rows, dtype=np.int64), N.np_mul
+    for g in gens:
+        a = F[g]
+        if (np.sort(a) != np.arange(N.order)).any() or (a[mul] != mul[a[:, None], a]).any():
+            raise ValueError(f"f({g}) is not an automorphism of {N.name}")
+        if (F[mul[:, g]] != F[:, a]).any():
+            raise ValueError(f"f is not a homomorphism: f(x·{g}) != f(x)∘f({g}) for some x")
+    return _backtrack_images(N, N, gens, [range(N.order)] * len(gens), action=F)
 
 
 def find_isomorphism(src, dst):
@@ -666,8 +665,10 @@ def choose_prime_subgroups(T, n, p, variant=0):
 # ── Subgroup structure ──────────────────────────────────────────────────
 
 
-def subgroup_closure(G, seed):
-    """Sorted tuple of the subgroup generated by ``seed`` (indices)."""
+def subgroup_closure(G, seed, limit=None):
+    """Sorted tuple of the subgroup generated by ``seed`` (indices), or None
+    as soon as it has more than ``limit`` elements."""
+    limit = G.order if limit is None else limit
     have = {0}
     work = [x for x in set(seed) if x not in have]
     have.update(work)
@@ -678,7 +679,9 @@ def subgroup_closure(G, seed):
                 if z not in have:
                     have.add(z)
                     work.append(z)
-    return tuple(sorted(have))
+                    if len(have) > limit:
+                        return None
+    return tuple(sorted(have)) if len(have) <= limit else None
 
 
 def _normal_closure(G, seed):

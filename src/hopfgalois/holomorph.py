@@ -364,8 +364,9 @@ def enumerate_regular_subgroups(N, iso_type=None, hol_budget=DEFAULT_HOL_BUDGET)
 
 def regular_subgroups_oracle(N, iso_type=None, with_stats=False):
     """Independent check: enumerate the subgroups of order |N| in the full
-    holomorph table by closing singletons and pairs, then filter by
-    regularity and isomorphism type.
+    holomorph table by closing singletons and pairs (a closure is dropped
+    once it passes |N| elements), then filter by regularity and
+    isomorphism type.
 
     Pair closures find exactly the subgroups generated by at most two
     elements, which includes every subgroup isomorphic to a target that
@@ -386,13 +387,15 @@ def regular_subgroups_oracle(N, iso_type=None, with_stats=False):
     want = N.order
     subgroup_sets = set()
     for x in range(table.order):
-        cl = subgroup_closure(table, [x])
+        cl = subgroup_closure(table, [x], limit=want)
+        if cl is None:
+            continue
         if len(cl) == want:
             subgroup_sets.add(cl)
-        elif len(cl) < want:
+        else:
             for y in range(x + 1, table.order):
-                cl2 = subgroup_closure(table, [x, y])
-                if len(cl2) == want:
+                cl2 = subgroup_closure(table, [x, y], limit=want)
+                if cl2 is not None and len(cl2) == want:
                     subgroup_sets.add(cl2)
     kept = []
     xi_orbit_agreements = 0
@@ -659,9 +662,6 @@ class OrbitDecomposition:
     @property
     def r(self):
         return len(self.orbits)
-
-    def transporter_of(self, i):
-        return dict(self.transporters)[i]
 
 
 def _close_thetas(thetas):

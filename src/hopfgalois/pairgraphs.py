@@ -109,9 +109,6 @@ class DirectedPairGraph:
                 return c
         raise KeyError(f"no arrow {kind}{index} in this graph")
 
-    def arrows_from(self, v):
-        return [c for c in self.arrows if c.tail == v]
-
 
 @dataclass(frozen=True)
 class PathMap:

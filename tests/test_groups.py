@@ -1,7 +1,9 @@
 """Multiplication-table groups: validation, catalog, automorphisms, powers."""
 
+import itertools
 import random
 
+import numpy as np
 import pytest
 
 from hopfgalois import endomorphisms, groups, holomorph
@@ -156,6 +158,10 @@ def test_automorphism_counts():
     assert len(Q8.automorphisms()) == 24
     assert len(load_group("d4").automorphisms()) == 8
     assert len(load_group("c2").automorphisms()) == 1
+    # textbook orders: Aut(A4) = Aut(S4) = S4, Aut(D5) = Hol(C5),
+    # Aut(A5) = Aut(S5) = S5
+    for name, count in (("a4", 24), ("d5", 20), ("s4", 24), ("a5", 120), ("s5", 120)):
+        assert len(load_group(name).automorphisms()) == count
 
 
 def test_aut_id_zero_is_identity():
@@ -188,6 +194,32 @@ def test_hom_counts():
     assert len(list(enumerate_homomorphisms(S3, C6))) == 2
     # identity plus one per involution of S3
     assert len(list(enumerate_homomorphisms(c2, S3))) == 4
+
+
+@pytest.mark.parametrize(
+    "src_name, dst_name", [("c6", "s3"), ("s3", "d4"), ("d4", "s3"), ("q8", "s3"), ("a4", "s3")]
+)
+def test_homs_match_a_brute_force_over_generator_images(src_name, dst_name):
+    src, dst = load_group(src_name), load_group(dst_name)
+    gens = src.generating_sequence()
+    smul, dmul = np.array(src.mul), np.array(dst.mul)
+    kept = []
+    for images in itertools.product(range(dst.order), repeat=len(gens)):
+        # Extend by breadth-first search over right multiplication by gens.
+        img = np.full(src.order, -1)
+        img[0] = 0
+        queue = [0]
+        for x in queue:
+            for g, y in zip(gens, images):
+                if img[smul[x, g]] < 0:
+                    img[smul[x, g]] = dmul[img[x], y]
+                    queue.append(int(smul[x, g]))
+        assert len(queue) == src.order
+        # Keep the map iff it is a homomorphism on all |src|^2 pairs.
+        if (img[list(gens)] == images).all() and (img[smul] == dmul[img[:, None], img]).all():
+            kept.append(tuple(img.tolist()))
+    assert kept  # the trivial map is always kept
+    assert sorted(enumerate_homomorphisms(src, dst)) == sorted(kept)
 
 
 def test_homs_are_really_homomorphisms():
@@ -290,6 +322,10 @@ def test_subgroup_closure():
     rot = next(x for x in range(6) if S3.element_order(x) == 3)
     assert len(subgroup_closure(S3, [rot])) == 3
     assert len(subgroup_closure(S3, [0])) == 1
+    # a limit drops a closure once it has more elements than the limit
+    assert subgroup_closure(S3, [rot], limit=3) == subgroup_closure(S3, [rot])
+    assert subgroup_closure(S3, [rot], limit=2) is None
+    assert subgroup_closure(S3, [1, 2], limit=5) is None
 
 
 def test_commutator_and_quotient():

@@ -283,6 +283,18 @@ def test_crossed_homs_are_exactly_the_maps_obeying_the_crossed_law(name, hom_cou
         assert sorted(crossed_homomorphisms(N, F)) == expected
 
 
+def test_crossed_homs_refuse_an_action_that_is_not_a_homomorphism():
+    C6 = load_group("c6")
+    auts = np.array(C6.automorphisms(), dtype=np.int64)
+    # Every row the inversion automorphism: f(1·g) = f(g) but f(1)∘f(g) = id.
+    with pytest.raises(ValueError, match="f is not a homomorphism"):
+        crossed_homomorphisms(C6, auts[np.ones(6, dtype=np.int64)])
+    # Every row the same bijection that swaps 1 and 2, which breaks products.
+    swap = np.array([0, 2, 1, 3, 4, 5])
+    with pytest.raises(ValueError, match="is not an automorphism of c6"):
+        crossed_homomorphisms(C6, np.tile(swap, (6, 1)))
+
+
 # ── Regular subgroup enumeration against the golden oracle ──────────────
 
 
