@@ -274,7 +274,7 @@ def _hol_counts(G, cross_check_oracle):
     and a quadratic pair-closure scan there is out of reach).  Without
     it the expectation is the closed structure count.
     """
-    subs = enumerate_regular_subgroups(G, iso_type=G)
+    subs = enumerate_regular_subgroups(G)
     inn = sum(1 for s in subs if s.classification == "inn")
     out = len(subs) - inn
     if cross_check_oracle:

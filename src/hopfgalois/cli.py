@@ -147,7 +147,7 @@ def _cmd_hol_regulars(args):
     G = load_group(args.group)
     iso = load_group(args.iso) if args.iso else None
     if iso is None or find_isomorphism(iso, G) is not None:
-        subs = enumerate_regular_subgroups(G, iso_type=iso)
+        subs = enumerate_regular_subgroups(G)
         rows = [(len(s.elements), s.classification) for s in subs]
     else:
         # The pair search only ever produces subgroups isomorphic to G,

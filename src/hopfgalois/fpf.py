@@ -16,6 +16,12 @@ check_path_conditions evaluates the arrow constraints that a coordinate
 tuple must satisfy for f and g to agree on it; the conjunction over single
 arrows is provably the same condition as f(x) = g(x), and the composed
 path/cycle constraint set is asserted consistent with it on every call.
+
+The tree verdict, the witness and the path constraints read the graph's
+shape from pairgraphs.pair_plan, built once per (theta_f, theta_g); per
+pair they only look up automorphism ids in the Aut(T) table and expand an
+id to an image where a coordinate value is read.  The brute-force scan
+uses no pair graph.
 """
 
 from __future__ import annotations
@@ -25,15 +31,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .endomorphisms import image_coords_table
-from .groups import BudgetError, all_coords, has_fpf_automorphism, power_identity
-from .pairgraphs import (
-    bfs_arrow_tree,
-    build_directed,
-    build_undirected,
-    components,
-    find_simple_cycle,
-    is_tree,
+from .groups import (
+    BudgetError,
+    all_coords,
+    automorphism_table_group,
+    has_fpf_automorphism,
+    lowest_fixed_points,
+    power_identity,
 )
+from .pairgraphs import CONSTANT, build_directed, path_transport, plan_for, transport_id
 
 __all__ = [
     "FpfVerdict",
@@ -108,34 +114,22 @@ def construct_witness(f, g):
     coordinates stay at the identity.  The result is re-checked against
     f and g before being returned.
     """
-    T, n = f.group, f.n
-    und = build_undirected(f.theta, g.theta)
-    directed = build_directed(f, g)
-    for comp in components(und):
-        if 0 in comp.vertices:
-            continue
-        ec, vc = comp.edge_count, comp.vertex_count
-        if ec == vc - 1:
-            base = comp.vertices[0]
-            seed = 1
-        elif ec == vc:
-            fwd, _ = find_simple_cycle(und, directed, comp, T)
-            base = fwd.source
-            seed = next(
-                (x for x in range(1, T.order) if fwd.images[x] == x), None
-            )
+    T = f.group
+    aut, auts = automorphism_table_group(T), T.automorphisms()
+    for comp in plan_for(f, g).components:
+        if comp.vertices[0] == 0 or comp.excess > 1:
+            continue  # the identity's component, or more than one cycle; unusable
+        seed = 1
+        if comp.excess == 1:
+            seed = lowest_fixed_points(T)[path_transport(aut, f, g, comp.forward)]
             if seed is None:
                 continue  # cycle transport is fixed point free; unusable
-        else:
-            continue  # more than one independent cycle; unusable
-        maps = bfs_arrow_tree(directed, base, T, within=set(comp.vertices))
-        if set(maps) != set(comp.vertices):
-            raise RuntimeError(
-                f"component {comp.vertices} not fully reachable from {base}"
-            )
-        sigma = [0] * n
-        for v, pm in maps.items():
-            sigma[v - 1] = pm.images[seed]
+        sigma = [0] * f.n
+        sigma[comp.base - 1] = seed
+        # No arrow inside a component avoiding 0 starts at 0, so every
+        # transport here is an automorphism.
+        for head, tail, kind, i in comp.steps:
+            sigma[head - 1] = auts[transport_id(aut, f, g, kind, i, tail)][sigma[tail - 1]]
         witness = tuple(sigma)
         _assert_witness(f, g, witness)
         return witness
@@ -155,8 +149,7 @@ def is_fpf_by_tree(f, g):
             f"{T.name} admits a fixed-point-free automorphism; "
             "the tree criterion does not apply"
         )
-    und = build_undirected(f.theta, g.theta)
-    if is_tree(und):
+    if plan_for(f, g).tree:
         return FpfVerdict(True, "tree-criterion", None)
     return FpfVerdict(False, "tree-criterion", construct_witness(f, g))
 
@@ -172,10 +165,10 @@ def decide_fpf(f, g, budget=DEFAULT_SCAN_BUDGET):
 # ── Path-condition evaluation ───────────────────────────────────────────
 
 
-def _single_arrow_conditions(directed, sigma):
+def _single_arrow_conditions(directed, auts, sigma):
     for c in directed.arrows:
         src = 0 if c.tail == 0 else sigma[c.tail - 1]
-        if sigma[c.head - 1] != c.transport[src]:
+        if sigma[c.head - 1] != (0 if c.transport == CONSTANT else auts[c.transport][src]):
             return False
     return True
 
@@ -186,35 +179,26 @@ def _reduced_path_conditions(f, g, sigma):
     graphs whose components are trees or unicyclic; in the presence of a
     multi-cyclic component it is only a necessary condition."""
     T = f.group
-    und = build_undirected(f.theta, g.theta)
-    directed = build_directed(f, g)
+    aut, auts = automorphism_table_group(T), T.automorphisms()
+    plan = plan_for(f, g)
     ok = True
-    saw_multicycle = False
-    for comp in components(und):
-        base = comp.vertices[0]
-        maps = bfs_arrow_tree(directed, base, T, within=set(comp.vertices))
-        if set(maps) != set(comp.vertices):
-            raise RuntimeError(
-                f"component {comp.vertices} not fully reachable from {base}"
-            )
-        base_val = 0 if base == 0 else sigma[base - 1]
-        for v, pm in maps.items():
-            if v != base and sigma[v - 1] != pm.images[base_val]:
+    for comp in plan.components:
+        # want[v] is the base value carried along the BFS path to v.
+        want = {comp.base: 0 if comp.base == 0 else sigma[comp.base - 1]}
+        for head, tail, kind, i in comp.steps:
+            t = transport_id(aut, f, g, kind, i, tail)
+            want[head] = 0 if t == CONSTANT else auts[t][want[tail]]
+            if sigma[head - 1] != want[head]:
                 ok = False
-        if 0 in comp.vertices:
-            # Paths from 0 force the identity on the whole component, which
-            # already subsumes any cycle constraints here.
-            continue
-        excess = comp.edge_count - (comp.vertex_count - 1)
-        if excess == 1:
-            fwd, rev = find_simple_cycle(und, directed, comp, T)
-            for cyc in (fwd, rev):
-                val = sigma[cyc.source - 1]
-                if cyc.images[val] != val:
+        # Paths from 0 force the identity on the whole component, which
+        # already subsumes any cycle constraints there; such components
+        # carry no cycle steps.
+        if comp.forward:
+            val = sigma[comp.base - 1]
+            for cycle in (comp.forward, comp.reverse):
+                if auts[path_transport(aut, f, g, cycle)][val] != val:
                     ok = False
-        elif excess >= 2:
-            saw_multicycle = True
-    return ok, saw_multicycle
+    return ok, plan.multicycle
 
 
 def check_path_conditions(f, g, sigma):
@@ -225,8 +209,7 @@ def check_path_conditions(f, g, sigma):
     path/cycle constraint set are evaluated alongside it and any
     disagreement raises, so a True/False answer is triple-checked.
     """
-    directed = build_directed(f, g)
-    verdict = _single_arrow_conditions(directed, sigma)
+    verdict = _single_arrow_conditions(build_directed(f, g), f.group.automorphisms(), sigma)
     direct = f.apply(sigma) == g.apply(sigma)
     if verdict != direct:
         raise RuntimeError(

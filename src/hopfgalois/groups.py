@@ -14,9 +14,10 @@ Tables are kept both as nested tuples (hashable, cheap scalar access) and
 as a read-only int64 numpy array for vectorised validation of tables and
 of crossed-map actions.  Everything computed from a table (automorphisms,
 their array and Aut as a table group, element orders, whether some
-automorphism is fixed point free, the powers T^n, the coordinate arrays of
-T^n, the holomorph) is kept in one memo on the group itself, so it lives
-exactly as long as the group does.
+automorphism is fixed point free and each one's least non-identity fixed
+point, the powers T^n, the coordinate arrays of T^n, the holomorph) is kept
+in one memo on the group itself, so it lives exactly as long as the group
+does.
 """
 
 from __future__ import annotations
@@ -37,9 +38,11 @@ __all__ = [
     "catalog_names",
     "enumerate_homomorphisms",
     "crossed_homomorphisms",
+    "automorphism_table_group",
     "find_isomorphism",
     "is_fixed_point_free",
     "has_fpf_automorphism",
+    "lowest_fixed_points",
     "power_group",
     "power_identity",
     "power_index",
@@ -540,6 +543,21 @@ def crossed_homomorphisms(N, f_perm_rows):
     return _backtrack_images(N, N, gens, [range(N.order)] * len(gens), action=F)
 
 
+def automorphism_table_group(N):
+    """Aut(N) as a FiniteGroup whose element i is automorphism id i and
+    whose product i·j applies j first, built once and kept on N."""
+
+    def build():
+        auts = N.aut_array()
+        # An automorphism is fixed by its images of a generating sequence.
+        gen_images = auts[:, list(N.generating_sequence())]
+        index = {row.tobytes(): i for i, row in enumerate(gen_images)}
+        mul = [[index[row.tobytes()] for row in a[gen_images]] for a in auts]
+        return FiniteGroup(mul, name=f"Aut({N.name})")
+
+    return N.memo("aut_group", build)
+
+
 def find_isomorphism(src, dst):
     """An isomorphism src → dst as an image tuple, or None."""
     if src.order != dst.order:
@@ -563,6 +581,17 @@ def has_fpf_automorphism(G):
     return G.memo(
         "has_fpf_aut", lambda: any(is_fixed_point_free(a) for a in G.automorphisms())
     )
+
+
+def lowest_fixed_points(G):
+    """Per automorphism id, its least fixed point other than the identity,
+    or None when it fixes only the identity; built once and kept on G."""
+
+    def build():
+        fixed = G.aut_array()[:, 1:] == np.arange(1, G.order)
+        return tuple(int(k) + 1 if row.any() else None for k, row in zip(fixed.argmax(axis=1), fixed))
+
+    return G.memo("lowest_fixed_points", build)
 
 
 # ── Direct powers T^n ───────────────────────────────────────────────────

@@ -41,6 +41,7 @@ from .groups import (
     BudgetError,
     FiniteGroup,
     _is_prime,
+    automorphism_table_group,
     commutator_closure,
     choose_prime_subgroups,
     crossed_homomorphisms,
@@ -59,7 +60,6 @@ __all__ = [
     "HolElement",
     "Holomorph",
     "holomorph_of",
-    "automorphism_table_group",
     "RegularSubgroup",
     "subgroup_from_fg_pair",
     "enumerate_regular_subgroups",
@@ -259,21 +259,6 @@ def holomorph_of(N):
     return N.memo("holomorph", lambda: Holomorph(N))
 
 
-def automorphism_table_group(N):
-    """Aut(N) as a FiniteGroup whose element i is automorphism id i and
-    whose product i·j applies j first, built once and kept on N."""
-
-    def build():
-        auts = N.aut_array()
-        # An automorphism is fixed by its images of a generating sequence.
-        gen_images = auts[:, list(N.generating_sequence())]
-        index = {row.tobytes(): i for i, row in enumerate(gen_images)}
-        mul = [[index[row.tobytes()] for row in a[gen_images]] for a in auts]
-        return FiniteGroup(mul, name=f"Aut({N.name})")
-
-    return N.memo("aut_group", build)
-
-
 # ── (f, g) parametrized subgroups ───────────────────────────────────────
 
 
@@ -281,7 +266,6 @@ def automorphism_table_group(N):
 class RegularSubgroup:
     elements: tuple  # sorted HolElements
     classification: str  # "inn" or "out"
-    iso_matched: bool
 
     @property
     def order(self):
@@ -300,7 +284,7 @@ def _subgroup_from_tables(N, f_aut_ids, g_values):
 
     A non-bijective g may still produce |N| distinct elements when f
     separates the collisions; such subgroups exist and are non-regular,
-    so regularity is always decided by the tests, never by counting.
+    so the size of the set never decides regularity.
     """
     hol = holomorph_of(N)
     flat = np.asarray(g_values, dtype=np.int64) * hol.aut_count + f_aut_ids
@@ -318,16 +302,19 @@ def _subgroup_from_tables(N, f_aut_ids, g_values):
     return np.sort(flat), regular
 
 
-def enumerate_regular_subgroups(N, iso_type=None, hol_budget=DEFAULT_HOL_BUDGET):
+def enumerate_regular_subgroups(N, hol_budget=DEFAULT_HOL_BUDGET):
     """All regular subgroups of Hol(N) isomorphic to N, by (f, g) search.
 
     f runs over Hom(N, Aut(N)); for each f the crossed maps g are
-    enumerated and the bijective ones contribute subgroups.  Injective f
+    enumerated and the bijective ones contribute subgroups: the others
+    miss some translation part, so their sets are never regular (the test
+    suite checks that biconditional over every crossed map).  Injective f
     with the same automorphism image yield the same subgroups (they differ
     by precomposing an automorphism of N, which only reindexes sigma), so
     one representative per image is searched; the oracle test keeps this
-    honest.  Every produced subgroup is verified regular and
-    isomorphism-tested against ``iso_type`` (N itself by default).
+    honest.  Every produced subgroup is verified regular, and asserted
+    isomorphic to N: s ↦ (g(s), f(s)) is an injective homomorphism when g
+    is bijective, so no other type can arise; other types need the oracle.
     """
     hol = holomorph_of(N)
     if hol.order > hol_budget:
@@ -335,7 +322,6 @@ def enumerate_regular_subgroups(N, iso_type=None, hol_budget=DEFAULT_HOL_BUDGET)
             f"|Hol({N.name})| = {hol.order} exceeds the budget {hol_budget}"
         )
     aut_group = automorphism_table_group(N)
-    target = iso_type if iso_type is not None else N
     auts_arr = N.aut_array()
 
     seen_images = set()
@@ -348,18 +334,20 @@ def enumerate_regular_subgroups(N, iso_type=None, hol_budget=DEFAULT_HOL_BUDGET)
             seen_images.add(image)
         F = auts_arr[np.array(f, dtype=np.int64)]
         for g in crossed_homomorphisms(N, F):
-            flat, regular = _subgroup_from_tables(N, f, g)
+            if len(set(g)) != N.order:
+                continue
+            flat, _ = _subgroup_from_tables(N, f, g)
             key = tuple(flat.tolist())
-            if not regular or key in found:
+            if key in found:
                 continue
             elems = tuple(map(hol.element_of_index, key))
-            found[key] = RegularSubgroup(
-                elements=elems,
-                classification=classify_inn_out(hol, elems),
-                iso_matched=find_isomorphism(hol.subgroup_table_group(elems), target) is not None,
-            )
-    subs = [found[k] for k in sorted(found)]
-    return [s for s in subs if s.iso_matched]
+            if find_isomorphism(hol.subgroup_table_group(elems), N) is None:
+                raise RuntimeError(
+                    f"a regular subgroup of Hol({N.name}) from a bijective "
+                    f"crossed map is not isomorphic to {N.name}"
+                )
+            found[key] = RegularSubgroup(elems, classify_inn_out(hol, elems))
+    return [found[k] for k in sorted(found)]
 
 
 def regular_subgroups_oracle(N, iso_type=None, with_stats=False):

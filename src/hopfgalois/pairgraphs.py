@@ -10,41 +10,53 @@ the headline criterion, so this module also provides Prüfer-sequence
 enumeration of labelled trees and the closed count of trees by the degree
 of vertex 0.
 
+Only the transports depend on the automorphisms phi; the components, the
+tree verdict, the breadth-first arrow order in each component and the walk
+around each cycle depend on (theta_f, theta_g) alone.  pair_plan builds
+that shape once per pair of source maps and keeps it, so a pair adds no
+more than its automorphism ids.
+
 Arrow naming: edge i induces a forward arrow ("a", i) from theta_f(i) to
 theta_g(i) whenever the g-side map can be inverted (theta_g(i) != 0), and
-a reverse arrow ("b", i) whenever the f-side can.  With both present the
-two transports are mutually inverse automorphisms of T; an arrow whose
-tail is vertex 0 carries the constant-identity transport instead, because
-the coordinate it constrains must be the identity.  No arrow ever has
-head 0.
+a reverse arrow ("b", i) whenever the f-side can.  An arrow's transport is
+an automorphism id of T, the inverse of the head-side automorphism after
+the tail-side one, read from automorphism_table_group(T); with both arrows
+present the two ids are mutually inverse.  An arrow whose tail is vertex 0
+carries the marker CONSTANT instead, the constant map onto the identity,
+because the coordinate it constrains must be the identity.  No arrow ever
+has head 0.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .groups import compose_perm, invert_perm
+from .groups import automorphism_table_group
 
 __all__ = [
+    "CONSTANT",
     "UndirectedPairGraph",
     "DirectedPairGraph",
     "Component",
     "Arrow",
-    "PathMap",
+    "ComponentPlan",
+    "PairPlan",
     "build_undirected",
     "build_directed",
-    "bullet_transform",
     "is_tree",
     "components",
     "degree_of_vertex0",
-    "gamma_of_path",
-    "find_directed_path",
-    "bfs_arrow_tree",
     "find_simple_cycle",
+    "pair_plan",
+    "plan_for",
+    "transport_id",
+    "path_transport",
     "prufer_decode",
     "prufer_encode",
     "enumerate_labelled_trees",
@@ -52,6 +64,8 @@ __all__ = [
     "tree_degree_census",
     "dump_lines",
 ]
+
+CONSTANT = -1  # transport of an arrow with tail 0: every element goes to the identity
 
 
 @dataclass(frozen=True)
@@ -91,7 +105,7 @@ class Arrow:
     index: int   # 1-based edge label
     tail: int
     head: int
-    transport: tuple  # map T -> T; an automorphism unless tail == 0
+    transport: int  # automorphism id of T, or CONSTANT when tail == 0
 
     @property
     def label(self):
@@ -110,23 +124,29 @@ class DirectedPairGraph:
         raise KeyError(f"no arrow {kind}{index} in this graph")
 
 
-@dataclass(frozen=True)
-class PathMap:
-    """A composable arrow sequence with its composed transport.
+class ComponentPlan(NamedTuple):
+    """One component of a pair graph's shape.
 
-    Arrows are stored in travel order (first traversed first); ``images``
-    is the right-to-left composite of their transports, a map T -> T that
-    is an automorphism whenever no arrow in the path starts at vertex 0.
+    A step is an arrow as (head, tail, kind, edge index), the edge index
+    0-based.  ``steps`` run breadth-first from ``base`` and reach every
+    other vertex of the component once.  When the component avoids 0 and
+    has one cycle, ``base`` is the least vertex on the cycle and
+    ``forward``/``reverse`` are its arrows in travel order from there;
+    otherwise ``base`` is the least vertex and both are empty.
     """
 
-    arrows: tuple
-    source: int
-    target: int
-    images: tuple
+    vertices: tuple
+    excess: int  # edges beyond a spanning tree: 0 for a tree, 1 for one cycle
+    base: int
+    steps: tuple
+    forward: tuple
+    reverse: tuple
 
-    @property
-    def label(self):
-        return " ".join(c.label for c in self.arrows) if self.arrows else "(empty)"
+
+class PairPlan(NamedTuple):
+    tree: bool
+    components: tuple  # ComponentPlans, by least vertex
+    multicycle: bool  # some component avoiding 0 has two or more independent cycles
 
 
 # ── Construction ────────────────────────────────────────────────────────
@@ -143,51 +163,52 @@ def build_undirected(mu, nu):
     return UndirectedPairGraph(n, tuple(zip(mu, nu)))
 
 
-def _arrow_transport(T, tail_theta, tail_phi, head_phi):
-    """Transport along an arrow: invert the head-side map, then apply the
-    tail side.  A 0 tail contributes the constant-identity map."""
-    auts = T.automorphisms()
-    inv_head = invert_perm(auts[head_phi])
-    if tail_theta == 0:
-        return (0,) * T.order
-    return compose_perm(inv_head, auts[tail_phi])
+def _arrow_shapes(edges):
+    """(kind, 0-based edge index, tail, head) of every arrow, sorted by
+    (index, kind)."""
+    out = []
+    for i, (tf, tg) in enumerate(edges):
+        if tg != 0:  # forward arrow: tail on the f side, head on the g side
+            out.append(("a", i, tf, tg))
+        if tf != 0:  # reverse arrow
+            out.append(("b", i, tg, tf))
+    return out
+
+
+def transport_id(aut, f, g, kind, i, tail):
+    """Transport of arrow (kind, i) of the pair (f, g): the head-side
+    automorphism inverted after the tail-side one, as an id of ``aut`` =
+    automorphism_table_group(T), or CONSTANT for a 0 tail."""
+    if tail == 0:
+        return CONSTANT
+    if kind == "a":
+        return aut.mul[aut.inv[g.phis[i]]][f.phis[i]]
+    return aut.mul[aut.inv[f.phis[i]]][g.phis[i]]
+
+
+def path_transport(aut, f, g, steps):
+    """Transport of a path given as steps in travel order: the ids composed
+    through ``aut.mul``, last step outermost.  CONSTANT absorbs, since every
+    automorphism fixes the identity."""
+    t = 0
+    for _head, tail, kind, i in steps:
+        a = transport_id(aut, f, g, kind, i, tail)
+        t = CONSTANT if CONSTANT in (a, t) else aut.mul[a][t]
+    return t
+
+
+def _check_same_power(f, g):
+    if f.group is not g.group or f.n != g.n:
+        raise ValueError("endomorphism pair lives over different powers")
 
 
 def build_directed(f, g):
-    if f.group is not g.group or f.n != g.n:
-        raise ValueError("endomorphism pair lives over different powers")
-    T, n = f.group, f.n
-    arrows = []
-    for i in range(n):
-        tf, tg = f.theta[i], g.theta[i]
-        if tg != 0:  # forward arrow: tail on the f side, head on the g side
-            arrows.append(
-                Arrow("a", i + 1, tf, tg, _arrow_transport(T, tf, f.phis[i], g.phis[i]))
-            )
-        if tf != 0:  # reverse arrow
-            arrows.append(
-                Arrow("b", i + 1, tg, tf, _arrow_transport(T, tg, g.phis[i], f.phis[i]))
-            )
-    arrows.sort(key=lambda c: (c.index, c.kind))
-    return DirectedPairGraph(n, tuple(arrows))
-
-
-def bullet_transform(graph):
-    """Arrow skeleton (tail, head) multiset derived from the undirected
-    graph alone: drop loops at 0, orient 0-incident edges away from 0,
-    replace every other edge by a pair of opposite arrows."""
-    out = []
-    for u, v in graph.edges:
-        if u == 0 and v == 0:
-            continue
-        if u == 0:
-            out.append((0, v))
-        elif v == 0:
-            out.append((0, u))
-        else:
-            out.append((u, v))
-            out.append((v, u))
-    return sorted(out)
+    _check_same_power(f, g)
+    aut = automorphism_table_group(f.group)
+    return DirectedPairGraph(f.n, tuple(
+        Arrow(kind, i + 1, tail, head, transport_id(aut, f, g, kind, i, tail))
+        for kind, i, tail, head in _arrow_shapes(zip(f.theta, g.theta))
+    ))
 
 
 # ── Components and the tree test ────────────────────────────────────────
@@ -268,100 +289,41 @@ def degree_of_vertex0(mu, nu):
     return by_graph
 
 
-# ── Paths and transports ────────────────────────────────────────────────
+# ── Shape plans ─────────────────────────────────────────────────────────
 
 
-def _identity_images(T):
-    return tuple(range(T.order))
+_INTERNED = {}  # value -> the one shared object equal to it
 
 
-def _compose_path(T, arrows, source):
-    images = _identity_images(T)
-    at = source
-    for c in arrows:
-        if c.tail != at:
-            raise ValueError(
-                f"path is not composable: arrow {c.label} starts at {c.tail}, "
-                f"expected {at}"
-            )
-        images = compose_perm(c.transport, images)
-        at = c.head
-    return PathMap(tuple(arrows), source, at, images)
+def _intern(value):
+    return _INTERNED.setdefault(value, value)
 
 
-def gamma_of_path(f, g, labels, source=None):
-    """PathMap for a sequence of (kind, index) labels in travel order.
-
-    ``source`` defaults to the tail of the first arrow; an empty path
-    needs it to be given explicitly.
-    """
-    directed = build_directed(f, g)
-    arrows = [directed.arrow(kind, index) for kind, index in labels]
-    if not arrows:
-        if source is None:
-            raise ValueError("empty path needs an explicit source vertex")
-        return PathMap((), source, source, _identity_images(f.group))
-    if source is None:
-        source = arrows[0].tail
-    return _compose_path(f.group, arrows, source)
-
-
-def find_directed_path(directed, start, goal, T):
-    """Shortest directed path start -> goal as a PathMap.
-
-    BFS explores arrows in (index, kind) order, so among equally short
-    paths the lexicographically earliest arrow labels win.  Raises
-    ValueError when the goal is unreachable.
-    """
-    if start == goal:
-        return PathMap((), start, goal, _identity_images(T))
-    parent = {start: None}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for c in directed.arrows:
-            if c.tail != v or c.head in parent:
-                continue
-            parent[c.head] = c
-            if c.head == goal:
-                arrows = []
-                at = goal
-                while parent[at] is not None:
-                    arrows.append(parent[at])
-                    at = parent[at].tail
-                arrows.reverse()
-                return _compose_path(T, arrows, start)
-            queue.append(c.head)
-    raise ValueError(f"no directed path from {start} to {goal}")
-
-
-def bfs_arrow_tree(directed, base, T, within=None):
-    """PathMaps from ``base`` to every reachable vertex (optionally
-    restricted to a vertex subset), following BFS order with the same
-    (index, kind) tie-break as find_directed_path."""
-    maps = {base: PathMap((), base, base, _identity_images(T))}
+def _bfs_steps(shapes, base, within):
+    """Breadth-first arrow steps from ``base`` inside ``within``, arrows
+    tried in (index, kind) order."""
+    seen = {base}
+    steps = []
     queue = deque([base])
     while queue:
         v = queue.popleft()
-        for c in directed.arrows:
-            if c.tail != v or c.head in maps:
-                continue
-            if within is not None and c.head not in within:
-                continue
-            prev = maps[v]
-            maps[c.head] = PathMap(
-                prev.arrows + (c,), base, c.head, compose_perm(c.transport, prev.images)
-            )
-            queue.append(c.head)
-    return maps
+        for kind, i, tail, head in shapes:
+            if tail == v and head not in seen and head in within:
+                seen.add(head)
+                steps.append(_intern((head, tail, kind, i)))
+                queue.append(head)
+    if seen != set(within):
+        raise RuntimeError(f"component {within} not fully reachable from {base}")
+    return _intern(tuple(steps))
 
 
-def find_simple_cycle(graph, directed, component, T):
+def find_simple_cycle(graph, component):
     """The unique simple directed cycle of a unicyclic component, in both
     orientations, based at the least vertex lying on the cycle.
 
-    Returns (forward, reverse) PathMaps.  Raises ValueError when the
-    component is a tree or has more than one independent cycle.
+    Returns (base, forward steps, reverse steps), steps as in
+    ComponentPlan.  Raises ValueError when the component is a tree or has
+    more than one independent cycle.
     """
     ec, vc = component.edge_count, component.vertex_count
     if ec == vc - 1:
@@ -416,26 +378,55 @@ def find_simple_cycle(graph, directed, component, T):
     if at != base or len(used) != len(alive):
         raise RuntimeError("cycle walk failed to close; component bookkeeping corrupt")
 
-    def arrows_for(steps, avoid=frozenset()):
+    shapes = _arrow_shapes(graph.edges)
+
+    def steps_for(walk, avoid=()):
         # A loop edge matches either orientation with both of its arrows;
         # ``avoid`` keeps the reverse walk off the forward walk's choice.
         out = []
-        for i, frm, to in steps:
-            cands = [
-                c
-                for c in directed.arrows
-                if c.index == i + 1 and c.tail == frm and c.head == to
-            ]
+        for i, frm, to in walk:
+            cands = [s for s in shapes if s[1] == i and s[2] == frm and s[3] == to]
             if not cands:
                 raise RuntimeError(f"missing arrow for edge {i + 1} from {frm} to {to}")
-            pick = next((c for c in cands if c not in avoid), cands[0])
-            out.append(pick)
-        return out
+            kind = next((s for s in cands if s[:2] not in avoid), cands[0])[0]
+            out.append(_intern((to, frm, kind, i)))
+        return _intern(tuple(out))
 
-    fwd = arrows_for(order)
-    rev_steps = [(i, to, frm) for i, frm, to in reversed(order)]
-    rev = arrows_for(rev_steps, avoid=frozenset(fwd))
-    return _compose_path(T, fwd, base), _compose_path(T, rev, base)
+    fwd = steps_for(order)
+    rev = steps_for(
+        [(i, to, frm) for i, frm, to in reversed(order)],
+        avoid={(kind, i) for _head, _tail, kind, i in fwd},
+    )
+    return base, fwd, rev
+
+
+@functools.cache
+def pair_plan(theta_f, theta_g):
+    """The shape of the pair graph of every pair with these source maps.
+
+    Kept by value, one entry per (theta_f, theta_g) seen, so at most
+    (n+1)^(2n) for rank n; shapes share their interned parts.  The tree
+    test and its cross-assertion run once per shape.
+    """
+    graph = build_undirected(theta_f, theta_g)
+    shapes = _arrow_shapes(graph.edges)
+    comps = []
+    for comp in components(graph):
+        excess = comp.edge_count - (comp.vertex_count - 1)
+        base, forward, reverse = comp.vertices[0], (), ()
+        if excess == 1 and base != 0:
+            base, forward, reverse = find_simple_cycle(graph, comp)
+        steps = _bfs_steps(shapes, base, comp.vertices)
+        comps.append(_intern(ComponentPlan(_intern(comp.vertices), excess, base, steps, forward, reverse)))
+    multicycle = any(c.excess > 1 and c.vertices[0] != 0 for c in comps)
+    return _intern(PairPlan(is_tree(graph), tuple(comps), multicycle))
+
+
+def plan_for(f, g):
+    """pair_plan of the pair's source maps, once both are known to live
+    over the same T^n."""
+    _check_same_power(f, g)
+    return pair_plan(f.theta, g.theta)
 
 
 # ── Labelled trees via Prüfer sequences ─────────────────────────────────

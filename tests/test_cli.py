@@ -92,10 +92,15 @@ def test_fpf_check_negative_with_graph(tmp_path, capsys):
     rc, out, _ = run(capsys, "fpf", "check", "--group", "s3", "--pair", str(pair),
                      "--dump-graph")
     assert rc == 0
-    first = out.splitlines()[0].split("\t")
-    assert first[0] == "not-fpf"
-    assert first[2] != "-"
-    assert any(line.startswith("e1\t") for line in out.splitlines()[1:])
+    assert out.splitlines() == [
+        "not-fpf\ttree-criterion\t0,1",
+        "e1\t1\t1",
+        "e2\t1\t1",
+        "a1\t1\t1",
+        "b1\t1\t1",
+        "a2\t1\t1",
+        "b2\t1\t1",
+    ]
 
 
 def test_fpf_check_falls_back_to_bruteforce(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Fixed point free verdicts: brute scan, tree criterion, witnesses, paths."""
 
+import hashlib
 import itertools
 import random
 
@@ -74,6 +75,14 @@ def test_tree_criterion_matches_bruteforce_sampled_n2():
         assert is_fpf_by_tree(f, g).is_fpf == is_fpf_bruteforce(f, g).is_fpf
 
 
+def test_tree_criterion_matches_bruteforce_sampled_n3():
+    rng = random.Random(0x53C)
+    endos = list(enumerate_end0(S3, 3))
+    for _ in range(2000):
+        f, g = rng.choice(endos), rng.choice(endos)
+        assert is_fpf_by_tree(f, g).is_fpf == is_fpf_bruteforce(f, g).is_fpf, (f, g)
+
+
 def test_tree_criterion_refuses_groups_with_fpf_automorphisms():
     with pytest.raises(TreeCriterionError, match="fixed-point-free automorphism"):
         is_fpf_by_tree(identity_endo(C5, 1), trivial_endo(C5, 1))
@@ -118,6 +127,32 @@ def test_witness_from_a_unicyclic_component():
     w = construct_witness(f, g)
     assert w != (0, 0)
     assert f.apply(w) == g.apply(w)
+
+
+# SHA-256 of repr(list of witnesses) over every non-tree pair with a
+# usable component, f outer and g inner in enumeration order; recorded
+# from the per-pair graph construction that the shape plans replaced.
+WITNESS_DIGESTS = {
+    ("s3", 2): (24817, "74db6f075d95b131e70c267e29eea63629817ff2c1220c8b148720476cec401b"),
+    ("a5", 1): (14401, "df5aeb0305ad9445d7f5a36c535a6e8d209a9747186eacf4ead90b0e934b472b"),
+}
+
+
+@pytest.mark.parametrize("name,n", sorted(WITNESS_DIGESTS))
+def test_witnesses_match_the_recorded_digest(name, n):
+    endos = list(enumerate_end0(load_group(name), n))
+    witnesses = []
+    for f in endos:
+        for g in endos:
+            if is_tree(build_undirected(f.theta, g.theta)):
+                continue
+            try:
+                witnesses.append(construct_witness(f, g))
+            except WitnessError:
+                pass
+    count, digest = WITNESS_DIGESTS[name, n]
+    assert len(witnesses) == count
+    assert hashlib.sha256(repr(witnesses).encode()).hexdigest() == digest
 
 
 # ── Path conditions ──────────────────────────────────────────────────────

@@ -12,6 +12,7 @@ import pytest
 from hopfgalois.endomorphisms import identity_endo, trivial_endo
 from hopfgalois.groups import (
     FiniteGroup,
+    automorphism_table_group,
     compose_perm,
     crossed_homomorphisms,
     enumerate_homomorphisms,
@@ -23,7 +24,6 @@ from hopfgalois.holomorph import (
     FGPair,
     HolElement,
     PowerContext,
-    automorphism_table_group,
     byott_translate,
     check_out_prop1,
     check_rank_bounds,
@@ -319,6 +319,23 @@ def test_enumeration_agrees_with_the_oracle_live():
     assert [s.elements for s in subs] == oracle
     assert all(s.classification == "inn" for s in subs)
     assert len(subs) == 2
+
+
+@pytest.mark.parametrize("name", ["s3", "d4", "s4"])
+def test_regular_iff_g_bijective_over_every_crossed_map(name):
+    # enumerate_regular_subgroups skips every g that is not a bijection;
+    # this is the biconditional that makes that exact, on all (f, g).
+    N = load_group(name)
+    hol = holomorph_of(N)
+    maps = regular = 0
+    for f in enumerate_homomorphisms(N, automorphism_table_group(N)):
+        for g in crossed_homomorphisms(N, N.aut_array()[list(f)]):
+            bijective = len(set(g)) == N.order
+            elems = [HolElement(g[s], f[s]) for s in range(N.order)]
+            assert hol.regularity_tests(elems) == (bijective, bijective), (f, g)
+            maps += 1
+            regular += bijective
+    assert maps > regular > 0
 
 
 def test_the_two_s3_structures_are_lambda_and_rho():

@@ -6,22 +6,22 @@ import random
 import pytest
 
 from hopfgalois.endomorphisms import StructuredEndo, enumerate_end0
-from hopfgalois.groups import compose_perm, invert_perm, load_group
+from hopfgalois.fpf import is_fpf_by_tree
+from hopfgalois.groups import automorphism_table_group, compose_perm, invert_perm, load_group
 from hopfgalois.pairgraphs import (
+    CONSTANT,
     UndirectedPairGraph,
-    bfs_arrow_tree,
     build_directed,
     build_undirected,
-    bullet_transform,
     components,
     count_trees_root_degree,
     degree_of_vertex0,
     dump_lines,
     enumerate_labelled_trees,
-    find_directed_path,
     find_simple_cycle,
-    gamma_of_path,
     is_tree,
+    pair_plan,
+    path_transport,
     prufer_decode,
     prufer_encode,
     tree_degree_census,
@@ -80,13 +80,6 @@ def test_components_partition_vertices():
     assert by_vertices[(1, 2)].edge_count == 2
 
 
-def test_bullet_transform():
-    g = build_undirected((0, 0, 2), (1, 0, 3))
-    # edge (0,1) orients away from 0; the loop (0,0) disappears; the
-    # ordinary edge (2,3) doubles.
-    assert bullet_transform(g) == [(0, 1), (2, 3), (3, 2)]
-
-
 # ── Pruefer machinery ────────────────────────────────────────────────────
 
 
@@ -133,6 +126,17 @@ F = StructuredEndo(S3, 2, (0, 1), (None, 3))
 G = StructuredEndo(S3, 2, (1, 2), (2, 4))
 
 
+def expanded(transport):
+    """Images of a transport id, the constant map for CONSTANT."""
+    return (0,) * S3.order if transport == CONSTANT else S3.automorphisms()[transport]
+
+
+def by_tuples(head_phi, tail_phi):
+    """The transport as permutation tuples: head side inverted after tail side."""
+    auts = S3.automorphisms()
+    return compose_perm(invert_perm(auts[head_phi]), auts[tail_phi])
+
+
 def test_build_directed_arrow_inventory():
     directed = build_directed(F, G)
     labels = [c.label for c in directed.arrows]
@@ -140,7 +144,11 @@ def test_build_directed_arrow_inventory():
     assert labels == ["a1", "a2", "b2"]
     a1 = directed.arrow("a", 1)
     assert (a1.tail, a1.head) == (0, 1)
-    assert a1.transport == (0,) * 6  # constant identity from a 0 tail
+    assert a1.transport == CONSTANT
+    assert expanded(a1.transport) == (0,) * 6  # constant identity from a 0 tail
+    # Forward arrows invert g's automorphism after f's, reverse ones the other way.
+    assert expanded(directed.arrow("a", 2).transport) == by_tuples(G.phis[1], F.phis[1])
+    assert expanded(directed.arrow("b", 2).transport) == by_tuples(F.phis[1], G.phis[1])
     with pytest.raises(KeyError):
         directed.arrow("b", 1)
 
@@ -149,32 +157,11 @@ def test_forward_and_reverse_transports_are_inverse():
     directed = build_directed(F, G)
     a2 = directed.arrow("a", 2)
     b2 = directed.arrow("b", 2)
-    assert compose_perm(a2.transport, b2.transport) == tuple(range(6))
-    assert invert_perm(a2.transport) == b2.transport
-
-
-def test_gamma_of_path_composes_transports():
-    directed = build_directed(F, G)
-    pm = gamma_of_path(F, G, [("a", 1), ("a", 2)])
-    assert (pm.source, pm.target) == (0, 2)
-    want = compose_perm(directed.arrow("a", 2).transport, directed.arrow("a", 1).transport)
-    assert pm.images == want
-    with pytest.raises(ValueError, match="not composable"):
-        gamma_of_path(F, G, [("a", 2), ("a", 2)])
-    empty = gamma_of_path(F, G, [], source=1)
-    assert empty.images == tuple(range(6))
-
-
-def test_find_directed_path_and_bfs_tree():
-    directed = build_directed(F, G)
-    pm = find_directed_path(directed, 0, 2, S3)
-    assert pm.source == 0 and pm.target == 2
-    maps = bfs_arrow_tree(directed, 0, S3)
-    assert set(maps) == {0, 1, 2}
-    assert maps[2].images == pm.images
-    with pytest.raises(ValueError, match="no directed path"):
-        # vertex 0 has no incoming arrows by construction
-        find_directed_path(directed, 2, 0, S3)
+    assert compose_perm(expanded(a2.transport), expanded(b2.transport)) == tuple(range(6))
+    assert invert_perm(expanded(a2.transport)) == expanded(b2.transport)
+    aut = automorphism_table_group(S3)
+    assert aut.mul[a2.transport][b2.transport] == 0
+    assert aut.inv[a2.transport] == b2.transport
 
 
 def test_find_simple_cycle_on_a_unicyclic_component():
@@ -182,17 +169,55 @@ def test_find_simple_cycle_on_a_unicyclic_component():
     f = StructuredEndo(S3, 2, (1, 2), (0, 0))
     g = StructuredEndo(S3, 2, (2, 1), (5, 1))
     und = build_undirected(f.theta, g.theta)
-    directed = build_directed(f, g)
     comp = next(c for c in components(und) if 0 not in c.vertices)
-    fwd, rev = find_simple_cycle(und, directed, comp, S3)
-    assert fwd.source == fwd.target == 1
-    assert rev.source == rev.target == 1
-    assert compose_perm(fwd.images, rev.images) == tuple(range(6))
+    base, fwd, rev = find_simple_cycle(und, comp)
+    assert base == 1
+    for steps in (fwd, rev):
+        # (head, tail) pairs chain from the base back to it
+        assert steps[0][1] == base and steps[-1][0] == base
+        assert all(a[0] == b[1] for a, b in zip(steps, steps[1:]))
+    aut = automorphism_table_group(S3)
+    fwd_id, rev_id = (path_transport(aut, f, g, steps) for steps in (fwd, rev))
+    assert compose_perm(expanded(fwd_id), expanded(rev_id)) == tuple(range(6))
+    # The composed id expands to the composite of the per-arrow tuples.
+    want = tuple(range(6))
+    for _head, _tail, kind, i in fwd:
+        head_phi, tail_phi = (g.phis[i], f.phis[i]) if kind == "a" else (f.phis[i], g.phis[i])
+        want = compose_perm(by_tuples(head_phi, tail_phi), want)
+    assert expanded(fwd_id) == want
     # both orientations are automorphisms of T
-    assert sorted(fwd.images) == list(range(6))
+    assert sorted(expanded(fwd_id)) == list(range(6))
     tree_comp = next(c for c in components(und) if 0 in c.vertices)
     with pytest.raises(ValueError, match="no cycle"):
-        find_simple_cycle(und, directed, tree_comp, S3)
+        find_simple_cycle(und, tree_comp)
+
+
+def test_pair_plans_are_kept_by_value(tmp_path):
+    # Freshly built but equal source maps hit the same plan.
+    plan = pair_plan(tuple([0, 1]), tuple([1, 2]))
+    assert pair_plan(tuple([0, 1]), tuple([1, 2])) is plan
+    assert plan.tree and len(plan.components) == 1
+    (comp,) = plan.components
+    assert comp.base == 0 and sorted(head for head, *_ in comp.steps) == [1, 2]
+    # Every n = 3 shape, visited twice, fills one entry each.
+    pair_plan.cache_clear()
+    thetas = list(itertools.product(range(4), repeat=3))
+    for _ in range(2):
+        for tf in thetas:
+            for tg in thetas:
+                pair_plan(tuple(tf), tuple(tg))
+    assert pair_plan.cache_info().currsize == 4096
+    # A second S3, loaded from a table file, gets the same verdicts.
+    path = tmp_path / "s3.txt"
+    rows = "\n".join(" ".join(map(str, row)) for row in S3.mul)
+    path.write_text(f"{S3.order}\n{rows}\n")
+    other = load_group(str(path))
+    assert other is not S3
+    rng = random.Random(0x51A)
+    mine, theirs = list(enumerate_end0(S3, 2)), list(enumerate_end0(other, 2))
+    for _ in range(300):
+        i, j = rng.randrange(len(mine)), rng.randrange(len(mine))
+        assert is_fpf_by_tree(mine[i], mine[j]) == is_fpf_by_tree(theirs[i], theirs[j])
 
 
 def test_dump_lines_format():
