@@ -117,8 +117,8 @@ def construct_witness(f, g):
     T = f.group
     aut, auts = automorphism_table_group(T), T.automorphisms()
     for comp in plan_for(f, g).components:
-        if comp.vertices[0] == 0 or comp.excess > 1:
-            continue  # the identity's component, or more than one cycle; unusable
+        if comp.vertices[0] == 0 or comp.excess > 1 or T.order == 1:
+            continue  # the identity's component, two cycles, or no seed but 0
         seed = 1
         if comp.excess == 1:
             seed = lowest_fixed_points(T)[path_transport(aut, f, g, comp.forward)]
@@ -178,8 +178,7 @@ def _reduced_path_conditions(f, g, sigma):
     plus both cycle orientations in unicyclic components.  Complete for
     graphs whose components are trees or unicyclic; in the presence of a
     multi-cyclic component it is only a necessary condition."""
-    T = f.group
-    aut, auts = automorphism_table_group(T), T.automorphisms()
+    aut, auts = automorphism_table_group(f.group), f.group.automorphisms()
     plan = plan_for(f, g)
     ok = True
     for comp in plan.components:

@@ -15,9 +15,8 @@ as a read-only int64 numpy array for vectorised validation of tables and
 of crossed-map actions.  Everything computed from a table (automorphisms,
 their array and Aut as a table group, element orders, whether some
 automorphism is fixed point free and each one's least non-identity fixed
-point, the powers T^n, the coordinate arrays of T^n, the holomorph) is kept
-in one memo on the group itself, so it lives exactly as long as the group
-does.
+point, the powers T^n and their coordinate arrays, the holomorph) lives in
+one memo on the group itself, exactly as long as the group does.
 """
 
 from __future__ import annotations
@@ -588,8 +587,9 @@ def lowest_fixed_points(G):
     or None when it fixes only the identity; built once and kept on G."""
 
     def build():
-        fixed = G.aut_array()[:, 1:] == np.arange(1, G.order)
-        return tuple(int(k) + 1 if row.any() else None for k, row in zip(fixed.argmax(axis=1), fixed))
+        fixed = G.aut_array() == np.arange(G.order)
+        fixed[:, 0] = False  # every automorphism fixes the identity; it never counts
+        return tuple(int(k) if row.any() else None for k, row in zip(fixed.argmax(axis=1), fixed))
 
     return G.memo("lowest_fixed_points", build)
 

@@ -278,9 +278,8 @@ def classify_inn_out(hol, elements):
 
 
 def _subgroup_from_tables(N, f_aut_ids, g_values):
-    """Sorted holomorph indices of {(g(s), f(s)) : s in N}, and whether
-    that set is regular, with the regularity biconditional (regular iff g
-    bijective) asserted on it.
+    """Sorted holomorph indices of {(g(s), f(s)) : s in N}, with the
+    regularity biconditional (regular iff g bijective) asserted on the set.
 
     A non-bijective g may still produce |N| distinct elements when f
     separates the collisions; such subgroups exist and are non-regular,
@@ -291,30 +290,27 @@ def _subgroup_from_tables(N, f_aut_ids, g_values):
     g_bijective = len(set(g_values)) == N.order
     if g_bijective:
         hol._closed_positions(np.unique(flat))
-    regular, by_orbit = hol._regularity(flat)
-    if regular != by_orbit:
-        raise RuntimeError("regularity tests disagree on an (f, g) subgroup")
-    if regular != g_bijective:
+    by_xi, by_orbit = hol._regularity(flat)
+    if not by_xi == by_orbit == g_bijective:
         raise RuntimeError(
-            f"regularity ({regular}) and g-bijectivity ({g_bijective}) "
-            "disagree; the parametrization is broken"
+            f"regularity tests ({by_xi}, {by_orbit}) and g-bijectivity "
+            f"({g_bijective}) disagree on an (f, g) subgroup"
         )
-    return np.sort(flat), regular
+    return np.sort(flat)
 
 
 def enumerate_regular_subgroups(N, hol_budget=DEFAULT_HOL_BUDGET):
     """All regular subgroups of Hol(N) isomorphic to N, by (f, g) search.
 
-    f runs over Hom(N, Aut(N)); for each f the crossed maps g are
-    enumerated and the bijective ones contribute subgroups: the others
-    miss some translation part, so their sets are never regular (the test
-    suite checks that biconditional over every crossed map).  Injective f
-    with the same automorphism image yield the same subgroups (they differ
-    by precomposing an automorphism of N, which only reindexes sigma), so
-    one representative per image is searched; the oracle test keeps this
-    honest.  Every produced subgroup is verified regular, and asserted
-    isomorphic to N: s ↦ (g(s), f(s)) is an injective homomorphism when g
-    is bijective, so no other type can arise; other types need the oracle.
+    f runs over Hom(N, Aut(N)); for each f the bijective crossed maps g
+    contribute subgroups (the others are never regular, a biconditional
+    the test suite checks over every crossed map).  Injective f with the
+    same automorphism image yield the same subgroups (they differ by
+    precomposing an automorphism of N, which only reindexes sigma), so one
+    representative per image is searched; the oracle test keeps this
+    honest.  Every produced subgroup is verified regular and asserted
+    isomorphic to N, as s ↦ (g(s), f(s)) is injective for bijective g;
+    other types need the oracle.
     """
     hol = holomorph_of(N)
     if hol.order > hol_budget:
@@ -336,7 +332,7 @@ def enumerate_regular_subgroups(N, hol_budget=DEFAULT_HOL_BUDGET):
         for g in crossed_homomorphisms(N, F):
             if len(set(g)) != N.order:
                 continue
-            flat, _ = _subgroup_from_tables(N, f, g)
+            flat = _subgroup_from_tables(N, f, g)
             key = tuple(flat.tolist())
             if key in found:
                 continue
@@ -602,7 +598,7 @@ def subgroup_from_fg_pair(pair):
         plain = [
             N.aut_index(tuple(int(x) for x in perms[k])) for k in pair.f_ids
         ]
-    flat, _ = _subgroup_from_tables(N, plain, pair.g_values)
+    flat = _subgroup_from_tables(N, plain, pair.g_values)
     return frozenset(map(holomorph_of(N).element_of_index, flat.tolist()))
 
 

@@ -13,8 +13,7 @@ of vertex 0.
 Only the transports depend on the automorphisms phi; the components, the
 tree verdict, the breadth-first arrow order in each component and the walk
 around each cycle depend on (theta_f, theta_g) alone.  pair_plan builds
-that shape once per pair of source maps and keeps it, so a pair adds no
-more than its automorphism ids.
+that shape once and keeps up to PLAN_STORE_SIZE shapes (all of rank 3).
 
 Arrow naming: edge i induces a forward arrow ("a", i) from theta_f(i) to
 theta_g(i) whenever the g-side map can be inverted (theta_g(i) != 0), and
@@ -29,7 +28,6 @@ has head 0.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -53,7 +51,9 @@ __all__ = [
     "components",
     "degree_of_vertex0",
     "find_simple_cycle",
+    "PLAN_STORE_SIZE",
     "pair_plan",
+    "clear_plans",
     "plan_for",
     "transport_id",
     "path_transport",
@@ -292,11 +292,20 @@ def degree_of_vertex0(mu, nu):
 # ── Shape plans ─────────────────────────────────────────────────────────
 
 
-_INTERNED = {}  # value -> the one shared object equal to it
+PLAN_STORE_SIZE = 4096  # every shape of rank 3; rank n has (n+1)^(2n)
+
+_PLANS = {}  # (theta_f, theta_g) -> PairPlan
+_PARTS = {}  # part of a kept plan -> the one shared object equal to it
 
 
 def _intern(value):
-    return _INTERNED.setdefault(value, value)
+    return _PARTS.setdefault(value, value)
+
+
+def clear_plans():
+    """Drop every kept plan, and the parts they share."""
+    _PLANS.clear()
+    _PARTS.clear()
 
 
 def _bfs_steps(shapes, base, within):
@@ -400,14 +409,18 @@ def find_simple_cycle(graph, component):
     return base, fwd, rev
 
 
-@functools.cache
 def pair_plan(theta_f, theta_g):
-    """The shape of the pair graph of every pair with these source maps.
-
-    Kept by value, one entry per (theta_f, theta_g) seen, so at most
-    (n+1)^(2n) for rank n; shapes share their interned parts.  The tree
-    test and its cross-assertion run once per shape.
+    """The shape of the pair graph of every pair with these source maps,
+    kept by value so that its tree test and cross-assertion run once.  A
+    new shape that finds PLAN_STORE_SIZE plans kept empties the store
+    first, so the plans and their shared parts stay bounded at every rank.
     """
+    key = (theta_f, theta_g)
+    plan = _PLANS.get(key)
+    if plan is not None:
+        return plan
+    if len(_PLANS) >= PLAN_STORE_SIZE:
+        clear_plans()
     graph = build_undirected(theta_f, theta_g)
     shapes = _arrow_shapes(graph.edges)
     comps = []
@@ -419,7 +432,8 @@ def pair_plan(theta_f, theta_g):
         steps = _bfs_steps(shapes, base, comp.vertices)
         comps.append(_intern(ComponentPlan(_intern(comp.vertices), excess, base, steps, forward, reverse)))
     multicycle = any(c.excess > 1 and c.vertices[0] != 0 for c in comps)
-    return _intern(PairPlan(is_tree(graph), tuple(comps), multicycle))
+    plan = _PLANS[key] = _intern(PairPlan(is_tree(graph), tuple(comps), multicycle))
+    return plan
 
 
 def plan_for(f, g):

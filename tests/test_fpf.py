@@ -22,7 +22,7 @@ from hopfgalois.fpf import (
     is_fpf_bruteforce,
     is_fpf_by_tree,
 )
-from hopfgalois.groups import BudgetError, load_group, power_identity
+from hopfgalois.groups import BudgetError, load_group, lowest_fixed_points, power_identity
 from hopfgalois.pairgraphs import build_undirected, is_tree
 
 S3 = load_group("s3")
@@ -118,6 +118,22 @@ def test_construct_witness_needs_a_usable_component():
         construct_witness(f, g)
     # and indeed the pair really is fixed point free
     assert is_fpf_bruteforce(f, g).is_fpf
+
+
+def test_construct_witness_over_the_trivial_group(tmp_path):
+    # The order-1 group has no non-identity seed, so neither a loop at
+    # vertex 1 nor a tree component on {1, 2} is usable: the answer is
+    # WitnessError, not an IndexError or an error from numpy.
+    path = tmp_path / "c1.txt"
+    path.write_text("1\n0\n")
+    C1 = load_group(str(path))
+    assert lowest_fixed_points(C1) == (None,)
+    loop = StructuredEndo(C1, 1, (1,), (0,))
+    f = StructuredEndo(C1, 2, (1, 0), (0, None))
+    g = StructuredEndo(C1, 2, (2, 0), (0, None))
+    for pair in ((loop, loop), (f, g)):
+        with pytest.raises(WitnessError, match="no usable component"):
+            construct_witness(*pair)
 
 
 def test_witness_from_a_unicyclic_component():

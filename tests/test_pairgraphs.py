@@ -8,11 +8,14 @@ import pytest
 from hopfgalois.endomorphisms import StructuredEndo, enumerate_end0
 from hopfgalois.fpf import is_fpf_by_tree
 from hopfgalois.groups import automorphism_table_group, compose_perm, invert_perm, load_group
+from hopfgalois import pairgraphs
 from hopfgalois.pairgraphs import (
     CONSTANT,
+    PLAN_STORE_SIZE,
     UndirectedPairGraph,
     build_directed,
     build_undirected,
+    clear_plans,
     components,
     count_trees_root_degree,
     degree_of_vertex0,
@@ -199,14 +202,28 @@ def test_pair_plans_are_kept_by_value(tmp_path):
     assert plan.tree and len(plan.components) == 1
     (comp,) = plan.components
     assert comp.base == 0 and sorted(head for head, *_ in comp.steps) == [1, 2]
-    # Every n = 3 shape, visited twice, fills one entry each.
-    pair_plan.cache_clear()
+    # Every n = 3 shape, visited twice, fills one entry each: the store
+    # holds all of rank 3.
+    clear_plans()
     thetas = list(itertools.product(range(4), repeat=3))
     for _ in range(2):
         for tf in thetas:
             for tg in thetas:
                 pair_plan(tuple(tf), tuple(tg))
-    assert pair_plan.cache_info().currsize == 4096
+    assert len(pairgraphs._PLANS) == PLAN_STORE_SIZE == 4096
+    # Rank 4 has 390,625 shapes; a new one that finds the store full
+    # empties it, so plans and their shared parts stay bounded.
+    pair_plan((1, 2, 3, 4), (2, 3, 4, 0))
+    assert len(pairgraphs._PLANS) == 1
+    rng = random.Random(0x4A7)
+    for _ in range(5000):
+        pair_plan(*(tuple(rng.randrange(5) for _ in range(4)) for _ in range(2)))
+        assert len(pairgraphs._PLANS) <= PLAN_STORE_SIZE
+    # per plan: itself, and per component its plan, vertices and three
+    # step tuples; steps (head, tail, kind, index) number 2·4·5² at rank 4
+    assert len(pairgraphs._PARTS) <= PLAN_STORE_SIZE * (1 + 5 * 5) + 2 * 4 * 5**2
+    clear_plans()
+    assert not pairgraphs._PLANS and not pairgraphs._PARTS
     # A second S3, loaded from a table file, gets the same verdicts.
     path = tmp_path / "s3.txt"
     rows = "\n".join(" ".join(map(str, row)) for row in S3.mul)
