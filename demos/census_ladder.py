@@ -1,6 +1,6 @@
 """Climb the counting ladder for s3: closed formula, tree-weighted sum,
-streaming brute force over source-map pairs, and full fixed-point scan,
-at every exponent where each route is affordable.
+brute force over source-map pairs, and the image comparison on
+prime-order generators, at n = 1, 2 and 3.
 """
 
 import time
@@ -25,6 +25,7 @@ def main():
     s3 = load_group("s3")
     A = len(s3.automorphisms())
 
+    agree = True
     for n in (1, 2, 3):
         print(f"-- n = {n} --")
         print(f"  formula:        {formula_F(A, n)}")
@@ -32,17 +33,16 @@ def main():
               f"   (trees by root degree: {tree_degree_counts(n)})")
         v, dt = timed(brute_F, s3, n, mode="tree")
         print(f"  brute (tree):   {v}   [{dt:.2f}s]")
-        if n <= 2:
-            v, dt = timed(brute_F, s3, n, mode="fpf")
-            print(f"  brute (fpf):    {v}   [{dt:.2f}s]")
-        else:
-            print("  brute (fpf):    skipped, over budget at this size")
+        w, dt = timed(brute_F, s3, n, mode="fpf")
+        print(f"  brute (fpf):    {w}   [{dt:.2f}s]")
+        agree = agree and formula_F(A, n) == tree_weighted_F(A, n) == v == w
         print(f"  inn-type count: {formula_Einn(A, n)}")
         print()
 
-    print("all routes agree wherever they can both run; the fpf scan at")
-    print("n = 3 would cost about 1e10 table checks and is refused by the")
-    print("default budget.")
+    print(f"all routes agree: {agree}.  The fpf count compares images on one")
+    print("generator of each prime-order cyclic subgroup (76 of the 216")
+    print("elements at n = 3), with one row per source map standing for all")
+    print("of its twists: 64 x 6859 x 76 comparisons, not 6859^2 scans.")
 
 
 if __name__ == "__main__":

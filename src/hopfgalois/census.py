@@ -14,9 +14,15 @@ three ways that share no code path:
   * ``tree_weighted_F`` sums A^(2n - d) over labelled trees on n+1
     vertices grouped by the degree d of vertex 0, with the degree
     census taken from actual Pruefer decoding when n is small;
-  * ``brute_F`` walks real endomorphism pairs of an actual group and
-    decides each one, either by the tree criterion on its pair graph
-    or by scanning all of T^n for a non-identity agreement.
+  * ``brute_F`` counts over the real endomorphisms of an actual group,
+    either deciding every pair by the tree criterion on its pair graph,
+    or comparing images: f and g agree on a subgroup (their equalizer),
+    so a pair is fpf exactly when it differs on one generator of every
+    cyclic subgroup of prime order of T^n.  Those generators are the
+    columns of an image matrix with a row per endomorphism, built one
+    source map at a time; since composing with Aut0 permutes End0, one
+    row per source map, with identity twists, stands for all A^k rows
+    of that source map.  This route uses no pair graph.
 
 ``run_verification`` packages the cross-checks (including holomorph
 regular-subgroup counts for small targets) into CensusReport rows so
@@ -25,14 +31,14 @@ the CLI and the tests consume the same machinery.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .endomorphisms import count_end0, enumerate_end0
-from .fpf import is_fpf_bruteforce
-from .groups import BudgetError, load_group
+from .groups import BudgetError, _is_prime, all_coords, load_group
 from .holomorph import (
     classify_inn_out,
     enumerate_regular_subgroups,
@@ -139,8 +145,6 @@ def tree_pair_census(aut_order, n):
     This is the structured route with multiplicities: each source map
     with k live coordinates stands for A^k endomorphisms.
     """
-    import itertools
-
     A = aut_order
     total = 0
     for mu in itertools.product(range(n + 1), repeat=n):
@@ -164,8 +168,6 @@ def _tree_matrix(n):
     """Boolean matrix over source-map pairs: entry (i, j) says whether
     the pair graph of the i-th and j-th source maps is a tree.  Every
     entry comes from an actual graph build and tree test."""
-    import itertools
-
     maps = list(itertools.product(range(n + 1), repeat=n))
     k = len(maps)
     mat = np.zeros((k, k), dtype=bool)
@@ -175,13 +177,103 @@ def _tree_matrix(n):
     return mat
 
 
-def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
-    """Count fixed point free pairs by visiting every endomorphism pair.
+def _prime_orders(T):
+    return [p for p in set(T.element_orders()) if _is_prime(p)]
 
-    mode="tree" decides each pair through its pair graph (the graphs
+
+def prime_column_count(T, n):
+    """Number of cyclic subgroups of prime order in T^n, from the element
+    orders of T alone: with e_p elements of order p in T there are
+    (1 + e_p)^n - 1 of order p in T^n, p - 1 to each subgroup."""
+    orders = T.element_orders()
+    return sum(((1 + orders.count(p)) ** n - 1) // (p - 1) for p in _prime_orders(T))
+
+
+def prime_columns(T, n):
+    """Flat indices into T^n of one generator per cyclic subgroup of
+    prime order, ascending.
+
+    Element orders are taken coordinate-wise: x has prime order p exactly
+    when every non-identity coordinate has order p in T.  The generators
+    x^k of <x> share their first non-identity coordinate position, where
+    they run over the generators of a cyclic subgroup of T; the kept x is
+    the one whose coordinate there is the least of those.
+    """
+    orders, primes = T.element_orders(), _prime_orders(T)
+    canonical = np.zeros(T.order, dtype=bool)
+    for x in range(1, T.order):
+        if orders[x] in primes:
+            y, least = x, x
+            for _ in range(orders[x] - 2):
+                y = T.mul[y][x]
+                least = min(least, y)
+            canonical[x] = least == x
+    coords = all_coords(T, n)
+    coord_orders = np.array(orders)[coords]
+    p = coord_orders.max(axis=1)
+    single = ((coord_orders == p[:, None]) | (coord_orders == 1)).all(axis=1)
+    first = coords[np.arange(len(coords)), (coords != 0).argmax(axis=1)]
+    columns = np.flatnonzero(np.isin(p, primes) & single & canonical[first])
+    if len(columns) != prime_column_count(T, n):
+        raise RuntimeError(
+            f"found {len(columns)} prime-order cyclic subgroups of {T.name}^{n}, "
+            f"but the element orders of {T.name} give {prime_column_count(T, n)}"
+        )
+    return columns
+
+
+def image_block(T, theta, columns, aut_ids=None):
+    """Flat T^n indices of the images of ``columns`` under every
+    endomorphism with source map ``theta``, one row per endomorphism in
+    enumerate_end0 order (phi ids lexicographic, first coordinate
+    slowest).  ``aut_ids`` restricts every phi to those ids; the dtype is
+    the smallest that holds |T|^n.  The block is column-major, so that a
+    reduction over the columns runs over contiguous images."""
+    n = len(theta)
+    auts = T.aut_array() if aut_ids is None else T.aut_array()[list(aut_ids)]
+    dtype = np.min_scalar_type(T.order**n - 1)
+    coords = all_coords(T, n)[columns]
+    # Built transposed, a row of images per column, so every step appends
+    # the next phi as the fastest axis without a copy.
+    images = np.zeros((len(columns), 1), dtype=dtype)
+    for i, t in enumerate(theta):
+        if t:
+            term = (auts.T[coords[:, t - 1]] * T.order ** (n - 1 - i)).astype(dtype)
+            endos = images.shape[1] * len(auts)
+            images = (images[:, :, None] + term[:, None, :]).reshape(len(columns), endos)
+    return images.T
+
+
+def _rows_differing(block, rows):
+    """For each of ``rows``, how many rows of ``block`` differ from it in
+    every column."""
+    counts = np.zeros(len(rows), dtype=np.int64)
+    # Chunk the rows so the comparison slab stays near 4M entries.
+    step = max(1, (1 << 22) // max(1, block.size))
+    for lo in range(0, len(rows), step):
+        differ = block[None, :, :] != rows[lo : lo + step, None, :]
+        counts[lo : lo + step] = differ.all(axis=2).sum(axis=1)
+    return counts
+
+
+def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
+    """Count fixed point free pairs of real endomorphisms of T^n.
+
+    mode="tree" visits every pair and decides each one through its pair graph (the graphs
     are memoised per source-map pair, since the verdict depends only on
-    the source maps); mode="fpf" runs the element scan on every pair
-    and is gated by pairs * |T|^n against the budget.
+    the source maps).
+
+    mode="fpf" reads only the images of real endomorphisms.  Where f and
+    g agree is a subgroup, the equalizer of two homomorphisms, so the
+    pair is fpf exactly when f and g differ on a generator of every
+    cyclic subgroup of prime order (``prime_columns``).  The row count
+    #{g : (f, g) fpf} is the same for f and for alpha o f with alpha in
+    Aut0, because g -> alpha o g permutes End0 and alpha is injective;
+    so one row per source map, with identity phis, stands for the
+    A^(non-zero entries of theta) endomorphisms of that source map.  The
+    rows are compared with every endomorphism's images one source-map
+    block at a time, and the cost rows * |End0| * columns is gated by
+    the budget.
     """
     total_endos = count_end0(T, n)
     pair_space = total_endos * total_endos
@@ -202,15 +294,22 @@ def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
             count += int(mat[block[:, None], ids[None, :]].sum())
         return count
     if mode == "fpf":
-        cost = pair_space * T.order**n
+        thetas = list(itertools.product(range(n + 1), repeat=n))
+        width = prime_column_count(T, n)
+        cost = len(thetas) * total_endos * width
         if cost > budget:
             raise BudgetError(
-                f"scanning {pair_space} pairs over {T.order ** n} elements "
-                f"costs {cost}, over the budget of {budget}"
+                f"comparing {len(thetas)} rows with {total_endos} endomorphisms "
+                f"over {width} columns costs {cost}, over the budget of {budget}; "
+                f"other routes: mode='tree' ({pair_space} pairs) or formula_F (closed form)"
             )
-        endos = list(enumerate_end0(T, n))
+        columns = prime_columns(T, n)
+        identity = T.aut_index(tuple(range(T.order)))
+        rows = np.concatenate([image_block(T, th, columns, [identity]) for th in thetas])
+        fpf_per_row = sum(_rows_differing(image_block(T, th, columns), rows) for th in thetas)
+        A = len(T.automorphisms())
         return sum(
-            1 for f in endos for g in endos if is_fpf_bruteforce(f, g).is_fpf
+            A ** sum(1 for t in th if t) * int(c) for th, c in zip(thetas, fpf_per_row)
         )
     raise ValueError(f"unknown mode {mode!r}: expected 'tree' or 'fpf'")
 
@@ -297,8 +396,10 @@ def run_verification(level="quick"):
     quick: S3 at n = 1 and n = 2 with both brute modes and holomorph
     counts, plus arithmetic-only rows for a few free values of A.
     full: adds A5 at n = 1 (its holomorph has 7200 elements and its
-    endomorphism pair space has 14641 entries) and S3 at n = 3, where
-    only the tree-mode brute count is affordable.
+    endomorphism pair space has 14641 entries), S3 at n = 3 with both
+    brute modes, and A5 at n = 2, the first power of a non-abelian
+    simple group, where only the fpf-mode count is affordable (3.4e9
+    pairs, but 9 rows against 58081 endomorphisms over 631 columns).
     """
     if level not in ("quick", "full"):
         raise ValueError(f"unknown level {level!r}: expected 'quick' or 'full'")
@@ -374,7 +475,19 @@ def run_verification(level="quick"):
                 formula_F=formula_F(a_s3, 3),
                 tree_weighted_F=tree_weighted_F(a_s3, 3),
                 brute_F=brute_F(s3, 3, mode="tree"),
+                fpf_count=brute_F(s3, 3, mode="fpf"),
                 formula_Einn=formula_Einn(a_s3, 3),
+            )
+        )
+        reports.append(
+            CensusReport(
+                T_name="a5",
+                n=2,
+                aut_order=a_a5,
+                formula_F=formula_F(a_a5, 2),
+                tree_weighted_F=tree_weighted_F(a_a5, 2),
+                fpf_count=brute_F(a5, 2, mode="fpf"),
+                formula_Einn=formula_Einn(a_a5, 2),
             )
         )
     return reports
@@ -386,6 +499,9 @@ __all__ = [
     "brute_F",
     "formula_Einn",
     "formula_F",
+    "image_block",
+    "prime_column_count",
+    "prime_columns",
     "run_verification",
     "tree_degree_counts",
     "tree_pair_census",

@@ -39,7 +39,7 @@ from .groups import (
     lowest_fixed_points,
     power_identity,
 )
-from .pairgraphs import CONSTANT, build_directed, path_transport, plan_for, transport_id
+from .pairgraphs import CONSTANT, _arrow_shapes, path_transport, plan_for, transport_id
 
 __all__ = [
     "FpfVerdict",
@@ -165,21 +165,21 @@ def decide_fpf(f, g, budget=DEFAULT_SCAN_BUDGET):
 # ── Path-condition evaluation ───────────────────────────────────────────
 
 
-def _single_arrow_conditions(directed, auts, sigma):
-    for c in directed.arrows:
-        src = 0 if c.tail == 0 else sigma[c.tail - 1]
-        if sigma[c.head - 1] != (0 if c.transport == CONSTANT else auts[c.transport][src]):
+def _single_arrow_conditions(aut, auts, f, g, sigma):
+    """Every arrow's constraint sigma[head] = transport(sigma[tail]),
+    read from the arrow shapes and transport ids of the pair."""
+    for kind, i, tail, head in _arrow_shapes(zip(f.theta, g.theta)):
+        t = transport_id(aut, f, g, kind, i, tail)
+        if sigma[head - 1] != (0 if t == CONSTANT else auts[t][sigma[tail - 1]]):
             return False
     return True
 
 
-def _reduced_path_conditions(f, g, sigma):
+def _reduced_path_conditions(aut, auts, plan, f, g, sigma):
     """The composed-path constraint set: BFS tree paths in every component
     plus both cycle orientations in unicyclic components.  Complete for
     graphs whose components are trees or unicyclic; in the presence of a
     multi-cyclic component it is only a necessary condition."""
-    aut, auts = automorphism_table_group(f.group), f.group.automorphisms()
-    plan = plan_for(f, g)
     ok = True
     for comp in plan.components:
         # want[v] is the base value carried along the BFS path to v.
@@ -197,7 +197,7 @@ def _reduced_path_conditions(f, g, sigma):
             for cycle in (comp.forward, comp.reverse):
                 if auts[path_transport(aut, f, g, cycle)][val] != val:
                     ok = False
-    return ok, plan.multicycle
+    return ok
 
 
 def check_path_conditions(f, g, sigma):
@@ -208,15 +208,17 @@ def check_path_conditions(f, g, sigma):
     path/cycle constraint set are evaluated alongside it and any
     disagreement raises, so a True/False answer is triple-checked.
     """
-    verdict = _single_arrow_conditions(build_directed(f, g), f.group.automorphisms(), sigma)
+    plan = plan_for(f, g)  # also checks that f and g share T^n
+    aut, auts = automorphism_table_group(f.group), f.group.automorphisms()
+    verdict = _single_arrow_conditions(aut, auts, f, g, sigma)
     direct = f.apply(sigma) == g.apply(sigma)
     if verdict != direct:
         raise RuntimeError(
             "arrow conditions disagree with direct evaluation on "
             f"sigma={sigma}: arrows say {verdict}, equality says {direct}"
         )
-    reduced, saw_multicycle = _reduced_path_conditions(f, g, sigma)
-    if saw_multicycle:
+    reduced = _reduced_path_conditions(aut, auts, plan, f, g, sigma)
+    if plan.multicycle:
         if verdict and not reduced:
             raise RuntimeError(
                 "reduced path set rejected a satisfying element "

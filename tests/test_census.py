@@ -1,5 +1,8 @@
 """Closed formulas against tree-weighted and brute-force pair counts."""
 
+import itertools
+
+import numpy as np
 import pytest
 
 from hopfgalois.census import (
@@ -7,14 +10,22 @@ from hopfgalois.census import (
     brute_F,
     formula_Einn,
     formula_F,
+    image_block,
+    prime_column_count,
+    prime_columns,
     run_verification,
     tree_degree_counts,
     tree_pair_census,
     tree_weighted_F,
 )
-from hopfgalois.groups import BudgetError, load_group
+from hopfgalois.endomorphisms import enumerate_end0, image_coords_table
+from hopfgalois.fpf import is_fpf_bruteforce
+from hopfgalois.groups import BudgetError, load_group, power_group, power_index
 
 S3 = load_group("s3")
+A5 = load_group("a5")
+C6 = load_group("c6")  # has a fixed point free automorphism and order-6 elements
+SMALL_POWERS = [(S3, 1), (S3, 2), (A5, 1), (C6, 2)]
 
 
 def test_formula_values():
@@ -70,12 +81,84 @@ def test_brute_modes_agree_with_the_formula():
 
 
 def test_brute_budget_gates():
-    with pytest.raises(BudgetError):
-        brute_F(S3, 3, mode="fpf")
+    # 64 rows x 6859 endomorphisms x 76 columns is about 3.3e7.
+    with pytest.raises(BudgetError, match="rows.*mode='tree'.*formula_F"):
+        brute_F(S3, 3, mode="fpf", budget=10**6)
     with pytest.raises(BudgetError):
         brute_F(S3, 2, mode="tree", budget=10)
     with pytest.raises(ValueError, match="unknown mode"):
         brute_F(S3, 1, mode="magic")
+
+
+def _end0_image_matrix(T, n, columns):
+    """Images of the columns under every endomorphism, one row each in
+    enumerate_end0 order, through the per-endomorphism image table.
+    Column-major, so that a reduction over columns is a few fast passes."""
+    rows = [power_index(T, image_coords_table(e)[columns].T) for e in enumerate_end0(T, n)]
+    return np.array(rows, dtype=np.min_scalar_type(T.order**n - 1), order="F")
+
+
+@pytest.mark.parametrize("T,n", SMALL_POWERS, ids=lambda v: getattr(v, "name", v))
+def test_fpf_count_equals_the_per_pair_scan(T, n):
+    endos = list(enumerate_end0(T, n))
+    per_pair = sum(1 for f in endos for g in endos if is_fpf_bruteforce(f, g).is_fpf)
+    assert brute_F(T, n, mode="fpf") == per_pair
+
+
+def test_fpf_count_over_the_trivial_group(tmp_path):
+    # No prime-order element, so no columns: every pair is fpf.
+    path = tmp_path / "c1.txt"
+    path.write_text("1\n0\n")
+    C1 = load_group(str(path))
+    assert len(prime_columns(C1, 2)) == 0
+    assert brute_F(C1, 2, mode="fpf") == 9**2
+
+
+@pytest.mark.parametrize("T,n", SMALL_POWERS, ids=lambda v: getattr(v, "name", v))
+def test_image_blocks_are_the_end0_images_at_the_columns(T, n):
+    columns = prime_columns(T, n)
+    thetas = itertools.product(range(n + 1), repeat=n)
+    matrix = np.concatenate([image_block(T, theta, columns) for theta in thetas])
+    assert matrix.dtype == np.min_scalar_type(T.order**n - 1)
+    assert (matrix == _end0_image_matrix(T, n, columns)).all()
+
+
+@pytest.mark.parametrize(
+    "T,n", [*SMALL_POWERS, (S3, 3)], ids=lambda v: getattr(v, "name", v)
+)
+def test_one_column_per_prime_order_cyclic_subgroup(T, n):
+    G = power_group(T, n)
+    orders = G.element_orders()
+    prime_order = {x for x in range(G.order) if orders[x] in (2, 3, 5)}
+    subgroups = set()
+    for c in prime_columns(T, n):
+        c = int(c)
+        assert c in prime_order
+        y, members = c, set()
+        while y != 0:
+            members.add(y)
+            y = G.mul[y][c]
+        subgroups.add(frozenset(members))
+    expected = sum(
+        sum(1 for x in prime_order if orders[x] == p) // (p - 1) for p in (2, 3, 5)
+    )
+    assert len(subgroups) == len(prime_columns(T, n)) == expected
+    assert prime_column_count(T, n) == expected
+    assert set().union(*subgroups) == prime_order
+
+
+def test_s3_cube_reduced_count_equals_every_row():
+    matrix = _end0_image_matrix(S3, 3, prime_columns(S3, 3))
+    unreduced = 0
+    for lo in range(0, len(matrix), 64):
+        differ = matrix[lo : lo + 64, None, :] != matrix[None, :, :]
+        unreduced += int(differ.all(axis=2).sum())
+    assert brute_F(S3, 3, mode="fpf") == unreduced == formula_F(6, 3)
+
+
+def test_fpf_mode_reaches_the_first_non_simple_power():
+    assert brute_F(S3, 3, mode="fpf") == 3742848
+    assert brute_F(A5, 2, mode="fpf") == 27763200 == formula_F(120, 2)
 
 
 def test_census_report_match_logic():
@@ -100,3 +183,14 @@ def test_run_verification_quick():
     assert (s3_row.hol_inn, s3_row.hol_out, s3_row.hol_expected_inn) == (2, 0, 2)
     with pytest.raises(ValueError, match="unknown level"):
         run_verification("exhaustive")
+
+
+def test_run_verification_full_counts_the_s3_cube_and_the_a5_square():
+    reports = run_verification("full")
+    assert all(r.match for r in reports)
+    rows = {(r.T_name, r.n): r for r in reports}
+    assert rows[("s3", 3)].fpf_count == 3742848
+    a5_square = rows[("a5", 2)]
+    assert a5_square.fpf_count == formula_F(120, 2) == 27763200
+    assert a5_square.formula_Einn == formula_Einn(120, 2)
+    assert "brute (fpf mode) == formula" in dict(a5_square.comparisons())

@@ -53,9 +53,17 @@ def test_census_brute(capsys):
     assert "match\ttrue" in out
 
 
+def test_census_brute_fpf_reaches_the_s3_cube(capsys):
+    rc, out, _ = run(capsys, "census", "brute", "--group", "s3", "--n", "3",
+                     "--mode", "fpf")
+    assert rc == 0
+    assert "brute_F\t3742848" in out
+    assert "match\ttrue" in out
+
+
 def test_census_brute_budget_is_a_usage_error(capsys):
     rc, _, err = run(capsys, "census", "brute", "--group", "s3", "--n", "3",
-                     "--mode", "fpf")
+                     "--mode", "fpf", "--budget", "1000000")
     assert rc == 1
     assert "budget" in err
 

@@ -201,3 +201,18 @@ def test_path_conditions_exhaustive_small_pair():
         if f.apply(sigma) == g.apply(sigma)
     ]
     assert hits == direct
+
+
+def test_tree_criterion_matches_bruteforce_on_sampled_a5_squares():
+    # The A5^2 counterpart of the A5 randomized cross-check: each scan
+    # visits all 3600 elements, inside the default scan budget of 10k.
+    a5 = load_group("a5")
+    endos = list(enumerate_end0(a5, 2))
+    rng = random.Random(0xA5A52)
+    verdicts = []
+    for _ in range(2000):
+        f, g = rng.choice(endos), rng.choice(endos)
+        by_tree, by_scan = is_fpf_by_tree(f, g), is_fpf_bruteforce(f, g)
+        assert by_tree.is_fpf == by_scan.is_fpf, (f, g)
+        verdicts.append(by_tree.is_fpf)
+    assert 0 < sum(verdicts) < len(verdicts)
