@@ -5,7 +5,7 @@ abelian quotient can be.
 """
 
 from hopfgalois.groups import load_group
-from hopfgalois.holomorph import (
+from hopfgalois.powerlemmas import (
     PowerContext,
     check_rank_bounds,
     lambda_pair,

@@ -6,7 +6,9 @@ The package is organized around one pipeline: multiplication-table groups
 (:mod:`.pairgraphs`), fixed-point-freeness verdicts (:mod:`.fpf`),
 holomorph regular-subgroup enumeration (:mod:`.holomorph`), and the
 closed-form versus brute-force censuses that tie everything together
-(:mod:`.census`).  The ``hopfgalois`` CLI exposes the same operations.
+(:mod:`.census`).  The structure lemmas on direct powers are checked by
+:mod:`.powerlemmas`, which builds on the pipeline.  The ``hopfgalois``
+CLI exposes the same operations.
 """
 
 from .census import (
@@ -48,7 +50,6 @@ from .holomorph import (
     fpf_pair_to_subgroup,
     holomorph_of,
     regular_subgroups_oracle,
-    run_power_lemma_suite,
 )
 from .pairgraphs import (
     build_directed,
@@ -56,6 +57,7 @@ from .pairgraphs import (
     enumerate_labelled_trees,
     is_tree,
 )
+from .powerlemmas import run_power_lemma_suite
 
 __all__ = [
     "BudgetError",

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .endomorphisms import count_end0, enumerate_end0
-from .groups import BudgetError, _is_prime, all_coords, load_group
+from .fpf import TreeCriterionError
+from .groups import BudgetError, _is_prime, all_coords, has_fpf_automorphism, load_group
 from .holomorph import (
     classify_inn_out,
     enumerate_regular_subgroups,
@@ -261,7 +262,9 @@ def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
 
     mode="tree" visits every pair and decides each one through its pair graph (the graphs
     are memoised per source-map pair, since the verdict depends only on
-    the source maps).
+    the source maps).  The tree criterion holds only when T has no fixed
+    point free automorphism; on any other T this mode raises
+    TreeCriterionError up front.
 
     mode="fpf" reads only the images of real endomorphisms.  Where f and
     g agree is a subgroup, the equalizer of two homomorphisms, so the
@@ -278,6 +281,11 @@ def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
     total_endos = count_end0(T, n)
     pair_space = total_endos * total_endos
     if mode == "tree":
+        if has_fpf_automorphism(T):
+            raise TreeCriterionError(
+                f"{T.name} admits a fixed-point-free automorphism, so the tree "
+                "criterion does not apply; mode='fpf' still counts by element scan"
+            )
         if pair_space > budget:
             raise BudgetError(
                 f"{pair_space} pairs exceed the budget of {budget}; "
@@ -368,10 +376,9 @@ def _hol_counts(G, cross_check_oracle):
     """(inn, out, expected_inn) regular-subgroup counts for Hol(G).
 
     With cross_check_oracle the expectation comes from the exhaustive
-    subgroup scan of the full holomorph table, which is only affordable
-    when |Hol(G)| is tiny (36 for s3; the a5 holomorph has 7200 elements
-    and a quadratic pair-closure scan there is out of reach).  Without
-    it the expectation is the closed structure count.
+    subgroup walk over the full holomorph table, which is only affordable
+    when |Hol(G)| is small (36 for s3; the a5 holomorph has 7200
+    elements).  Without it the expectation is the closed structure count.
     """
     subs = enumerate_regular_subgroups(G)
     inn = sum(1 for s in subs if s.classification == "inn")
@@ -390,6 +397,31 @@ def _hol_counts(G, cross_check_oracle):
     return inn, out, expected_inn
 
 
+def _verification_row(T, n, with_tree, hol):
+    """One CensusReport for T^n: the closed formula against the
+    tree-weighted sum, the fpf-mode brute count and the structure count,
+    plus the tree-mode brute count when ``with_tree``, and the holomorph
+    counts when ``hol`` is "oracle" or "formula" (the source of the
+    expected inner count, see ``_hol_counts``)."""
+    A = len(T.automorphisms())
+    inn = out = expected_inn = None
+    if hol is not None:
+        inn, out, expected_inn = _hol_counts(T, cross_check_oracle=hol == "oracle")
+    return CensusReport(
+        T_name=T.name,
+        n=n,
+        aut_order=A,
+        formula_F=formula_F(A, n),
+        tree_weighted_F=tree_weighted_F(A, n),
+        brute_F=brute_F(T, n, mode="tree") if with_tree else None,
+        fpf_count=brute_F(T, n, mode="fpf"),
+        formula_Einn=formula_Einn(A, n),
+        hol_inn=inn,
+        hol_out=out,
+        hol_expected_inn=expected_inn,
+    )
+
+
 def run_verification(level="quick"):
     """Cross-validate every affordable route and return CensusReport rows.
 
@@ -403,93 +435,30 @@ def run_verification(level="quick"):
     """
     if level not in ("quick", "full"):
         raise ValueError(f"unknown level {level!r}: expected 'quick' or 'full'")
-    reports = []
-
     s3 = load_group("s3")
-    a_s3 = len(s3.automorphisms())
-    inn, out, oracle_inn = _hol_counts(s3, cross_check_oracle=True)
-    reports.append(
+    reports = [
+        _verification_row(s3, 1, with_tree=True, hol="oracle"),
+        _verification_row(s3, 2, with_tree=True, hol=None),
+    ]
+    reports += [
         CensusReport(
-            T_name="s3",
-            n=1,
-            aut_order=a_s3,
-            formula_F=formula_F(a_s3, 1),
-            tree_weighted_F=tree_weighted_F(a_s3, 1),
-            brute_F=brute_F(s3, 1, mode="tree"),
-            fpf_count=brute_F(s3, 1, mode="fpf"),
-            formula_Einn=formula_Einn(a_s3, 1),
-            hol_inn=inn,
-            hol_out=out,
-            hol_expected_inn=oracle_inn,
+            T_name=f"(A={free_a})",
+            n=n,
+            aut_order=free_a,
+            formula_F=formula_F(free_a, n),
+            tree_weighted_F=tree_weighted_F(free_a, n),
+            formula_Einn=formula_Einn(free_a, n),
         )
-    )
-    reports.append(
-        CensusReport(
-            T_name="s3",
-            n=2,
-            aut_order=a_s3,
-            formula_F=formula_F(a_s3, 2),
-            tree_weighted_F=tree_weighted_F(a_s3, 2),
-            brute_F=brute_F(s3, 2, mode="tree"),
-            fpf_count=brute_F(s3, 2, mode="fpf"),
-            formula_Einn=formula_Einn(a_s3, 2),
-        )
-    )
-    for free_a in (1, 2, 6, 2520):
-        for n in (1, 2):
-            reports.append(
-                CensusReport(
-                    T_name=f"(A={free_a})",
-                    n=n,
-                    aut_order=free_a,
-                    formula_F=formula_F(free_a, n),
-                    tree_weighted_F=tree_weighted_F(free_a, n),
-                    formula_Einn=formula_Einn(free_a, n),
-                )
-            )
-
+        for free_a in (1, 2, 6, 2520)
+        for n in (1, 2)
+    ]
     if level == "full":
         a5 = load_group("a5")
-        a_a5 = len(a5.automorphisms())
-        inn, out, oracle_inn = _hol_counts(a5, cross_check_oracle=False)
-        reports.append(
-            CensusReport(
-                T_name="a5",
-                n=1,
-                aut_order=a_a5,
-                formula_F=formula_F(a_a5, 1),
-                tree_weighted_F=tree_weighted_F(a_a5, 1),
-                brute_F=brute_F(a5, 1, mode="tree"),
-                fpf_count=brute_F(a5, 1, mode="fpf"),
-                formula_Einn=formula_Einn(a_a5, 1),
-                hol_inn=inn,
-                hol_out=out,
-                hol_expected_inn=oracle_inn,
-            )
-        )
-        reports.append(
-            CensusReport(
-                T_name="s3",
-                n=3,
-                aut_order=a_s3,
-                formula_F=formula_F(a_s3, 3),
-                tree_weighted_F=tree_weighted_F(a_s3, 3),
-                brute_F=brute_F(s3, 3, mode="tree"),
-                fpf_count=brute_F(s3, 3, mode="fpf"),
-                formula_Einn=formula_Einn(a_s3, 3),
-            )
-        )
-        reports.append(
-            CensusReport(
-                T_name="a5",
-                n=2,
-                aut_order=a_a5,
-                formula_F=formula_F(a_a5, 2),
-                tree_weighted_F=tree_weighted_F(a_a5, 2),
-                fpf_count=brute_F(a5, 2, mode="fpf"),
-                formula_Einn=formula_Einn(a_a5, 2),
-            )
-        )
+        reports += [
+            _verification_row(a5, 1, with_tree=True, hol="formula"),
+            _verification_row(s3, 3, with_tree=True, hol=None),
+            _verification_row(a5, 2, with_tree=False, hol=None),
+        ]
     return reports
 
 

@@ -21,14 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import BudgetError, FiniteGroup, all_coords, invert_perm
+from .groups import BudgetError, FiniteGroup, all_coords
 
 __all__ = [
     "StructuredEndo",
     "identity_endo",
     "trivial_endo",
     "compose",
-    "invert_aut0",
     "is_automorphism",
     "count_end0",
     "count_aut0",
@@ -36,7 +35,6 @@ __all__ = [
     "enumerate_aut0",
     "image_coords_table",
     "parse_pair_file",
-    "format_pair_file",
     "PairFileError",
 ]
 
@@ -125,21 +123,6 @@ def compose(e1, e2):
         theta.append(t2)
         composed = tuple(auts[e1.phis[i]][v] for v in auts[e2.phis[t1 - 1]])
         phis.append(T.aut_index(composed))
-    return StructuredEndo(T, n, tuple(theta), tuple(phis))
-
-
-def invert_aut0(e):
-    """Inverse of an invertible structured endomorphism."""
-    if not is_automorphism(e):
-        raise ValueError("endomorphism is not invertible")
-    T, n = e.group, e.n
-    auts = T.automorphisms()
-    theta = [0] * n
-    phis = [None] * n
-    for j in range(n):
-        src = e.theta[j] - 1
-        theta[src] = j + 1
-        phis[src] = T.aut_index(invert_perm(auts[e.phis[j]]))
     return StructuredEndo(T, n, tuple(theta), tuple(phis))
 
 
@@ -281,18 +264,3 @@ def parse_pair_file(text, T):
         except ValueError as exc:
             raise PairFileError(f"invalid endomorphism {tag}: {exc}") from None
     return endos[0], endos[1]
-
-
-def format_pair_file(f, g):
-    def fmt(vals):
-        return ",".join("-" if v is None else str(v) for v in vals)
-
-    return "\n".join(
-        [
-            f"n={f.n}",
-            f"theta_f={fmt(f.theta)}",
-            f"phi_f={fmt(f.phis)}",
-            f"theta_g={fmt(g.theta)}",
-            f"phi_g={fmt(g.phis)}",
-        ]
-    )

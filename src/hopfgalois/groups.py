@@ -6,9 +6,8 @@ the identity pinned at index 0.  This module provides the table type, a
 small catalog of named groups, one generator-image backtracker that
 enumerates homomorphisms, automorphisms and crossed homomorphisms (maps
 with c(st) = c(s)·a_s(c(t)), a homomorphism being the case of the trivial
-action), direct powers T^n and their coordinate arrays, prime-order
-subgroup choices, and the structural queries (center, normal subgroups,
-solvability) that the verification suites lean on.
+action), direct powers T^n and their coordinate arrays, and the closure
+of a set of elements to the subgroup it generates.
 
 Tables are kept both as nested tuples (hashable, cheap scalar access) and
 as a read-only int64 numpy array for vectorised validation of tables and
@@ -22,7 +21,6 @@ one memo on the group itself, exactly as long as the group does.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,14 +45,7 @@ __all__ = [
     "power_index",
     "power_coords",
     "all_coords",
-    "PrimeSubgroupChoice",
-    "choose_prime_subgroups",
     "subgroup_closure",
-    "normal_subgroups",
-    "is_simple",
-    "commutator_closure",
-    "quotient_group",
-    "is_solvable",
 ]
 
 class GroupValidationError(ValueError):
@@ -73,6 +64,10 @@ def compose_perm(a, b):
 def _read_only(arr):
     arr.setflags(write=False)
     return arr
+
+
+def _is_prime(k):
+    return k >= 2 and all(k % d for d in range(2, int(k**0.5) + 1))
 
 
 def invert_perm(a):
@@ -178,10 +173,6 @@ class FiniteGroup:
                 )
 
     # -- basic element arithmetic -----------------------------------------
-
-    def conjugate(self, g, x):
-        """g·x·g⁻¹."""
-        return self.mul[self.mul[g][x]][self.inv[g]]
 
     def element_order(self, x):
         return self.element_orders()[x]
@@ -317,12 +308,6 @@ class FiniteGroup:
         return self.memo(
             "inner_ids",
             lambda: tuple(sorted({self.conjugation_aut_id(g) for g in range(self.order)})),
-        )
-
-    def center(self):
-        arr = self.np_mul
-        return self.memo(
-            "center", lambda: tuple(int(z) for z in np.flatnonzero((arr == arr.T).all(axis=1)))
         )
 
 
@@ -646,52 +631,7 @@ def power_group(T, n):
     return T.memo(("power", n), build)
 
 
-# ── Prime-order subgroup choices ────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class PrimeSubgroupChoice:
-    """One order-p subgroup per coordinate of T^n, each generated by the
-    same chosen order-p element of T; together they span an elementary
-    abelian p-group of rank n inside the power."""
-
-    p: int
-    n: int
-    generators: tuple  # length n, T-element indices, each of order p
-
-    def member_tuples(self, T):
-        """All p^n elements of the spanned subgroup, as coordinate tuples."""
-        axes = []
-        for g in self.generators:
-            powers = [0]
-            y = g
-            while y != 0:
-                powers.append(y)
-                y = T.mul[y][g]
-            axes.append(powers)
-        return [tuple(c) for c in itertools.product(*axes)]
-
-
-def _is_prime(k):
-    return k >= 2 and all(k % d for d in range(2, int(k**0.5) + 1))
-
-
-def choose_prime_subgroups(T, n, p, variant=0):
-    """Pick the variant-th lowest-index order-p element of T, reused in
-    every coordinate.  variant=0 is the deterministic default; passing 1
-    exercises independence from the choice when a second element exists."""
-    if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if T.order % p != 0:
-        raise ValueError(f"p = {p} does not divide |{T.name}| = {T.order}")
-    elems = [x for x in range(T.order) if T.element_order(x) == p]
-    if variant >= len(elems):
-        raise ValueError(f"only {len(elems)} elements of order {p}, variant {variant} unavailable")
-    g = elems[variant]
-    return PrimeSubgroupChoice(p=p, n=n, generators=(g,) * n)
-
-
-# ── Subgroup structure ──────────────────────────────────────────────────
+# ── Subgroup closure ────────────────────────────────────────────────────
 
 
 def subgroup_closure(G, seed, limit=None):
@@ -711,83 +651,3 @@ def subgroup_closure(G, seed, limit=None):
                     if len(have) > limit:
                         return None
     return tuple(sorted(have)) if len(have) <= limit else None
-
-
-def _normal_closure(G, seed):
-    conjs = {G.conjugate(g, x) for x in seed for g in range(G.order)}
-    return subgroup_closure(G, conjs)
-
-
-def normal_subgroups(G):
-    """All normal subgroups, as sorted element tuples.
-
-    Every normal subgroup is the join of the normal closures of its own
-    elements, so the lattice generated by single-element closures under
-    join is the complete answer.
-    """
-    found = {(0,)}
-    work = []
-    for x in range(1, G.order):
-        nc = _normal_closure(G, [x])
-        if nc not in found:
-            found.add(nc)
-            work.append(nc)
-    while work:
-        a = work.pop()
-        for b in list(found):
-            j = subgroup_closure(G, set(a) | set(b))
-            if j not in found:
-                found.add(j)
-                work.append(j)
-    return sorted(found, key=lambda s: (len(s), s))
-
-
-def is_simple(G):
-    return G.order > 1 and len(normal_subgroups(G)) == 2
-
-
-def commutator_closure(G, subset):
-    """The subgroup generated by commutators of elements of ``subset``."""
-    comms = set()
-    for a in subset:
-        for b in subset:
-            comms.add(G.mul[G.mul[a][b]][G.inv[G.mul[b][a]]])
-    return subgroup_closure(G, comms)
-
-
-def quotient_group(G, normal_elements):
-    """Quotient by a normal subgroup; returns (Q, projection table).
-
-    Cosets are sorted by their least member, so the coset of the identity
-    is index 0 as required.
-    """
-    nset = frozenset(normal_elements)
-    seen = {}
-    cosets = []
-    for x in range(G.order):
-        if x in seen:
-            continue
-        coset = frozenset(G.mul[x][h] for h in nset)
-        for y in coset:
-            seen[y] = None
-        cosets.append(coset)
-    cosets.sort(key=min)
-    cid = {}
-    for i, c in enumerate(cosets):
-        for y in c:
-            cid[y] = i
-    reps = [min(c) for c in cosets]
-    mul = [[cid[G.mul[a][b]] for b in reps] for a in reps]
-    Q = FiniteGroup(mul, name=f"{G.name}/N{len(nset)}")
-    proj = tuple(cid[x] for x in range(G.order))
-    return Q, proj
-
-
-def is_solvable(G):
-    current = tuple(range(G.order))
-    while len(current) > 1:
-        nxt = commutator_closure(G, current)
-        if nxt == current:
-            return False
-        current = nxt
-    return True

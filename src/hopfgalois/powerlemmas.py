@@ -1,0 +1,843 @@
+"""Verification toolkit for the structure lemmas on direct powers G = T^n.
+
+Crossed pairs (f, g) in wreath coordinates, the commuting-pair relation
+on g-values, orbit decompositions of the coordinate set under a rank-n
+elementary abelian subgroup, and the resulting image-size bounds that
+force inner projections at large primes, together with the group helpers
+only these checks use: prime-order subgroup choices, commutator
+closures, quotients and solvability.  ``run_power_lemma_suite`` runs
+every check over one power and reports a row per check.
+
+The module sits on top of the core: it reads groups, structured
+endomorphisms and holomorphs, and no core module imports it.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+
+import numpy as np
+
+from .endomorphisms import enumerate_aut0, image_coords_table
+from .groups import (
+    FiniteGroup,
+    _is_prime,
+    automorphism_table_group,
+    crossed_homomorphisms,
+    invert_perm,
+    power_coords,
+    power_group,
+    power_index,
+    subgroup_closure,
+)
+from .holomorph import _subgroup_from_tables, holomorph_of
+
+__all__ = [
+    "PowerContext",
+    "FGPair",
+    "rho_pair",
+    "lambda_pair",
+    "subgroup_from_fg_pair",
+    "OrbitDecomposition",
+    "RankReport",
+    "GBoundReport",
+    "PrimeAuditReport",
+    "CheckResult",
+    "PrimeSubgroupChoice",
+    "choose_prime_subgroups",
+    "orbit_decompose",
+    "orbit_decompose_from_thetas",
+    "check_rank_bounds",
+    "check_relations_lemma",
+    "f_kernel_inner",
+    "g_bound_report",
+    "audit_prime_bound",
+    "commutator_closure",
+    "quotient_group",
+    "is_solvable",
+    "check_out_prop1",
+    "run_power_lemma_suite",
+]
+
+
+# ── Crossed pairs in wreath coordinates ─────────────────────────────────
+
+
+class PowerContext:
+    """Shared tables for G = T^n: the power table group, the invertible
+    structured endomorphisms in enumeration order, and their permutation
+    realizations on G."""
+
+    def __init__(self, T, n, aut0_budget=10**6):
+        self.T = T
+        self.n = n
+        self.group = power_group(T, n)
+        self.aut0 = tuple(enumerate_aut0(T, n, budget=aut0_budget))
+        self._index = {(e.theta, e.phis): i for i, e in enumerate(self.aut0)}
+        self._perms = None
+        self.identity_theta = tuple(range(1, n + 1))
+
+    def aut0_index(self, e):
+        try:
+            return self._index[(e.theta, e.phis)]
+        except KeyError:
+            raise ValueError("endomorphism is not invertible over this power") from None
+
+    def aut0_perms(self):
+        """(count, |G|) array: row k is aut0 element k acting on G."""
+        if self._perms is None:
+            rows = [power_index(self.T, image_coords_table(e).T) for e in self.aut0]
+            self._perms = np.array(rows, dtype=np.int64)
+            self._perms.setflags(write=False)
+        return self._perms
+
+    def is_inner_aut0(self, aut0_id):
+        """Inner automorphisms of T^n are exactly identity-theta elements
+        whose coordinate maps are all conjugations of T."""
+        e = self.aut0[aut0_id]
+        if e.theta != self.identity_theta:
+            return False
+        inner = self.T.inner_automorphism_ids()
+        return all(p in inner for p in e.phis)
+
+    def conj_aut0_id(self, coords):
+        """aut0 id of conjugation by the element with these coordinates."""
+        phis = tuple(self.T.conjugation_aut_id(c) for c in coords)
+        return self._index[(self.identity_theta, phis)]
+
+
+@dataclass(frozen=True)
+class FGPair:
+    """A parametrized subgroup candidate over G = T^n: a homomorphism into
+    the invertible structured endomorphisms (stored as aut0 ids per group
+    element) and a crossed map (stored as G-indices per group element).
+    Construction validates the homomorphism and crossed laws in full."""
+
+    ctx: PowerContext
+    f_ids: tuple  # length |G|, aut0 ids
+    g_values: tuple  # length |G|, G element indices
+
+    def __post_init__(self):
+        ctx = self.ctx
+        G = ctx.group
+        if len(self.f_ids) != G.order or len(self.g_values) != G.order:
+            raise ValueError("f and g tables must cover the whole group")
+        if self.g_values[0] != 0:
+            raise ValueError("crossed map must send the identity to the identity")
+        perms = ctx.aut0_perms()
+        f = np.array(self.f_ids, dtype=np.int64)
+        g = np.array(self.g_values, dtype=np.int64)
+        mul = G.np_mul
+        order = G.order
+        fperm = perms[f]  # row s is the permutation realized by f(s)
+        lhs = fperm[mul]  # [s, t, x] -> f(st)(x)
+        comp = fperm[np.arange(order)[:, None, None], fperm[None, :, :]]
+        if not (lhs == comp).all():
+            raise ValueError("f is not a homomorphism into the wreath elements")
+        rhs_g = mul[g[:, None], fperm[np.arange(order)[:, None], g[None, :]]]
+        if not (g[mul] == rhs_g).all():
+            raise ValueError("g does not satisfy the crossed-homomorphism law")
+
+    # -- notation shortcuts ---------------------------------------------
+
+    def theta_of(self, s):
+        return self.ctx.aut0[self.f_ids[s]].theta
+
+    def phi_of(self, s, i):
+        """T-automorphism images feeding output coordinate i (1-based) of
+        f(s); None on collapsed coordinates never occurs here."""
+        e = self.ctx.aut0[self.f_ids[s]]
+        return self.ctx.T.automorphisms()[e.phis[i - 1]]
+
+    def a_of(self, s):
+        """g(s) as a coordinate tuple."""
+        return power_coords(self.ctx.T, self.ctx.n, self.g_values[s])
+
+    def kernel_fsn(self):
+        """Elements whose wreath part has identity coordinate action."""
+        ident = self.ctx.identity_theta
+        return tuple(
+            s for s in range(self.ctx.group.order) if self.theta_of(s) == ident
+        )
+
+    def fsn_image(self):
+        """The set of coordinate actions realized by f, closed under
+        composition (theta composes contravariantly, so the closure is
+        taken to be safe)."""
+        return _close_thetas(self.theta_of(s) for s in range(self.ctx.group.order))
+
+    def g_is_bijective(self):
+        return len(set(self.g_values)) == self.ctx.group.order
+
+
+def rho_pair(ctx):
+    """f trivial, g the identity map: parametrizes right translations."""
+    return FGPair(ctx, (0,) * ctx.group.order, tuple(range(ctx.group.order)))
+
+
+def lambda_pair(ctx):
+    """f = conjugation, g = inversion: parametrizes left translations."""
+    G, T, n = ctx.group, ctx.T, ctx.n
+    f = tuple(
+        ctx.conj_aut0_id(power_coords(T, n, s)) for s in range(G.order)
+    )
+    return FGPair(ctx, f, tuple(G.inv))
+
+
+def subgroup_from_fg_pair(pair):
+    """The holomorph subgroup {(g(s), f(s)) : s in G} of a validated pair.
+
+    The wreath parts are converted to plain automorphism ids of the power
+    group (for n = 1 they coincide by construction).  Regularity iff
+    g-bijectivity is asserted on the result.
+    """
+    ctx = pair.ctx
+    N = ctx.group
+    if ctx.n == 1:
+        plain = [ctx.aut0[k].phis[0] for k in pair.f_ids]
+    else:
+        perms = ctx.aut0_perms()
+        plain = [
+            N.aut_index(tuple(int(x) for x in perms[k])) for k in pair.f_ids
+        ]
+    flat = _subgroup_from_tables(N, plain, pair.g_values)
+    return frozenset(map(holomorph_of(N).element_of_index, flat.tolist()))
+
+
+# ── Prime-order subgroup choices ────────────────────────────────────────
+
+
+@dataclass(frozen=True)
+class PrimeSubgroupChoice:
+    """One order-p subgroup per coordinate of T^n, each generated by the
+    same chosen order-p element of T; together they span an elementary
+    abelian p-group of rank n inside the power."""
+
+    p: int
+    n: int
+    generators: tuple  # length n, T-element indices, each of order p
+
+    def member_tuples(self, T):
+        """All p^n elements of the spanned subgroup, as coordinate tuples."""
+        axes = []
+        for g in self.generators:
+            powers = [0]
+            y = g
+            while y != 0:
+                powers.append(y)
+                y = T.mul[y][g]
+            axes.append(powers)
+        return [tuple(c) for c in itertools.product(*axes)]
+
+
+def choose_prime_subgroups(T, n, p, variant=0):
+    """Pick the variant-th lowest-index order-p element of T, reused in
+    every coordinate.  variant=0 is the deterministic default; passing 1
+    exercises independence from the choice when a second element exists."""
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if T.order % p != 0:
+        raise ValueError(f"p = {p} does not divide |{T.name}| = {T.order}")
+    elems = [x for x in range(T.order) if T.element_order(x) == p]
+    if variant >= len(elems):
+        raise ValueError(f"only {len(elems)} elements of order {p}, variant {variant} unavailable")
+    g = elems[variant]
+    return PrimeSubgroupChoice(p=p, n=n, generators=(g,) * n)
+
+
+# ── Orbit decompositions of the coordinate set ──────────────────────────
+
+
+@dataclass(frozen=True)
+class OrbitDecomposition:
+    """Orbits of 1..n under the coordinate actions realized by f on a
+    rank-n elementary abelian p-subgroup.
+
+    ``fixed`` collects the coordinates every realized permutation leaves
+    alone; ``orbits`` are the nontrivial orbits with ``reps`` their least
+    members.  ``transporters`` maps each non-fixed coordinate i to a label
+    (a group element) whose permutation carries the orbit representative
+    to i.  ``m`` is the p-rank of the realized permutation group and
+    ``orbit_ranks`` the exponents of the orbit sizes.
+    ``transporters_commute`` records whether every chosen transporter
+    commutes with the whole kernel of the coordinate action; None means
+    no commuting information was requested.
+    """
+
+    p: int
+    n: int
+    fixed: tuple
+    orbits: tuple
+    reps: tuple
+    transporters: tuple  # pairs (coordinate, label)
+    m: int
+    orbit_ranks: tuple
+    transporters_commute: bool | None
+
+    def __post_init__(self):
+        covered = set(self.fixed)
+        for orbit in self.orbits:
+            covered.update(orbit)
+        if covered != set(range(1, self.n + 1)):
+            raise ValueError("fixed set and orbits do not partition 1..n")
+        for orbit, mk in zip(self.orbits, self.orbit_ranks):
+            if len(orbit) != self.p**mk:
+                raise ValueError(
+                    f"orbit size {len(orbit)} is not p^{mk} for p = {self.p}"
+                )
+
+    @property
+    def r(self):
+        return len(self.orbits)
+
+
+def _close_thetas(thetas):
+    """The closure of a set of 1-based permutation tuples under composition."""
+    group = set(thetas)
+    while True:
+        fresh = {tuple(t1[x - 1] for x in t2) for t1 in group for t2 in group} - group
+        if not fresh:
+            return group
+        group |= fresh
+
+
+def orbit_decompose_from_thetas(labelled_thetas, n, p, prefer=None):
+    """Core decomposition engine working on realized coordinate
+    permutations alone.
+
+    ``labelled_thetas`` is a sequence of (label, theta) pairs, theta a
+    1-based permutation tuple of 1..n; labels identify which group element
+    realized it.  ``prefer`` is an optional predicate on labels used to
+    pick transporters (the commuting search); when given,
+    transporters_commute reports whether every chosen one satisfied it.
+    """
+    realized = {}
+    for label, theta in labelled_thetas:
+        theta = tuple(theta)
+        if sorted(theta) != list(range(1, n + 1)):
+            raise ValueError(f"theta {theta} is not a permutation of 1..{n}")
+        realized.setdefault(theta, []).append(label)
+
+    group = _close_thetas(realized)
+    size = len(group)
+    m = 0
+    while p**m < size:
+        m += 1
+    if p**m != size:
+        raise ValueError(f"realized action has size {size}, not a power of {p}")
+
+    seen = set()
+    fixed, orbits = [], []
+    for i in range(1, n + 1):
+        if i in seen:
+            continue
+        orbit = {theta[i - 1] for theta in group}
+        if orbit == {i}:
+            fixed.append(i)
+            seen.add(i)
+            continue
+        # orbits of a group action: the image set of one point is the orbit
+        frontier = set(orbit)
+        while frontier:
+            j = frontier.pop()
+            more = {theta[j - 1] for theta in group} - orbit
+            orbit |= more
+            frontier |= more
+        orbits.append(tuple(sorted(orbit)))
+        seen |= orbit
+    orbits.sort(key=min)
+
+    transporters = []
+    all_preferred = True
+    for orbit in orbits:
+        rep = min(orbit)
+        for i in orbit:
+            candidates = [
+                label
+                for theta, labels in sorted(realized.items())
+                if theta[rep - 1] == i
+                for label in labels
+            ]
+            if not candidates:
+                raise ValueError(
+                    f"no realized permutation carries {rep} to {i}; "
+                    "the labelled thetas are not closed"
+                )
+            chosen = None
+            if prefer is not None:
+                for label in candidates:
+                    if prefer(label):
+                        chosen = label
+                        break
+            if chosen is None:
+                chosen = candidates[0]
+                if prefer is not None:
+                    all_preferred = False
+            transporters.append((i, chosen))
+
+    ranks = []
+    for orbit in orbits:
+        mk = 0
+        while p**mk < len(orbit):
+            mk += 1
+        ranks.append(mk)
+
+    return OrbitDecomposition(
+        p=p,
+        n=n,
+        fixed=tuple(fixed),
+        orbits=tuple(orbits),
+        reps=tuple(min(o) for o in orbits),
+        transporters=tuple(transporters),
+        m=m,
+        orbit_ranks=tuple(ranks),
+        transporters_commute=(all_preferred if prefer is not None else None),
+    )
+
+
+def orbit_decompose(pair, p, variant=0):
+    """Decomposition of the coordinate set for a crossed pair, using the
+    rank-n subgroup built from the variant-th order-p element of T.
+
+    Transporters are searched among elements commuting with the whole
+    kernel of the coordinate action, as the bound lemma wants; failure to
+    find commuting ones is recorded, not fatal.
+    """
+    ctx = pair.ctx
+    T, n, G = ctx.T, ctx.n, ctx.group
+    choice = choose_prime_subgroups(T, n, p, variant)
+    members = [power_index(T, c) for c in choice.member_tuples(T)]
+    kernel = pair.kernel_fsn()
+
+    def commutes_with_kernel(s):
+        return all(G.mul[s][t] == G.mul[t][s] for t in kernel)
+
+    labelled = [(s, pair.theta_of(s)) for s in sorted(members)]
+    return orbit_decompose_from_thetas(
+        labelled, n, p, prefer=commutes_with_kernel
+    )
+
+
+@dataclass(frozen=True)
+class RankReport:
+    partition_ok: bool  # n - #X_0 equals the sum of orbit sizes p^(m_k)
+    rank_ok: bool  # m is at most the sum of the m_k
+
+    @property
+    def ok(self):
+        return self.partition_ok and self.rank_ok
+
+
+def check_rank_bounds(decomp):
+    """The two numeric relations tying the total rank to the orbit ranks.
+
+    Orbit sizes being p-powers is already enforced at construction; this
+    verifies the partition count and the rank inequality.
+    """
+    total = sum(decomp.p**mk for mk in decomp.orbit_ranks)
+    return RankReport(
+        partition_ok=(decomp.n - len(decomp.fixed) == total),
+        rank_ok=(decomp.m <= sum(decomp.orbit_ranks)),
+    )
+
+
+# ── Commuting-pair relation and image bounds ────────────────────────────
+
+
+def check_relations_lemma(pair, sigma, tau):
+    """Componentwise relation tying g(sigma) and g(tau) for commuting
+    sigma, tau with tau acting trivially on coordinates:
+
+        phi_{sigma,i}(a_tau at theta_sigma(i))
+            = (a_sigma at i)^-1 · (a_tau at i) · phi_{tau,i}(a_sigma at i)
+
+    Preconditions are errors, not silent skips.
+    """
+    ctx = pair.ctx
+    G, T, n = ctx.group, ctx.T, ctx.n
+    if G.mul[sigma][tau] != G.mul[tau][sigma]:
+        raise ValueError(
+            f"elements {sigma} and {tau} do not commute; the relation "
+            "assumes sigma·tau = tau·sigma"
+        )
+    if pair.theta_of(tau) != ctx.identity_theta:
+        raise ValueError(
+            f"element {tau} permutes coordinates; it must lie in the "
+            "kernel of the coordinate action"
+        )
+    theta_s = pair.theta_of(sigma)
+    a_s, a_t = pair.a_of(sigma), pair.a_of(tau)
+    for i in range(1, n + 1):
+        phi_s = pair.phi_of(sigma, i)
+        phi_t = pair.phi_of(tau, i)
+        lhs = phi_s[a_t[theta_s[i - 1] - 1]]
+        rhs = T.mul[T.mul[T.inv[a_s[i - 1]]][a_t[i - 1]]][phi_t[a_s[i - 1]]]
+        if lhs != rhs:
+            return False
+    return True
+
+
+def f_kernel_inner(pair):
+    """Whether f sends the whole coordinate-action kernel into inner
+    automorphisms of the power (identity action, all conjugation parts)."""
+    return all(pair.ctx.is_inner_aut0(pair.f_ids[t]) for t in pair.kernel_fsn())
+
+
+@dataclass(frozen=True)
+class GBoundReport:
+    containment_ok: bool
+    image_size: int
+    kernel_inner: bool
+    bound: int  # |T|^#X_0 · (|T|·|phi-range|)^r for the applicable phi range
+    coarse_bound: int  # |T|^(#X_0 + 2r)
+
+    @property
+    def ok(self):
+        if not self.containment_ok:
+            return False
+        if self.kernel_inner:
+            return self.image_size <= self.bound <= self.coarse_bound
+        return self.image_size <= self.bound
+
+
+def g_bound_report(pair, decomp):
+    """Image-size bound for g on the kernel of the coordinate action.
+
+    Every kernel value is first reconstructed coordinate-by-coordinate
+    from its orbit-representative block through the transporters (the
+    containment statement), then the numeric bounds are compared:
+    per orbit at most |T|·|Inn(T)| blocks when f maps the kernel to inner
+    automorphisms, |T|·|Aut(T)| otherwise, and |T| per fixed coordinate.
+
+    Raises when a transporter fails to commute with the kernel: the
+    containment argument is unavailable then.
+    """
+    ctx = pair.ctx
+    T, G = ctx.T, ctx.group
+    kernel = pair.kernel_fsn()
+    trans = dict(decomp.transporters)
+    for s in trans.values():
+        for t in kernel:
+            if G.mul[s][t] != G.mul[t][s]:
+                raise ValueError(
+                    f"transporter {s} does not commute with kernel element "
+                    f"{t}; the image bound does not apply"
+                )
+    kernel_inner = f_kernel_inner(pair)
+    containment_ok = True
+    for tau in kernel:
+        a_tau = pair.a_of(tau)
+        for orbit, rep in zip(decomp.orbits, decomp.reps):
+            phi_tau_rep = pair.phi_of(tau, rep)
+            for i in orbit:
+                s = trans[i]
+                a_s = pair.a_of(s)
+                anchor = a_s[rep - 1]
+                inner_val = T.mul[
+                    T.mul[T.inv[anchor]][a_tau[rep - 1]]
+                ][phi_tau_rep[anchor]]
+                recon = invert_perm(pair.phi_of(s, rep))[inner_val]
+                if recon != a_tau[i - 1]:
+                    containment_ok = False
+    x0, r = len(decomp.fixed), decomp.r
+    phi_range = (
+        len(T.inner_automorphism_ids()) if kernel_inner else len(T.automorphisms())
+    )
+    return GBoundReport(
+        containment_ok=containment_ok,
+        image_size=len({pair.g_values[t] for t in kernel}),
+        kernel_inner=kernel_inner,
+        bound=T.order**x0 * (T.order * phi_range) ** r,
+        coarse_bound=T.order ** (x0 + 2 * r),
+    )
+
+
+@dataclass(frozen=True)
+class PrimeAuditReport:
+    """Instance audit of the small-prime forcing argument.
+
+    ``derived_inequality`` is sum(p^(m_k) - 2) <= sum(m_k); whenever the
+    action is nontrivial and it holds, p must be at most 3 (pure
+    arithmetic: p^x - 2 > x for p >= 5, x >= 1).  When the fully
+    quantified hypotheses hold (nontrivial action, coordinate-action
+    image of full size |T|^m, bijective g, image bound satisfied) the
+    derived inequality itself is forced.
+    """
+
+    p: int
+    action_nontrivial: bool
+    image_size_hypothesis: bool
+    g_bijective: bool
+    inequality_holds: bool
+    derived_inequality: bool
+
+    @property
+    def arithmetic_consistent(self):
+        if self.action_nontrivial and self.derived_inequality:
+            return self.p <= 3
+        return True
+
+    @property
+    def forced_inequality_ok(self):
+        hyp = (
+            self.action_nontrivial
+            and self.image_size_hypothesis
+            and self.g_bijective
+            and self.inequality_holds
+        )
+        return (not hyp) or (self.derived_inequality and self.p <= 3)
+
+    @property
+    def ok(self):
+        return self.arithmetic_consistent and self.forced_inequality_ok
+
+
+def audit_prime_bound(pair, decomp):
+    ctx = pair.ctx
+    T = ctx.T
+    kernel = pair.kernel_fsn()
+    image_size = len({pair.g_values[t] for t in kernel})
+    x0, r = len(decomp.fixed), decomp.r
+    return PrimeAuditReport(
+        p=decomp.p,
+        action_nontrivial=decomp.m >= 1,
+        image_size_hypothesis=(len(pair.fsn_image()) == T.order**decomp.m),
+        g_bijective=pair.g_is_bijective(),
+        inequality_holds=(image_size <= T.order ** (x0 + 2 * r)),
+        derived_inequality=(
+            sum(decomp.p**mk - 2 for mk in decomp.orbit_ranks)
+            <= sum(decomp.orbit_ranks)
+        ),
+    )
+
+
+# ── Inner-image criterion and the whole suite ────────────────────────────
+
+
+def commutator_closure(G, subset):
+    """The subgroup generated by commutators of elements of ``subset``."""
+    comms = set()
+    for a in subset:
+        for b in subset:
+            comms.add(G.mul[G.mul[a][b]][G.inv[G.mul[b][a]]])
+    return subgroup_closure(G, comms)
+
+
+def quotient_group(G, normal_elements):
+    """Quotient by a normal subgroup; returns (Q, projection table).
+
+    Cosets are sorted by their least member, so the coset of the identity
+    is index 0 as required.
+    """
+    nset = frozenset(normal_elements)
+    seen = {}
+    cosets = []
+    for x in range(G.order):
+        if x in seen:
+            continue
+        coset = frozenset(G.mul[x][h] for h in nset)
+        for y in coset:
+            seen[y] = None
+        cosets.append(coset)
+    cosets.sort(key=min)
+    cid = {}
+    for i, c in enumerate(cosets):
+        for y in c:
+            cid[y] = i
+    reps = [min(c) for c in cosets]
+    mul = [[cid[G.mul[a][b]] for b in reps] for a in reps]
+    Q = FiniteGroup(mul, name=f"{G.name}/N{len(nset)}")
+    proj = tuple(cid[x] for x in range(G.order))
+    return Q, proj
+
+
+def is_solvable(G):
+    current = tuple(range(G.order))
+    while len(current) > 1:
+        nxt = commutator_closure(G, current)
+        if nxt == current:
+            return False
+        current = nxt
+    return True
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    status: str  # "pass", "fail" or "skipped"
+    detail: str = ""
+
+
+def check_out_prop1(pair):
+    """When Out(T) is solvable and the coordinate-action kernel is perfect,
+    f must send that kernel into inner automorphisms.
+
+    Both hypotheses are established by direct computation (derived series
+    of the automorphism quotient, commutator closure of the kernel); the
+    conclusion is only asserted when they hold.
+    """
+    ctx = pair.ctx
+    T, G = ctx.T, ctx.group
+    aut_t = automorphism_table_group(T)
+    outer, _ = quotient_group(aut_t, T.inner_automorphism_ids())
+    out_solvable = is_solvable(outer)
+    kernel = pair.kernel_fsn()
+    perfect = commutator_closure(G, kernel) == tuple(sorted(kernel))
+    if not out_solvable or not perfect:
+        missing = []
+        if not out_solvable:
+            missing.append("outer automorphism group not solvable")
+        if not perfect:
+            missing.append("kernel not perfect")
+        return CheckResult(
+            "inner-image criterion", "skipped", "; ".join(missing)
+        )
+    conclusion = f_kernel_inner(pair)
+    return CheckResult(
+        "inner-image criterion",
+        "pass" if conclusion else "fail",
+        f"kernel of size {len(kernel)} maps into inner automorphisms: "
+        f"{conclusion}",
+    )
+
+
+def _sign_table(T):
+    """0/1 parity against the derived subgroup, when it has index 2."""
+    derived = commutator_closure(T, range(T.order))
+    if 2 * len(derived) != T.order:
+        return None
+    dset = set(derived)
+    return [0 if x in dset else 1 for x in range(T.order)]
+
+
+def _suite_pairs(ctx, max_g_per_f):
+    """Named crossed pairs over G = T^n exercising distinct f shapes:
+    the two translation pairs, extra crossed maps for the conjugation f,
+    coordinate-swapping fs driven by parity (n = 2 only), and a diagonal
+    conjugation f."""
+    T, n, G = ctx.T, ctx.n, ctx.group
+    pairs = [("rho", rho_pair(ctx)), ("lambda", lambda_pair(ctx))]
+    perms = ctx.aut0_perms()
+
+    def searched(name, f_ids):
+        f_arr = np.array(f_ids, dtype=np.int64)
+        out = []
+        for j, g in enumerate(
+            itertools.islice(
+                crossed_homomorphisms(G, perms[f_arr]), max_g_per_f
+            )
+        ):
+            out.append((f"{name}/g{j}", FGPair(ctx, tuple(f_ids), g)))
+        return out
+
+    conj_f = pairs[1][1].f_ids
+    pairs += searched("conj", conj_f)
+
+    sign = _sign_table(T)
+    if sign is not None and n == 2:
+        swap_id = ctx._index[((2, 1), (0, 0))]
+        for name, pick in (
+            ("swap-first", lambda c: sign[c[0]]),
+            ("swap-second", lambda c: sign[c[1]]),
+            ("swap-product", lambda c: (sign[c[0]] + sign[c[1]]) % 2),
+        ):
+            f_ids = tuple(
+                swap_id if pick(power_coords(T, n, s)) else 0
+                for s in range(G.order)
+            )
+            pairs += searched(name, f_ids)
+
+    diag_f = tuple(
+        ctx._index[
+            (
+                ctx.identity_theta,
+                (T.conjugation_aut_id(power_coords(T, n, s)[0]),) * n,
+            )
+        ]
+        for s in range(G.order)
+    )
+    pairs += searched("diag-conj", diag_f)
+    return pairs
+
+
+def run_power_lemma_suite(T, n=2, max_g_per_f=4):
+    """Run every structural check we have over G = T^n and report.
+
+    For each constructed pair: the commuting-pair relation on all
+    qualifying (sigma, tau), orbit decompositions for every prime dividing
+    |T| and up to two generator choices, the g-image bound where its
+    commuting hypothesis holds, the prime audit, and the inner-image
+    criterion.  Returns CheckResult rows; no row may be "fail".
+    """
+    ctx = PowerContext(T, n)
+    G = ctx.group
+    results = []
+    primes = sorted(
+        {p for p in range(2, T.order + 1) if T.order % p == 0 and _is_prime(p)}
+    )
+    for name, pair in _suite_pairs(ctx, max_g_per_f):
+        kernel = set(pair.kernel_fsn())
+        qualifying = 0
+        failures = 0
+        for sigma in range(G.order):
+            for tau in kernel:
+                if G.mul[sigma][tau] != G.mul[tau][sigma]:
+                    continue
+                qualifying += 1
+                if not check_relations_lemma(pair, sigma, tau):
+                    failures += 1
+        results.append(
+            CheckResult(
+                f"{name}: commuting-pair relation",
+                "pass" if failures == 0 else "fail",
+                f"{qualifying} qualifying pairs, {failures} failures",
+            )
+        )
+        for p in primes:
+            order_p = [x for x in range(T.order) if T.element_order(x) == p]
+            for variant in range(min(2, len(order_p))):
+                tag = f"p={p} choice {variant}"
+                decomp = orbit_decompose(pair, p, variant)
+                rep = check_rank_bounds(decomp)
+                results.append(
+                    CheckResult(
+                        f"{name}: orbit ranks {tag}",
+                        "pass" if rep.ok else "fail",
+                        f"m={decomp.m} fixed={len(decomp.fixed)} "
+                        f"orbit-ranks={list(decomp.orbit_ranks)}",
+                    )
+                )
+                if decomp.transporters_commute:
+                    grep = g_bound_report(pair, decomp)
+                    results.append(
+                        CheckResult(
+                            f"{name}: g-image bound {tag}",
+                            "pass" if grep.ok else "fail",
+                            f"image {grep.image_size} <= {grep.bound} "
+                            f"<= {grep.coarse_bound}, inner kernel: "
+                            f"{grep.kernel_inner}",
+                        )
+                    )
+                else:
+                    results.append(
+                        CheckResult(
+                            f"{name}: g-image bound {tag}",
+                            "skipped",
+                            "no commuting transporters found",
+                        )
+                    )
+                audit = audit_prime_bound(pair, decomp)
+                results.append(
+                    CheckResult(
+                        f"{name}: prime audit {tag}",
+                        "pass" if audit.ok else "fail",
+                        f"derived inequality {audit.derived_inequality}, "
+                        f"p={audit.p}",
+                    )
+                )
+        prop1 = check_out_prop1(pair)
+        results.append(
+            CheckResult(f"{name}: {prop1.name}", prop1.status, prop1.detail)
+        )
+    return results

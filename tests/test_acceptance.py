@@ -28,7 +28,6 @@ from hopfgalois.holomorph import (
     fpf_pair_to_subgroup,
     holomorph_of,
     regular_subgroups_oracle,
-    run_power_lemma_suite,
 )
 from hopfgalois.pairgraphs import (
     UndirectedPairGraph,
@@ -38,6 +37,7 @@ from hopfgalois.pairgraphs import (
     is_tree,
     prufer_decode,
 )
+from hopfgalois.powerlemmas import run_power_lemma_suite
 
 GOLDEN = Path(__file__).parent / "data" / "hol_s3_regulars.json"
 

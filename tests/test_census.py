@@ -19,7 +19,7 @@ from hopfgalois.census import (
     tree_weighted_F,
 )
 from hopfgalois.endomorphisms import enumerate_end0, image_coords_table
-from hopfgalois.fpf import is_fpf_bruteforce
+from hopfgalois.fpf import TreeCriterionError, is_fpf_bruteforce
 from hopfgalois.groups import BudgetError, load_group, power_group, power_index
 
 S3 = load_group("s3")
@@ -88,6 +88,14 @@ def test_brute_budget_gates():
         brute_F(S3, 2, mode="tree", budget=10)
     with pytest.raises(ValueError, match="unknown mode"):
         brute_F(S3, 1, mode="magic")
+
+
+def test_tree_mode_refuses_a_group_with_an_fpf_automorphism():
+    # C3 has 6 fpf pairs; the tree criterion would count 4.
+    c3 = load_group("c3")
+    with pytest.raises(TreeCriterionError, match="mode='fpf'"):
+        brute_F(c3, 1, mode="tree")
+    assert brute_F(c3, 1, mode="fpf") == 6
 
 
 def _end0_image_matrix(T, n, columns):

@@ -7,6 +7,7 @@ import pytest
 from hopfgalois.cli import main
 
 C2CUBE = Path(__file__).parent / "data" / "c2cube.txt"
+LEMMAS_S3 = Path(__file__).parent / "data" / "hol_s3_lemmas.txt"
 
 PAIR_FPF = """\
 n=2
@@ -59,6 +60,14 @@ def test_census_brute_fpf_reaches_the_s3_cube(capsys):
     assert rc == 0
     assert "brute_F\t3742848" in out
     assert "match\ttrue" in out
+
+
+def test_census_brute_tree_mode_refuses_an_fpf_automorphism(capsys):
+    rc, out, err = run(capsys, "census", "brute", "--group", "c3", "--n", "1",
+                       "--mode", "tree")
+    assert rc == 1
+    assert out == ""
+    assert "mode='fpf'" in err
 
 
 def test_census_brute_budget_is_a_usage_error(capsys):
@@ -147,12 +156,11 @@ def test_hol_regulars_cross_type(capsys):
     rc, _, err = run(capsys, "hol", "regulars", "--group", "a5", "--iso", "s3")
     assert rc == 1
     assert "too large" in err
-    # Hol(D4) has 2 regular subgroups isomorphic to C2^3, which pair
-    # closures cannot reach: the scan refuses instead of printing total 0.
-    rc, out, err = run(capsys, "hol", "regulars", "--group", "d4", "--iso", str(C2CUBE))
-    assert rc == 1
-    assert out == ""
-    assert "needs 3 generators" in err
+    # Hol(D4) has 2 regular subgroups isomorphic to C2^3; C2^3 needs 3
+    # generators, so only a walk over subgroups reaches them.
+    rc, out, _ = run(capsys, "hol", "regulars", "--group", "d4", "--iso", str(C2CUBE))
+    assert rc == 0
+    assert out.strip().splitlines() == ["0\t8\ttrue\tinn", "1\t8\ttrue\tinn", "total\t2"]
 
 
 def test_hol_lemma_suite(capsys):
@@ -161,6 +169,8 @@ def test_hol_lemma_suite(capsys):
     total = out.strip().splitlines()[-1]
     assert total.startswith("total\t308")
     assert "fail=0" in total
+    # every row name, status and detail, as pinned in the golden file
+    assert out == LEMMAS_S3.read_text()
 
 
 def test_verify_quick(capsys):

@@ -13,10 +13,8 @@ from hopfgalois.endomorphisms import (
     count_end0,
     enumerate_aut0,
     enumerate_end0,
-    format_pair_file,
     identity_endo,
     image_coords_table,
-    invert_aut0,
     is_automorphism,
     parse_pair_file,
     trivial_endo,
@@ -108,13 +106,13 @@ def test_aut0_enumeration_and_inverses():
     auts = list(enumerate_aut0(S3, 2))
     assert len(auts) == count_aut0(S3, 2)
     assert all(is_automorphism(e) for e in auts)
-    ident = identity_endo(S3, 2)
-    for e in auts:
-        inv = invert_aut0(e)
-        back = compose(e, inv)
-        assert (back.theta, back.phis) == (ident.theta, ident.phis)
-    with pytest.raises(ValueError):
-        invert_aut0(trivial_endo(S3, 2))
+
+    def key(e):
+        return e.theta, e.phis
+
+    ident = key(identity_endo(S3, 2))
+    for e in auts:  # each has a two-sided inverse inside Aut0
+        assert any(key(compose(e, d)) == ident == key(compose(d, e)) for d in auts)
 
 
 def test_aut0_is_exactly_the_invertible_part_of_end0():
@@ -151,13 +149,6 @@ def test_parse_pair_file():
     f, g = parse_pair_file(PAIR_TEXT, S3)
     assert f.theta == (0, 1) and f.phis == (None, 3)
     assert g.theta == (1, 2) and g.phis == (0, 2)
-
-
-def test_pair_file_round_trip():
-    f, g = parse_pair_file(PAIR_TEXT, S3)
-    f2, g2 = parse_pair_file(format_pair_file(f, g), S3)
-    assert (f2.theta, f2.phis) == (f.theta, f.phis)
-    assert (g2.theta, g2.phis) == (g.theta, g.phis)
 
 
 @pytest.mark.parametrize(

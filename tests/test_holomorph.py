@@ -21,22 +21,24 @@ from hopfgalois.groups import (
     power_group,
 )
 from hopfgalois.holomorph import (
-    FGPair,
     HolElement,
-    PowerContext,
     byott_translate,
+    classify_inn_out,
+    enumerate_regular_subgroups,
+    fpf_pair_to_subgroup,
+    holomorph_of,
+    regular_subgroups_oracle,
+)
+from hopfgalois.powerlemmas import (
+    FGPair,
+    PowerContext,
     check_out_prop1,
     check_rank_bounds,
     check_relations_lemma,
-    classify_inn_out,
-    enumerate_regular_subgroups,
     f_kernel_inner,
-    fpf_pair_to_subgroup,
-    holomorph_of,
     lambda_pair,
     orbit_decompose,
     orbit_decompose_from_thetas,
-    regular_subgroups_oracle,
     rho_pair,
     run_power_lemma_suite,
     subgroup_from_fg_pair,
@@ -319,6 +321,9 @@ def test_enumeration_agrees_with_the_oracle_live():
     assert [s.elements for s in subs] == oracle
     assert all(s.classification == "inn" for s in subs)
     assert len(subs) == 2
+    for name in ("d4", "q8", "d5", "a4"):
+        G = load_group(name)
+        assert [s.elements for s in enumerate_regular_subgroups(G)] == regular_subgroups_oracle(G)
 
 
 @pytest.mark.parametrize("name", ["s3", "d4", "s4"])
@@ -353,11 +358,13 @@ def test_cyclic_structures_on_s3_and_the_translation():
     assert byott_translate(len(keys), 2, 6) == golden["byott_c6_structures"] == 2
 
 
-def test_oracle_refuses_targets_it_cannot_reach():
+def test_oracle_reaches_targets_that_need_three_generators():
     c2cube = load_group(GOLDEN.parent / "c2cube.txt")
     assert c2cube.generating_sequence("short") == (1, 2, 4)
-    with pytest.raises(ValueError, match="c2cube needs 3 generators"):
-        regular_subgroups_oracle(load_group("d4"), iso_type=c2cube)
+    d4 = load_group("d4")
+    kept = regular_subgroups_oracle(d4, iso_type=c2cube)
+    assert len(kept) == 2
+    assert all(len(key) == 8 and classify_inn_out(holomorph_of(d4), key) == "inn" for key in kept)
 
 
 def test_byott_translate_arithmetic():
