@@ -4,14 +4,14 @@ fixed-point-freeness over a base group with no fpf automorphism."""
 from hopfgalois.endomorphisms import StructuredEndo
 from hopfgalois.fpf import decide_fpf
 from hopfgalois.groups import load_group
-from hopfgalois.pairgraphs import build_directed, build_undirected, dump_lines, is_tree
+from hopfgalois.pairgraphs import build_undirected, dump_lines, is_tree
 
 
 def show(title, f, g):
     und = build_undirected(f.theta, g.theta)
     print(f"== {title} ==")
     print(f"  theta_f = {f.theta}, theta_g = {g.theta}")
-    for line in dump_lines(und, directed=build_directed(f, g)):
+    for line in dump_lines(und):
         print(f"  {line}")
     verdict = decide_fpf(f, g)
     print(f"  tree: {is_tree(und)}   fpf: {verdict.is_fpf} ({verdict.method})")

@@ -52,7 +52,6 @@ from .holomorph import (
     regular_subgroups_oracle,
 )
 from .pairgraphs import (
-    build_directed,
     build_undirected,
     enumerate_labelled_trees,
     is_tree,
@@ -68,7 +67,6 @@ __all__ = [
     "Holomorph",
     "StructuredEndo",
     "brute_F",
-    "build_directed",
     "build_undirected",
     "byott_translate",
     "check_path_conditions",

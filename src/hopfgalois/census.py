@@ -15,14 +15,15 @@ three ways that share no code path:
     vertices grouped by the degree d of vertex 0, with the degree
     census taken from actual Pruefer decoding when n is small;
   * ``brute_F`` counts over the real endomorphisms of an actual group,
-    either deciding every pair by the tree criterion on its pair graph,
-    or comparing images: f and g agree on a subgroup (their equalizer),
-    so a pair is fpf exactly when it differs on one generator of every
-    cyclic subgroup of prime order of T^n.  Those generators are the
-    columns of an image matrix with a row per endomorphism, built one
-    source map at a time; since composing with Aut0 permutes End0, one
-    row per source map, with identity twists, stands for all A^k rows
-    of that source map.  This route uses no pair graph.
+    either weighting the tree verdict of every source-map pair by how
+    many endomorphisms carry each source map, or comparing images: f
+    and g agree on a subgroup (their equalizer), so a pair is fpf
+    exactly when it differs on one generator of every cyclic subgroup
+    of prime order of T^n.  Those generators are the columns of an
+    image matrix with a row per endomorphism, built one source map at
+    a time; since composing with Aut0 permutes End0, one row per source
+    map, with identity twists, stands for all A^k rows of that source
+    map.  This route uses no pair graph.
 
 ``run_verification`` packages the cross-checks (including holomorph
 regular-subgroup counts for small targets) into CensusReport rows so
@@ -46,13 +47,7 @@ from .holomorph import (
     holomorph_of,
     regular_subgroups_oracle,
 )
-from .pairgraphs import (
-    build_undirected,
-    count_trees_root_degree,
-    degree_of_vertex0,
-    is_tree,
-    tree_degree_census,
-)
+from .pairgraphs import build_undirected, count_trees_root_degree, is_tree, tree_degree_census
 
 DEFAULT_BRUTE_BUDGET = 2 * 10**9
 
@@ -64,11 +59,15 @@ ENUMERATE_CENSUS_LIMIT = 7
 # ── Closed formulas ──────────────────────────────────────────────────────
 
 
+def _check_power(n):
+    if n < 1:
+        raise ValueError(f"the power exponent must be positive, got {n}")
+
+
 def formula_F(aut_order, n):
     """Closed count of fixed point free pairs on a rank-n power,
     as a function of A = |Aut T| alone."""
-    if n < 1:
-        raise ValueError(f"the power exponent must be positive, got {n}")
+    _check_power(n)
     if aut_order < 1:
         raise ValueError(f"the automorphism count must be positive, got {aut_order}")
     A = aut_order
@@ -96,14 +95,20 @@ def tree_degree_counts(n, method="auto"):
 
     Returns a dict d -> count for 1 <= d <= n.  ``enumerate`` decodes
     every Pruefer sequence and measures degrees; ``formula`` uses the
-    binomial count; ``auto`` enumerates up to n = 7 and then switches.
-    Either way the row sum must be (n+1)^(n-1).
+    binomial count; ``auto`` enumerates up to n = 7 and then switches,
+    and ``enumerate`` past n = 7 is refused.  Either way the row sum must
+    be (n+1)^(n-1).
     """
     if n < 1:
         raise ValueError(f"need at least one non-root vertex, got n = {n}")
     if method == "auto":
         method = "enumerate" if n <= ENUMERATE_CENSUS_LIMIT else "formula"
     if method == "enumerate":
+        if n > ENUMERATE_CENSUS_LIMIT:
+            raise BudgetError(
+                f"enumerating the {(n + 1) ** (n - 1)} labelled trees on {n + 1} vertices "
+                f"is past n = {ENUMERATE_CENSUS_LIMIT}; use method='formula'"
+            )
         counts = tree_degree_census(n)
     elif method == "formula":
         counts = {d: count_trees_root_degree(n, d) for d in range(1, n + 1)}
@@ -141,41 +146,37 @@ def tree_weighted_F(aut_order, n, method="auto"):
 
 def tree_pair_census(aut_order, n):
     """Sum A^(2n - d(mu,nu)) over all source-map pairs whose pair graph
-    is a tree, visiting the (n+1)^(2n) source-map pairs directly.
+    is a tree, as w . M . w over the tree matrix M.
 
-    This is the structured route with multiplicities: each source map
-    with k live coordinates stands for A^k endomorphisms.
+    This is the structured route with multiplicities: a source map with
+    k live coordinates stands for w = A^k endomorphisms, and a pair's
+    weight A^(2n - d) is the product of its two maps' weights, since d
+    counts the zero coordinates of both.  The weights are exact Python
+    integers (A = 2520 at n = 3 overflows int64).
     """
-    A = aut_order
-    total = 0
-    for mu in itertools.product(range(n + 1), repeat=n):
-        for nu in itertools.product(range(n + 1), repeat=n):
-            if is_tree(build_undirected(mu, nu)):
-                total += A ** (2 * n - degree_of_vertex0(mu, nu))
-    return total
+    maps = itertools.product(range(n + 1), repeat=n)
+    w = np.array([aut_order ** sum(1 for t in theta if t) for theta in maps], dtype=object)
+    return int(w @ _tree_matrix(n).astype(object) @ w)
 
 
 # ── Brute force over real pairs ──────────────────────────────────────────
 
 
 def _theta_index(theta, n):
+    """Position of ``theta`` in itertools.product order."""
     idx = 0
-    for t in reversed(theta):
+    for t in theta:
         idx = idx * (n + 1) + t
     return idx
 
 
 def _tree_matrix(n):
-    """Boolean matrix over source-map pairs: entry (i, j) says whether
-    the pair graph of the i-th and j-th source maps is a tree.  Every
-    entry comes from an actual graph build and tree test."""
+    """Boolean matrix over source-map pairs, in itertools.product order:
+    entry (i, j) says whether the pair graph of the i-th and j-th source
+    maps is a tree.  Every entry comes from an actual graph build and
+    tree test."""
     maps = list(itertools.product(range(n + 1), repeat=n))
-    k = len(maps)
-    mat = np.zeros((k, k), dtype=bool)
-    for i, mu in enumerate(maps):
-        for j, nu in enumerate(maps):
-            mat[i, j] = is_tree(build_undirected(mu, nu))
-    return mat
+    return np.array([[is_tree(build_undirected(mu, nu)) for nu in maps] for mu in maps])
 
 
 def _prime_orders(T):
@@ -260,10 +261,11 @@ def _rows_differing(block, rows):
 def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
     """Count fixed point free pairs of real endomorphisms of T^n.
 
-    mode="tree" visits every pair and decides each one through its pair graph (the graphs
-    are memoised per source-map pair, since the verdict depends only on
-    the source maps).  The tree criterion holds only when T has no fixed
-    point free automorphism; on any other T this mode raises
+    mode="tree" reads the verdict of every source-map pair from the tree
+    matrix and counts c . M . c, where c[i] is how many endomorphisms
+    enumerate_end0 yields with the i-th source map; the verdict depends
+    on the source maps alone.  The tree criterion holds only when T has
+    no fixed point free automorphism; on any other T this mode raises
     TreeCriterionError up front.
 
     mode="fpf" reads only the images of real endomorphisms.  Where f and
@@ -278,6 +280,7 @@ def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
     block at a time, and the cost rows * |End0| * columns is gated by
     the budget.
     """
+    _check_power(n)
     total_endos = count_end0(T, n)
     pair_space = total_endos * total_endos
     if mode == "tree":
@@ -291,16 +294,10 @@ def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
                 f"{pair_space} pairs exceed the budget of {budget}; "
                 "use the tree-weighted or closed-form routes instead"
             )
-        endos = list(enumerate_end0(T, n))
-        mat = _tree_matrix(n)
-        ids = np.array([_theta_index(e.theta, n) for e in endos], dtype=np.intp)
-        count = 0
-        # Chunk the f axis so the boolean slab stays near 8M entries.
-        step = max(1, (1 << 23) // total_endos)
-        for lo in range(0, total_endos, step):
-            block = ids[lo : lo + step]
-            count += int(mat[block[:, None], ids[None, :]].sum())
-        return count
+        c = np.bincount(
+            [_theta_index(e.theta, n) for e in enumerate_end0(T, n)], minlength=(n + 1) ** n
+        )
+        return int(c @ _tree_matrix(n) @ c)
     if mode == "fpf":
         thetas = list(itertools.product(range(n + 1), repeat=n))
         width = prime_column_count(T, n)

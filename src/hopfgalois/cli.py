@@ -29,7 +29,6 @@ from .holomorph import (
     regular_subgroups_oracle,
 )
 from .pairgraphs import (
-    build_directed,
     build_undirected,
     count_trees_root_degree,
     dump_lines,
@@ -137,7 +136,7 @@ def _cmd_fpf_check(args):
     print(f"{'fpf' if verdict.is_fpf else 'not-fpf'}\t{verdict.method}\t{witness}")
     if args.dump_graph:
         und = build_undirected(f.theta, g.theta)
-        _emit([line.split("\t") for line in dump_lines(und, build_directed(f, g))])
+        _emit([line.split("\t") for line in dump_lines(und)])
     return 0
 
 

@@ -38,7 +38,7 @@ __all__ = [
     "PairFileError",
 ]
 
-DEFAULT_ENDO_BUDGET = 10**6
+ENDO_BUDGET = 10**6
 
 
 class PairFileError(ValueError):
@@ -141,29 +141,29 @@ def _phi_products(T, theta):
         yield combo
 
 
-def enumerate_end0(T, n, budget=DEFAULT_ENDO_BUDGET):
+def enumerate_end0(T, n):
     """Stream all structured endomorphisms of T^n.
 
     Order: theta lexicographic, then phi ids lexicographic coordinate by
     coordinate.  Raises BudgetError up front when the count (1+n|Aut T|)^n
-    exceeds the budget, so callers can switch to formula-only paths.
+    exceeds ENDO_BUDGET, so callers can switch to formula-only paths.
     """
     total = count_end0(T, n)
-    if total > budget:
+    if total > ENDO_BUDGET:
         raise BudgetError(
-            f"End0({T.name}^{n}) has {total} elements, over the budget of {budget}"
+            f"End0({T.name}^{n}) has {total} elements, over the budget of {ENDO_BUDGET}"
         )
     for theta in itertools.product(range(n + 1), repeat=n):
         for phis in _phi_products(T, theta):
             yield StructuredEndo(T, n, theta, phis)
 
 
-def enumerate_aut0(T, n, budget=DEFAULT_ENDO_BUDGET):
+def enumerate_aut0(T, n):
     """Stream the invertible structured endomorphisms (theta permutations)."""
     total = count_aut0(T, n)
-    if total > budget:
+    if total > ENDO_BUDGET:
         raise BudgetError(
-            f"Aut0({T.name}^{n}) has {total} elements, over the budget of {budget}"
+            f"Aut0({T.name}^{n}) has {total} elements, over the budget of {ENDO_BUDGET}"
         )
     for theta in itertools.permutations(range(1, n + 1)):
         for phis in _phi_products(T, theta):

@@ -39,7 +39,7 @@ from .groups import (
     lowest_fixed_points,
     power_identity,
 )
-from .pairgraphs import CONSTANT, _arrow_shapes, path_transport, plan_for, transport_id
+from .pairgraphs import CONSTANT, arrow_shapes, path_transport, plan_for, transport_id
 
 __all__ = [
     "FpfVerdict",
@@ -52,7 +52,7 @@ __all__ = [
     "decide_fpf",
 ]
 
-DEFAULT_SCAN_BUDGET = 10_000
+SCAN_BUDGET = 10_000
 
 
 class TreeCriterionError(ValueError):
@@ -85,12 +85,12 @@ def _assert_witness(f, g, witness):
         )
 
 
-def is_fpf_bruteforce(f, g, budget=DEFAULT_SCAN_BUDGET):
+def is_fpf_bruteforce(f, g):
     """Scan all of T^n; the first non-identity agreement is the witness."""
     T, n = f.group, f.n
-    if T.order**n > budget:
+    if T.order**n > SCAN_BUDGET:
         raise BudgetError(
-            f"|{T.name}|^{n} = {T.order ** n} elements exceed the scan budget {budget}"
+            f"|{T.name}|^{n} = {T.order ** n} elements exceed the scan budget {SCAN_BUDGET}"
         )
     coords = all_coords(T, n)
     agree = (image_coords_table(f, coords) == image_coords_table(g, coords)).all(axis=1)
@@ -154,12 +154,12 @@ def is_fpf_by_tree(f, g):
     return FpfVerdict(False, "tree-criterion", construct_witness(f, g))
 
 
-def decide_fpf(f, g, budget=DEFAULT_SCAN_BUDGET):
+def decide_fpf(f, g):
     """Tree criterion when T allows it, brute force otherwise."""
     try:
         return is_fpf_by_tree(f, g)
     except TreeCriterionError:
-        return is_fpf_bruteforce(f, g, budget=budget)
+        return is_fpf_bruteforce(f, g)
 
 
 # ── Path-condition evaluation ───────────────────────────────────────────
@@ -168,7 +168,7 @@ def decide_fpf(f, g, budget=DEFAULT_SCAN_BUDGET):
 def _single_arrow_conditions(aut, auts, f, g, sigma):
     """Every arrow's constraint sigma[head] = transport(sigma[tail]),
     read from the arrow shapes and transport ids of the pair."""
-    for kind, i, tail, head in _arrow_shapes(zip(f.theta, g.theta)):
+    for kind, i, tail, head in arrow_shapes(zip(f.theta, g.theta)):
         t = transport_id(aut, f, g, kind, i, tail)
         if sigma[head - 1] != (0 if t == CONSTANT else auts[t][sigma[tail - 1]]):
             return False

@@ -88,7 +88,7 @@ class FiniteGroup:
     whatever is computed from the table is kept in :meth:`memo`.
     """
 
-    def __init__(self, mul, name="?", validate=True):
+    def __init__(self, mul, name="?"):
         self.mul = tuple(tuple(int(v) for v in row) for row in mul)
         self.order = len(self.mul)
         self.name = name
@@ -101,8 +101,7 @@ class FiniteGroup:
         arr = np.array(self.mul, dtype=np.int64) if self.order else np.zeros((0, 0), dtype=np.int64)
         self.np_mul = _read_only(arr)
         self._memo = {}
-        if validate:
-            self._validate()
+        self._validate()
         self.inv = tuple((arr == 0).argmax(axis=1).tolist()) if self.order else ()
 
     def __repr__(self):

@@ -57,7 +57,7 @@ __all__ = [
     "byott_translate",
 ]
 
-DEFAULT_HOL_BUDGET = 200_000
+HOL_BUDGET = 200_000
 
 
 @dataclass(frozen=True, order=True)
@@ -269,7 +269,7 @@ def _subgroup_from_tables(N, f_aut_ids, g_values):
     return np.sort(flat)
 
 
-def enumerate_regular_subgroups(N, hol_budget=DEFAULT_HOL_BUDGET):
+def enumerate_regular_subgroups(N):
     """All regular subgroups of Hol(N) isomorphic to N, by (f, g) search.
 
     f runs over Hom(N, Aut(N)); for each f the bijective crossed maps g
@@ -283,9 +283,9 @@ def enumerate_regular_subgroups(N, hol_budget=DEFAULT_HOL_BUDGET):
     other types need the oracle.
     """
     hol = holomorph_of(N)
-    if hol.order > hol_budget:
+    if hol.order > HOL_BUDGET:
         raise BudgetError(
-            f"|Hol({N.name})| = {hol.order} exceeds the budget {hol_budget}"
+            f"|Hol({N.name})| = {hol.order} exceeds the budget {HOL_BUDGET}"
         )
     aut_group = automorphism_table_group(N)
     auts_arr = N.aut_array()

@@ -2,11 +2,11 @@
 
 A pair (f, g) over T^n determines an undirected multigraph on the vertex
 set {0, ..., n}: edge i joins the source coordinates theta_f(i) and
-theta_g(i).  Refining each edge by the direction in which its coordinate
-constraint can be read off gives a directed multigraph whose arrows carry
-transport maps on T; composing transports along directed paths is what the
-fixed-point analysis consumes.  Whether the undirected graph is a tree is
-the headline criterion, so this module also provides Prüfer-sequence
+theta_g(i).  Each edge can be read in the directions in which its
+coordinate constraint can be solved; those arrows carry transport maps on
+T, and composing transports along directed paths is what the fixed-point
+analysis consumes.  Whether the undirected graph is a tree is the
+headline criterion, so this module also provides Prüfer-sequence
 enumeration of labelled trees and the closed count of trees by the degree
 of vertex 0.
 
@@ -17,13 +17,13 @@ that shape once and keeps up to PLAN_STORE_SIZE shapes (all of rank 3).
 
 Arrow naming: edge i induces a forward arrow ("a", i) from theta_f(i) to
 theta_g(i) whenever the g-side map can be inverted (theta_g(i) != 0), and
-a reverse arrow ("b", i) whenever the f-side can.  An arrow's transport is
-an automorphism id of T, the inverse of the head-side automorphism after
-the tail-side one, read from automorphism_table_group(T); with both arrows
-present the two ids are mutually inverse.  An arrow whose tail is vertex 0
-carries the marker CONSTANT instead, the constant map onto the identity,
-because the coordinate it constrains must be the identity.  No arrow ever
-has head 0.
+a reverse arrow ("b", i) whenever the f-side can; arrow_shapes lists them.
+An arrow's transport (transport_id) is an automorphism id of T, the
+inverse of the head-side automorphism after the tail-side one, read from
+automorphism_table_group(T); with both arrows present the two ids are
+mutually inverse.  An arrow whose tail is vertex 0 carries the marker
+CONSTANT instead, the constant map onto the identity, because the
+coordinate it constrains must be the identity.  No arrow ever has head 0.
 """
 
 from __future__ import annotations
@@ -35,26 +35,21 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .groups import automorphism_table_group
-
 __all__ = [
     "CONSTANT",
     "UndirectedPairGraph",
-    "DirectedPairGraph",
     "Component",
-    "Arrow",
     "ComponentPlan",
     "PairPlan",
     "build_undirected",
-    "build_directed",
     "is_tree",
     "components",
-    "degree_of_vertex0",
     "find_simple_cycle",
     "PLAN_STORE_SIZE",
     "pair_plan",
     "clear_plans",
     "plan_for",
+    "arrow_shapes",
     "transport_id",
     "path_transport",
     "prufer_decode",
@@ -88,40 +83,6 @@ class UndirectedPairGraph:
 
     n: int
     edges: tuple  # edge i (0-based) is the pair (theta_f(i+1), theta_g(i+1))
-
-    def degree(self, v):
-        d = 0
-        for u, w in self.edges:
-            if u == v:
-                d += 1
-            if w == v:
-                d += 1
-        return d
-
-
-@dataclass(frozen=True)
-class Arrow:
-    kind: str    # "a" = forward along edge, "b" = reverse
-    index: int   # 1-based edge label
-    tail: int
-    head: int
-    transport: int  # automorphism id of T, or CONSTANT when tail == 0
-
-    @property
-    def label(self):
-        return f"{self.kind}{self.index}"
-
-
-@dataclass(frozen=True)
-class DirectedPairGraph:
-    n: int
-    arrows: tuple  # sorted by (index, kind)
-
-    def arrow(self, kind, index):
-        for c in self.arrows:
-            if c.kind == kind and c.index == index:
-                return c
-        raise KeyError(f"no arrow {kind}{index} in this graph")
 
 
 class ComponentPlan(NamedTuple):
@@ -163,7 +124,7 @@ def build_undirected(mu, nu):
     return UndirectedPairGraph(n, tuple(zip(mu, nu)))
 
 
-def _arrow_shapes(edges):
+def arrow_shapes(edges):
     """(kind, 0-based edge index, tail, head) of every arrow, sorted by
     (index, kind)."""
     out = []
@@ -195,20 +156,6 @@ def path_transport(aut, f, g, steps):
         a = transport_id(aut, f, g, kind, i, tail)
         t = CONSTANT if CONSTANT in (a, t) else aut.mul[a][t]
     return t
-
-
-def _check_same_power(f, g):
-    if f.group is not g.group or f.n != g.n:
-        raise ValueError("endomorphism pair lives over different powers")
-
-
-def build_directed(f, g):
-    _check_same_power(f, g)
-    aut = automorphism_table_group(f.group)
-    return DirectedPairGraph(f.n, tuple(
-        Arrow(kind, i + 1, tail, head, transport_id(aut, f, g, kind, i, tail))
-        for kind, i, tail, head in _arrow_shapes(zip(f.theta, g.theta))
-    ))
 
 
 # ── Components and the tree test ────────────────────────────────────────
@@ -273,20 +220,6 @@ def is_tree(graph):
             f"on a graph with {len(graph.edges)} edges and {graph.n + 1} vertices"
         )
     return connected
-
-
-def degree_of_vertex0(mu, nu):
-    """Degree of vertex 0, computed from the graph and from the zero-count
-    formula; the two must agree (loops at 0 contribute 2)."""
-    graph = build_undirected(mu, nu)
-    by_graph = graph.degree(0)
-    by_formula = sum(1 for x in mu if x == 0) + sum(1 for x in nu if x == 0)
-    if by_graph != by_formula:
-        raise RuntimeError(
-            f"degree bookkeeping is inconsistent: graph says {by_graph}, "
-            f"zero-count says {by_formula}"
-        )
-    return by_graph
 
 
 # ── Shape plans ─────────────────────────────────────────────────────────
@@ -387,7 +320,7 @@ def find_simple_cycle(graph, component):
     if at != base or len(used) != len(alive):
         raise RuntimeError("cycle walk failed to close; component bookkeeping corrupt")
 
-    shapes = _arrow_shapes(graph.edges)
+    shapes = arrow_shapes(graph.edges)
 
     def steps_for(walk, avoid=()):
         # A loop edge matches either orientation with both of its arrows;
@@ -422,7 +355,7 @@ def pair_plan(theta_f, theta_g):
     if len(_PLANS) >= PLAN_STORE_SIZE:
         clear_plans()
     graph = build_undirected(theta_f, theta_g)
-    shapes = _arrow_shapes(graph.edges)
+    shapes = arrow_shapes(graph.edges)
     comps = []
     for comp in components(graph):
         excess = comp.edge_count - (comp.vertex_count - 1)
@@ -439,7 +372,8 @@ def pair_plan(theta_f, theta_g):
 def plan_for(f, g):
     """pair_plan of the pair's source maps, once both are known to live
     over the same T^n."""
-    _check_same_power(f, g)
+    if f.group is not g.group or f.n != g.n:
+        raise ValueError("endomorphism pair lives over different powers")
     return pair_plan(f.theta, g.theta)
 
 
@@ -497,8 +431,12 @@ def prufer_encode(edges, n):
 
 def enumerate_labelled_trees(n):
     """Stream (prufer sequence, edge list) over all (n+1)^(n-1) trees."""
-    for seq in itertools.product(range(n + 1), repeat=n - 1):
-        yield seq, prufer_decode(seq, n)
+    if n < 1:
+        raise ValueError(f"need at least one non-root vertex, got n = {n}")
+    return (
+        (seq, prufer_decode(seq, n))
+        for seq in itertools.product(range(n + 1), repeat=n - 1)
+    )
 
 
 def count_trees_root_degree(n, d):
@@ -521,9 +459,9 @@ def tree_degree_census(n):
 # ── Debug dump ──────────────────────────────────────────────────────────
 
 
-def dump_lines(graph, directed=None):
-    """Edge and arrow lines in the debug TSV format."""
+def dump_lines(graph):
+    """Edge and arrow lines in the debug TSV format, 1-based edge labels."""
     lines = [f"e{i + 1}\t{u}\t{v}" for i, (u, v) in enumerate(graph.edges)]
-    if directed is not None:
-        lines += [f"{c.label}\t{c.tail}\t{c.head}" for c in directed.arrows]
+    for kind, i, tail, head in arrow_shapes(graph.edges):
+        lines.append(f"{kind}{i + 1}\t{tail}\t{head}")
     return lines

@@ -60,6 +60,8 @@ __all__ = [
     "run_power_lemma_suite",
 ]
 
+MAX_G_PER_F = 4  # crossed maps g kept per searched f in the lemma suite
+
 
 # ── Crossed pairs in wreath coordinates ─────────────────────────────────
 
@@ -69,11 +71,11 @@ class PowerContext:
     structured endomorphisms in enumeration order, and their permutation
     realizations on G."""
 
-    def __init__(self, T, n, aut0_budget=10**6):
+    def __init__(self, T, n):
         self.T = T
         self.n = n
         self.group = power_group(T, n)
-        self.aut0 = tuple(enumerate_aut0(T, n, budget=aut0_budget))
+        self.aut0 = tuple(enumerate_aut0(T, n))
         self._index = {(e.theta, e.phis): i for i, e in enumerate(self.aut0)}
         self._perms = None
         self.identity_theta = tuple(range(1, n + 1))
@@ -711,7 +713,7 @@ def _sign_table(T):
     return [0 if x in dset else 1 for x in range(T.order)]
 
 
-def _suite_pairs(ctx, max_g_per_f):
+def _suite_pairs(ctx):
     """Named crossed pairs over G = T^n exercising distinct f shapes:
     the two translation pairs, extra crossed maps for the conjugation f,
     coordinate-swapping fs driven by parity (n = 2 only), and a diagonal
@@ -725,7 +727,7 @@ def _suite_pairs(ctx, max_g_per_f):
         out = []
         for j, g in enumerate(
             itertools.islice(
-                crossed_homomorphisms(G, perms[f_arr]), max_g_per_f
+                crossed_homomorphisms(G, perms[f_arr]), MAX_G_PER_F
             )
         ):
             out.append((f"{name}/g{j}", FGPair(ctx, tuple(f_ids), g)))
@@ -761,7 +763,7 @@ def _suite_pairs(ctx, max_g_per_f):
     return pairs
 
 
-def run_power_lemma_suite(T, n=2, max_g_per_f=4):
+def run_power_lemma_suite(T, n=2):
     """Run every structural check we have over G = T^n and report.
 
     For each constructed pair: the commuting-pair relation on all
@@ -776,7 +778,7 @@ def run_power_lemma_suite(T, n=2, max_g_per_f=4):
     primes = sorted(
         {p for p in range(2, T.order + 1) if T.order % p == 0 and _is_prime(p)}
     )
-    for name, pair in _suite_pairs(ctx, max_g_per_f):
+    for name, pair in _suite_pairs(ctx):
         kernel = set(pair.kernel_fsn())
         qualifying = 0
         failures = 0

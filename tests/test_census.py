@@ -68,6 +68,15 @@ def test_degree_counts_enumerate_vs_formula():
         tree_degree_counts(0)
 
 
+def test_degree_counts_refuse_enumerating_past_the_limit():
+    # n = 8 is 9^7 = 4,782,969 Pruefer decodes; auto switches to the formula there.
+    with pytest.raises(BudgetError, match=r"4782969 labelled trees.*method='formula'"):
+        tree_degree_counts(8, method="enumerate")
+    with pytest.raises(BudgetError, match="method='formula'"):
+        tree_weighted_F(6, 9, method="enumerate")
+    assert tree_degree_counts(8) == tree_degree_counts(8, method="formula")
+
+
 def test_tree_pair_census_values():
     assert tree_pair_census(6, 1) == 12
     assert tree_pair_census(6, 2) == 3744
@@ -88,6 +97,13 @@ def test_brute_budget_gates():
         brute_F(S3, 2, mode="tree", budget=10)
     with pytest.raises(ValueError, match="unknown mode"):
         brute_F(S3, 1, mode="magic")
+
+
+@pytest.mark.parametrize("mode", ["tree", "fpf"])
+def test_brute_refuses_a_non_positive_power(mode):
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"the power exponent must be positive, got {n}"):
+            brute_F(S3, n, mode=mode)
 
 
 def test_tree_mode_refuses_a_group_with_an_fpf_automorphism():

@@ -70,6 +70,23 @@ def test_census_brute_tree_mode_refuses_an_fpf_automorphism(capsys):
     assert "mode='fpf'" in err
 
 
+@pytest.mark.parametrize("mode", ["tree", "fpf"])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_census_brute_refuses_a_non_positive_power(capsys, mode, n):
+    rc, out, err = run(capsys, "census", "brute", "--group", "s3", "--n", n, "--mode", mode)
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: the power exponent must be positive, got {n}\n"
+
+
+def test_census_weighted_refuses_enumerating_past_the_limit(capsys):
+    rc, out, err = run(capsys, "census", "weighted", "--aut-order", "6", "--n", "9",
+                       "--method", "enumerate")
+    assert rc == 1
+    assert out == ""
+    assert "100000000 labelled trees" in err and "method='formula'" in err
+
+
 def test_census_brute_budget_is_a_usage_error(capsys):
     rc, _, err = run(capsys, "census", "brute", "--group", "s3", "--n", "3",
                      "--mode", "fpf", "--budget", "1000000")
@@ -93,6 +110,11 @@ def test_trees_enumerate(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 3
     assert lines[0].split("\t")[0] == "0"
+    for n in ("0", "-1"):
+        rc, out, err = run(capsys, "trees", "enumerate", "--n", n)
+        assert rc == 1
+        assert out == ""
+        assert err == f"error: need at least one non-root vertex, got n = {n}\n"
 
 
 def test_fpf_check_positive(tmp_path, capsys):
@@ -117,6 +139,26 @@ def test_fpf_check_negative_with_graph(tmp_path, capsys):
         "b1\t1\t1",
         "a2\t1\t1",
         "b2\t1\t1",
+    ]
+
+
+def test_fpf_check_dump_graph_arrows(tmp_path, capsys):
+    # Edges 1 and 3 touch vertex 0, so a1 and b3 have tail 0 and their
+    # reverse arrows are missing.
+    pair = tmp_path / "pair.txt"
+    pair.write_text("n=3\ntheta_f=0,1,2\nphi_f=-,0,3\ntheta_g=1,3,0\nphi_g=2,0,-\n")
+    rc, out, _ = run(capsys, "fpf", "check", "--group", "s3", "--pair", str(pair),
+                     "--dump-graph")
+    assert rc == 0
+    assert out.splitlines() == [
+        "fpf\ttree-criterion\t-",
+        "e1\t0\t1",
+        "e2\t1\t3",
+        "e3\t2\t0",
+        "a1\t0\t1",
+        "a2\t1\t3",
+        "b2\t3\t1",
+        "b3\t0\t2",
     ]
 
 

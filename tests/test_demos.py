@@ -9,6 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# Demos whose full stdout is pinned by a file in tests/data.
+GOLDEN = {"pair_graph_gallery.py": ROOT / "tests" / "data" / "pair_graph_gallery.txt"}
 
 
 def test_demos_are_found():
@@ -31,3 +33,5 @@ def test_demo_runs(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    if script.name in GOLDEN:
+        assert proc.stdout == GOLDEN[script.name].read_text()

@@ -47,9 +47,9 @@ def test_identity_identity_pair_is_not_fpf():
 
 
 def test_bruteforce_budget():
-    a5 = load_group("a5")
-    with pytest.raises(BudgetError):
-        is_fpf_bruteforce(identity_endo(a5, 2), trivial_endo(a5, 2), budget=100)
+    a5 = load_group("a5")  # 60^3 = 216,000 elements, over the scan budget of 10,000
+    with pytest.raises(BudgetError, match="216000 elements exceed the scan budget 10000"):
+        is_fpf_bruteforce(identity_endo(a5, 3), trivial_endo(a5, 3))
 
 
 def test_verdict_rejects_contradictory_witness():

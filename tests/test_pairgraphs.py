@@ -13,12 +13,11 @@ from hopfgalois.pairgraphs import (
     CONSTANT,
     PLAN_STORE_SIZE,
     UndirectedPairGraph,
-    build_directed,
+    arrow_shapes,
     build_undirected,
     clear_plans,
     components,
     count_trees_root_degree,
-    degree_of_vertex0,
     dump_lines,
     enumerate_labelled_trees,
     find_simple_cycle,
@@ -27,6 +26,7 @@ from hopfgalois.pairgraphs import (
     path_transport,
     prufer_decode,
     prufer_encode,
+    transport_id,
     tree_degree_census,
 )
 
@@ -40,8 +40,6 @@ def test_build_undirected_edges():
     g = build_undirected((0, 1, 3), (1, 2, 3))
     assert g.n == 3
     assert g.edges == ((0, 1), (1, 2), (3, 3))
-    assert g.degree(3) == 2  # the loop counts twice
-    assert g.degree(0) == 1
 
 
 def test_build_undirected_validates():
@@ -49,16 +47,6 @@ def test_build_undirected_validates():
         build_undirected((0, 1), (1,))
     with pytest.raises(ValueError, match="outside"):
         build_undirected((0, 5), (1, 2))
-
-
-def test_degree_of_vertex0_is_the_zero_count():
-    rng = random.Random(0xD36)
-    for _ in range(100):
-        n = rng.randrange(1, 6)
-        mu = tuple(rng.randrange(n + 1) for _ in range(n))
-        nu = tuple(rng.randrange(n + 1) for _ in range(n))
-        want = sum(1 for x in mu if x == 0) + sum(1 for x in nu if x == 0)
-        assert degree_of_vertex0(mu, nu) == want
 
 
 def test_is_tree_small_cases():
@@ -110,6 +98,9 @@ def test_enumerate_labelled_trees():
     assert len(trees) == 16
     for seq, edges in trees:
         assert prufer_decode(seq, 3) == list(edges)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="need at least one non-root vertex"):
+            enumerate_labelled_trees(n)
 
 
 def test_degree_census_matches_formula():
@@ -122,7 +113,7 @@ def test_degree_census_matches_formula():
     assert count_trees_root_degree(4, 5) == 0
 
 
-# ── Directed graphs and transports ───────────────────────────────────────
+# ── Arrows and transports ────────────────────────────────────────────────
 
 
 F = StructuredEndo(S3, 2, (0, 1), (None, 3))
@@ -140,31 +131,36 @@ def by_tuples(head_phi, tail_phi):
     return compose_perm(invert_perm(auts[head_phi]), auts[tail_phi])
 
 
-def test_build_directed_arrow_inventory():
-    directed = build_directed(F, G)
-    labels = [c.label for c in directed.arrows]
+def arrows_of(f, g):
+    """(tail, head, transport id) of every arrow of (f, g), by label."""
+    aut = automorphism_table_group(f.group)
+    return {
+        f"{kind}{i + 1}": (tail, head, transport_id(aut, f, g, kind, i, tail))
+        for kind, i, tail, head in arrow_shapes(tuple(zip(f.theta, g.theta)))
+    }
+
+
+def test_arrow_shapes_inventory():
+    arrows = arrows_of(F, G)
     # edge 1 has theta_f = 0: only the forward arrow exists (tail 0).
-    assert labels == ["a1", "a2", "b2"]
-    a1 = directed.arrow("a", 1)
-    assert (a1.tail, a1.head) == (0, 1)
-    assert a1.transport == CONSTANT
-    assert expanded(a1.transport) == (0,) * 6  # constant identity from a 0 tail
+    assert list(arrows) == ["a1", "a2", "b2"]
+    tail, head, transport = arrows["a1"]
+    assert (tail, head) == (0, 1)
+    assert transport == CONSTANT
+    assert expanded(transport) == (0,) * 6  # constant identity from a 0 tail
     # Forward arrows invert g's automorphism after f's, reverse ones the other way.
-    assert expanded(directed.arrow("a", 2).transport) == by_tuples(G.phis[1], F.phis[1])
-    assert expanded(directed.arrow("b", 2).transport) == by_tuples(F.phis[1], G.phis[1])
-    with pytest.raises(KeyError):
-        directed.arrow("b", 1)
+    assert expanded(arrows["a2"][2]) == by_tuples(G.phis[1], F.phis[1])
+    assert expanded(arrows["b2"][2]) == by_tuples(F.phis[1], G.phis[1])
 
 
 def test_forward_and_reverse_transports_are_inverse():
-    directed = build_directed(F, G)
-    a2 = directed.arrow("a", 2)
-    b2 = directed.arrow("b", 2)
-    assert compose_perm(expanded(a2.transport), expanded(b2.transport)) == tuple(range(6))
-    assert invert_perm(expanded(a2.transport)) == expanded(b2.transport)
+    arrows = arrows_of(F, G)
+    a2, b2 = arrows["a2"][2], arrows["b2"][2]
+    assert compose_perm(expanded(a2), expanded(b2)) == tuple(range(6))
+    assert invert_perm(expanded(a2)) == expanded(b2)
     aut = automorphism_table_group(S3)
-    assert aut.mul[a2.transport][b2.transport] == 0
-    assert aut.inv[a2.transport] == b2.transport
+    assert aut.mul[a2][b2] == 0
+    assert aut.inv[a2] == b2
 
 
 def test_find_simple_cycle_on_a_unicyclic_component():
@@ -239,9 +235,8 @@ def test_pair_plans_are_kept_by_value(tmp_path):
 
 def test_dump_lines_format():
     und = build_undirected(F.theta, G.theta)
-    lines = dump_lines(und, build_directed(F, G))
-    assert lines[0] == "e1\t0\t1"
-    assert any(line.startswith("a2\t") for line in lines)
+    lines = dump_lines(und)
+    assert lines == ["e1\t0\t1", "e2\t1\t2", "a1\t0\t1", "a2\t1\t2", "b2\t2\t1"]
 
 
 def test_theta_only_dependence_of_the_tree_verdict():
