@@ -20,8 +20,7 @@ sets therefore enumerates the regular subgroups isomorphic to N, and an
 independent brute-force subgroup scan of the full holomorph table serves
 as the oracle for it.
 
-The structure lemmas on direct powers T^n live in :mod:`.powerlemmas`,
-which builds on this module.
+The structure lemmas on direct powers T^n live in :mod:`.powerlemmas`.
 """
 
 from __future__ import annotations

@@ -441,6 +441,8 @@ def enumerate_labelled_trees(n):
 
 def count_trees_root_degree(n, d):
     """Number of labelled trees on {0..n} in which vertex 0 has degree d."""
+    if n < 1:
+        raise ValueError(f"need at least one non-root vertex, got n = {n}")
     if not 1 <= d <= n:
         return 0
     return math.comb(n - 1, d - 1) * n ** (n - d)

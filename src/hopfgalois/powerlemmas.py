@@ -3,25 +3,25 @@
 Crossed pairs (f, g) in wreath coordinates, the commuting-pair relation
 on g-values, orbit decompositions of the coordinate set under a rank-n
 elementary abelian subgroup, and the resulting image-size bounds that
-force inner projections at large primes, together with the group helpers
-only these checks use: prime-order subgroup choices, commutator
-closures, quotients and solvability.  ``run_power_lemma_suite`` runs
-every check over one power and reports a row per check.
+force inner projections at large primes, together with the two group
+helpers only these checks use: commutator closure and ``out_is_solvable``.
+Each check returns the ``CheckResult`` row it contributes, and
+``run_power_lemma_suite`` runs every check over one power and names each
+row by its pair.
 
-The module sits on top of the core: it reads groups, structured
-endomorphisms and holomorphs, and no core module imports it.
+The module sits on top of the core: it reads groups and structured
+endomorphisms, and no core module imports it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .endomorphisms import enumerate_aut0, image_coords_table
 from .groups import (
-    FiniteGroup,
     _is_prime,
     automorphism_table_group,
     crossed_homomorphisms,
@@ -31,21 +31,15 @@ from .groups import (
     power_index,
     subgroup_closure,
 )
-from .holomorph import _subgroup_from_tables, holomorph_of
 
 __all__ = [
     "PowerContext",
     "FGPair",
     "rho_pair",
     "lambda_pair",
-    "subgroup_from_fg_pair",
     "OrbitDecomposition",
     "RankReport",
-    "GBoundReport",
-    "PrimeAuditReport",
     "CheckResult",
-    "PrimeSubgroupChoice",
-    "choose_prime_subgroups",
     "orbit_decompose",
     "orbit_decompose_from_thetas",
     "check_rank_bounds",
@@ -54,8 +48,7 @@ __all__ = [
     "g_bound_report",
     "audit_prime_bound",
     "commutator_closure",
-    "quotient_group",
-    "is_solvable",
+    "out_is_solvable",
     "check_out_prop1",
     "run_power_lemma_suite",
 ]
@@ -80,9 +73,9 @@ class PowerContext:
         self._perms = None
         self.identity_theta = tuple(range(1, n + 1))
 
-    def aut0_index(self, e):
+    def aut0_index(self, theta, phis):
         try:
-            return self._index[(e.theta, e.phis)]
+            return self._index[(theta, phis)]
         except KeyError:
             raise ValueError("endomorphism is not invertible over this power") from None
 
@@ -106,7 +99,7 @@ class PowerContext:
     def conj_aut0_id(self, coords):
         """aut0 id of conjugation by the element with these coordinates."""
         phis = tuple(self.T.conjugation_aut_id(c) for c in coords)
-        return self._index[(self.identity_theta, phis)]
+        return self.aut0_index(self.identity_theta, phis)
 
 
 @dataclass(frozen=True)
@@ -185,67 +178,6 @@ def lambda_pair(ctx):
         ctx.conj_aut0_id(power_coords(T, n, s)) for s in range(G.order)
     )
     return FGPair(ctx, f, tuple(G.inv))
-
-
-def subgroup_from_fg_pair(pair):
-    """The holomorph subgroup {(g(s), f(s)) : s in G} of a validated pair.
-
-    The wreath parts are converted to plain automorphism ids of the power
-    group (for n = 1 they coincide by construction).  Regularity iff
-    g-bijectivity is asserted on the result.
-    """
-    ctx = pair.ctx
-    N = ctx.group
-    if ctx.n == 1:
-        plain = [ctx.aut0[k].phis[0] for k in pair.f_ids]
-    else:
-        perms = ctx.aut0_perms()
-        plain = [
-            N.aut_index(tuple(int(x) for x in perms[k])) for k in pair.f_ids
-        ]
-    flat = _subgroup_from_tables(N, plain, pair.g_values)
-    return frozenset(map(holomorph_of(N).element_of_index, flat.tolist()))
-
-
-# ── Prime-order subgroup choices ────────────────────────────────────────
-
-
-@dataclass(frozen=True)
-class PrimeSubgroupChoice:
-    """One order-p subgroup per coordinate of T^n, each generated by the
-    same chosen order-p element of T; together they span an elementary
-    abelian p-group of rank n inside the power."""
-
-    p: int
-    n: int
-    generators: tuple  # length n, T-element indices, each of order p
-
-    def member_tuples(self, T):
-        """All p^n elements of the spanned subgroup, as coordinate tuples."""
-        axes = []
-        for g in self.generators:
-            powers = [0]
-            y = g
-            while y != 0:
-                powers.append(y)
-                y = T.mul[y][g]
-            axes.append(powers)
-        return [tuple(c) for c in itertools.product(*axes)]
-
-
-def choose_prime_subgroups(T, n, p, variant=0):
-    """Pick the variant-th lowest-index order-p element of T, reused in
-    every coordinate.  variant=0 is the deterministic default; passing 1
-    exercises independence from the choice when a second element exists."""
-    if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if T.order % p != 0:
-        raise ValueError(f"p = {p} does not divide |{T.name}| = {T.order}")
-    elems = [x for x in range(T.order) if T.element_order(x) == p]
-    if variant >= len(elems):
-        raise ValueError(f"only {len(elems)} elements of order {p}, variant {variant} unavailable")
-    g = elems[variant]
-    return PrimeSubgroupChoice(p=p, n=n, generators=(g,) * n)
 
 
 # ── Orbit decompositions of the coordinate set ──────────────────────────
@@ -339,13 +271,7 @@ def orbit_decompose_from_thetas(labelled_thetas, n, p, prefer=None):
             fixed.append(i)
             seen.add(i)
             continue
-        # orbits of a group action: the image set of one point is the orbit
-        frontier = set(orbit)
-        while frontier:
-            j = frontier.pop()
-            more = {theta[j - 1] for theta in group} - orbit
-            orbit |= more
-            frontier |= more
+        # group is closed, so the image set of one point is its orbit
         orbits.append(tuple(sorted(orbit)))
         seen |= orbit
     orbits.sort(key=min)
@@ -400,7 +326,9 @@ def orbit_decompose_from_thetas(labelled_thetas, n, p, prefer=None):
 
 def orbit_decompose(pair, p, variant=0):
     """Decomposition of the coordinate set for a crossed pair, using the
-    rank-n subgroup built from the variant-th order-p element of T.
+    rank-n subgroup C^n, C generated by the variant-th lowest-index
+    order-p element of T.  variant=0 is the deterministic default; passing
+    1 exercises independence from the choice when a second element exists.
 
     Transporters are searched among elements commuting with the whole
     kernel of the coordinate action, as the bound lemma wants; failure to
@@ -408,8 +336,15 @@ def orbit_decompose(pair, p, variant=0):
     """
     ctx = pair.ctx
     T, n, G = ctx.T, ctx.n, ctx.group
-    choice = choose_prime_subgroups(T, n, p, variant)
-    members = [power_index(T, c) for c in choice.member_tuples(T)]
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if T.order % p != 0:
+        raise ValueError(f"p = {p} does not divide |{T.name}| = {T.order}")
+    elems = [x for x in range(T.order) if T.element_order(x) == p]
+    if variant >= len(elems):
+        raise ValueError(f"only {len(elems)} elements of order {p}, variant {variant} unavailable")
+    cyclic = subgroup_closure(T, [elems[variant]])
+    members = [power_index(T, c) for c in itertools.product(cyclic, repeat=n)]
     kernel = pair.kernel_fsn()
 
     def commutes_with_kernel(s):
@@ -445,6 +380,15 @@ def check_rank_bounds(decomp):
 
 
 # ── Commuting-pair relation and image bounds ────────────────────────────
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One row of the lemma suite: every check returns the row it adds."""
+
+    name: str
+    status: str  # "pass", "fail" or "skipped"
+    detail: str = ""
 
 
 def check_relations_lemma(pair, sigma, tau):
@@ -486,31 +430,17 @@ def f_kernel_inner(pair):
     return all(pair.ctx.is_inner_aut0(pair.f_ids[t]) for t in pair.kernel_fsn())
 
 
-@dataclass(frozen=True)
-class GBoundReport:
-    containment_ok: bool
-    image_size: int
-    kernel_inner: bool
-    bound: int  # |T|^#X_0 · (|T|·|phi-range|)^r for the applicable phi range
-    coarse_bound: int  # |T|^(#X_0 + 2r)
-
-    @property
-    def ok(self):
-        if not self.containment_ok:
-            return False
-        if self.kernel_inner:
-            return self.image_size <= self.bound <= self.coarse_bound
-        return self.image_size <= self.bound
-
-
 def g_bound_report(pair, decomp):
-    """Image-size bound for g on the kernel of the coordinate action.
+    """Image-size bound for g on the kernel of the coordinate action, as
+    the "g-image bound" row.
 
     Every kernel value is first reconstructed coordinate-by-coordinate
     from its orbit-representative block through the transporters (the
     containment statement), then the numeric bounds are compared:
     per orbit at most |T|·|Inn(T)| blocks when f maps the kernel to inner
     automorphisms, |T|·|Aut(T)| otherwise, and |T| per fixed coordinate.
+    With inner kernel images that bound must also sit under the coarse
+    bound |T|^(#X_0 + 2r).
 
     Raises when a transporter fails to commute with the kernel: the
     containment argument is unavailable then.
@@ -546,71 +476,50 @@ def g_bound_report(pair, decomp):
     phi_range = (
         len(T.inner_automorphism_ids()) if kernel_inner else len(T.automorphisms())
     )
-    return GBoundReport(
-        containment_ok=containment_ok,
-        image_size=len({pair.g_values[t] for t in kernel}),
-        kernel_inner=kernel_inner,
-        bound=T.order**x0 * (T.order * phi_range) ** r,
-        coarse_bound=T.order ** (x0 + 2 * r),
+    image_size = len({pair.g_values[t] for t in kernel})
+    bound = T.order**x0 * (T.order * phi_range) ** r
+    coarse_bound = T.order ** (x0 + 2 * r)
+    ok = (
+        containment_ok
+        and image_size <= bound
+        and (bound <= coarse_bound or not kernel_inner)
+    )
+    return CheckResult(
+        "g-image bound",
+        "pass" if ok else "fail",
+        f"image {image_size} <= {bound} <= {coarse_bound}, inner kernel: "
+        f"{kernel_inner}",
     )
 
 
-@dataclass(frozen=True)
-class PrimeAuditReport:
-    """Instance audit of the small-prime forcing argument.
+def audit_prime_bound(pair, decomp):
+    """Instance audit of the small-prime forcing argument, as the
+    "prime audit" row.
 
-    ``derived_inequality`` is sum(p^(m_k) - 2) <= sum(m_k); whenever the
+    The derived inequality is sum(p^(m_k) - 2) <= sum(m_k); whenever the
     action is nontrivial and it holds, p must be at most 3 (pure
     arithmetic: p^x - 2 > x for p >= 5, x >= 1).  When the fully
     quantified hypotheses hold (nontrivial action, coordinate-action
     image of full size |T|^m, bijective g, image bound satisfied) the
     derived inequality itself is forced.
     """
-
-    p: int
-    action_nontrivial: bool
-    image_size_hypothesis: bool
-    g_bijective: bool
-    inequality_holds: bool
-    derived_inequality: bool
-
-    @property
-    def arithmetic_consistent(self):
-        if self.action_nontrivial and self.derived_inequality:
-            return self.p <= 3
-        return True
-
-    @property
-    def forced_inequality_ok(self):
-        hyp = (
-            self.action_nontrivial
-            and self.image_size_hypothesis
-            and self.g_bijective
-            and self.inequality_holds
-        )
-        return (not hyp) or (self.derived_inequality and self.p <= 3)
-
-    @property
-    def ok(self):
-        return self.arithmetic_consistent and self.forced_inequality_ok
-
-
-def audit_prime_bound(pair, decomp):
-    ctx = pair.ctx
-    T = ctx.T
-    kernel = pair.kernel_fsn()
-    image_size = len({pair.g_values[t] for t in kernel})
+    T, p = pair.ctx.T, decomp.p
     x0, r = len(decomp.fixed), decomp.r
-    return PrimeAuditReport(
-        p=decomp.p,
-        action_nontrivial=decomp.m >= 1,
-        image_size_hypothesis=(len(pair.fsn_image()) == T.order**decomp.m),
-        g_bijective=pair.g_is_bijective(),
-        inequality_holds=(image_size <= T.order ** (x0 + 2 * r)),
-        derived_inequality=(
-            sum(decomp.p**mk - 2 for mk in decomp.orbit_ranks)
-            <= sum(decomp.orbit_ranks)
-        ),
+    image_size = len({pair.g_values[t] for t in pair.kernel_fsn()})
+    nontrivial = decomp.m >= 1
+    derived = sum(p**mk - 2 for mk in decomp.orbit_ranks) <= sum(decomp.orbit_ranks)
+    hypotheses = (
+        nontrivial
+        and len(pair.fsn_image()) == T.order**decomp.m
+        and pair.g_is_bijective()
+        and image_size <= T.order ** (x0 + 2 * r)
+    )
+    arithmetic_consistent = not (nontrivial and derived) or p <= 3
+    forced = not hypotheses or (derived and p <= 3)
+    return CheckResult(
+        "prime audit",
+        "pass" if arithmetic_consistent and forced else "fail",
+        f"derived inequality {derived}, p={p}",
     )
 
 
@@ -626,49 +535,25 @@ def commutator_closure(G, subset):
     return subgroup_closure(G, comms)
 
 
-def quotient_group(G, normal_elements):
-    """Quotient by a normal subgroup; returns (Q, projection table).
+def out_is_solvable(T):
+    """Whether Out(T) = Aut(T)/Inn(T) is solvable, kept on T.
 
-    Cosets are sorted by their least member, so the coset of the identity
-    is index 0 as required.
+    (G/N)^(k) = G^(k)N/N, so Out(T) is solvable exactly when the derived
+    series of Aut(T) enters Inn(T).
     """
-    nset = frozenset(normal_elements)
-    seen = {}
-    cosets = []
-    for x in range(G.order):
-        if x in seen:
-            continue
-        coset = frozenset(G.mul[x][h] for h in nset)
-        for y in coset:
-            seen[y] = None
-        cosets.append(coset)
-    cosets.sort(key=min)
-    cid = {}
-    for i, c in enumerate(cosets):
-        for y in c:
-            cid[y] = i
-    reps = [min(c) for c in cosets]
-    mul = [[cid[G.mul[a][b]] for b in reps] for a in reps]
-    Q = FiniteGroup(mul, name=f"{G.name}/N{len(nset)}")
-    proj = tuple(cid[x] for x in range(G.order))
-    return Q, proj
 
+    def build():
+        aut = automorphism_table_group(T)
+        inner = set(T.inner_automorphism_ids())
+        current = tuple(range(aut.order))
+        while not inner.issuperset(current):
+            nxt = commutator_closure(aut, current)
+            if nxt == current:
+                return False
+            current = nxt
+        return True
 
-def is_solvable(G):
-    current = tuple(range(G.order))
-    while len(current) > 1:
-        nxt = commutator_closure(G, current)
-        if nxt == current:
-            return False
-        current = nxt
-    return True
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    status: str  # "pass", "fail" or "skipped"
-    detail: str = ""
+    return T.memo("out_solvable", build)
 
 
 def check_out_prop1(pair):
@@ -676,14 +561,12 @@ def check_out_prop1(pair):
     f must send that kernel into inner automorphisms.
 
     Both hypotheses are established by direct computation (derived series
-    of the automorphism quotient, commutator closure of the kernel); the
+    of Aut(T) against Inn(T), commutator closure of the kernel); the
     conclusion is only asserted when they hold.
     """
     ctx = pair.ctx
     T, G = ctx.T, ctx.group
-    aut_t = automorphism_table_group(T)
-    outer, _ = quotient_group(aut_t, T.inner_automorphism_ids())
-    out_solvable = is_solvable(outer)
+    out_solvable = out_is_solvable(T)
     kernel = pair.kernel_fsn()
     perfect = commutator_closure(G, kernel) == tuple(sorted(kernel))
     if not out_solvable or not perfect:
@@ -738,7 +621,7 @@ def _suite_pairs(ctx):
 
     sign = _sign_table(T)
     if sign is not None and n == 2:
-        swap_id = ctx._index[((2, 1), (0, 0))]
+        swap_id = ctx.aut0_index((2, 1), (0, 0))
         for name, pick in (
             ("swap-first", lambda c: sign[c[0]]),
             ("swap-second", lambda c: sign[c[1]]),
@@ -751,12 +634,10 @@ def _suite_pairs(ctx):
             pairs += searched(name, f_ids)
 
     diag_f = tuple(
-        ctx._index[
-            (
-                ctx.identity_theta,
-                (T.conjugation_aut_id(power_coords(T, n, s)[0]),) * n,
-            )
-        ]
+        ctx.aut0_index(
+            ctx.identity_theta,
+            (T.conjugation_aut_id(power_coords(T, n, s)[0]),) * n,
+        )
         for s in range(G.order)
     )
     pairs += searched("diag-conj", diag_f)
@@ -789,57 +670,33 @@ def run_power_lemma_suite(T, n=2):
                 qualifying += 1
                 if not check_relations_lemma(pair, sigma, tau):
                     failures += 1
-        results.append(
+        rows = [
             CheckResult(
-                f"{name}: commuting-pair relation",
+                "commuting-pair relation",
                 "pass" if failures == 0 else "fail",
                 f"{qualifying} qualifying pairs, {failures} failures",
             )
-        )
+        ]
         for p in primes:
             order_p = [x for x in range(T.order) if T.element_order(x) == p]
             for variant in range(min(2, len(order_p))):
-                tag = f"p={p} choice {variant}"
                 decomp = orbit_decompose(pair, p, variant)
-                rep = check_rank_bounds(decomp)
-                results.append(
-                    CheckResult(
-                        f"{name}: orbit ranks {tag}",
-                        "pass" if rep.ok else "fail",
-                        f"m={decomp.m} fixed={len(decomp.fixed)} "
-                        f"orbit-ranks={list(decomp.orbit_ranks)}",
-                    )
+                ranks = CheckResult(
+                    "orbit ranks",
+                    "pass" if check_rank_bounds(decomp).ok else "fail",
+                    f"m={decomp.m} fixed={len(decomp.fixed)} "
+                    f"orbit-ranks={list(decomp.orbit_ranks)}",
                 )
                 if decomp.transporters_commute:
-                    grep = g_bound_report(pair, decomp)
-                    results.append(
-                        CheckResult(
-                            f"{name}: g-image bound {tag}",
-                            "pass" if grep.ok else "fail",
-                            f"image {grep.image_size} <= {grep.bound} "
-                            f"<= {grep.coarse_bound}, inner kernel: "
-                            f"{grep.kernel_inner}",
-                        )
-                    )
+                    bound = g_bound_report(pair, decomp)
                 else:
-                    results.append(
-                        CheckResult(
-                            f"{name}: g-image bound {tag}",
-                            "skipped",
-                            "no commuting transporters found",
-                        )
+                    bound = CheckResult(
+                        "g-image bound", "skipped", "no commuting transporters found"
                     )
-                audit = audit_prime_bound(pair, decomp)
-                results.append(
-                    CheckResult(
-                        f"{name}: prime audit {tag}",
-                        "pass" if audit.ok else "fail",
-                        f"derived inequality {audit.derived_inequality}, "
-                        f"p={audit.p}",
-                    )
-                )
-        prop1 = check_out_prop1(pair)
-        results.append(
-            CheckResult(f"{name}: {prop1.name}", prop1.status, prop1.detail)
-        )
+                rows += [
+                    replace(row, name=f"{row.name} p={p} choice {variant}")
+                    for row in (ranks, bound, audit_prime_bound(pair, decomp))
+                ]
+        rows.append(check_out_prop1(pair))
+        results += [replace(row, name=f"{name}: {row.name}") for row in rows]
     return results

@@ -102,6 +102,11 @@ def test_trees_count(capsys):
     assert lines[-1] == "3\t-\t16"
     rc, out, _ = run(capsys, "trees", "count", "--n", "3", "--degree", "2")
     assert out.strip() == "3\t2\t6"
+    for n in ("0", "-2"):
+        rc, out, err = run(capsys, "trees", "count", "--n", n, "--degree", "1")
+        assert rc == 1
+        assert out == ""
+        assert err == f"error: need at least one non-root vertex, got n = {n}\n"
 
 
 def test_trees_enumerate(capsys):

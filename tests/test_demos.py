@@ -10,7 +10,10 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # Demos whose full stdout is pinned by a file in tests/data.
-GOLDEN = {"pair_graph_gallery.py": ROOT / "tests" / "data" / "pair_graph_gallery.txt"}
+GOLDEN = {
+    name: ROOT / "tests" / "data" / name.replace(".py", ".txt")
+    for name in ("orbit_engine.py", "pair_graph_gallery.py")
+}
 
 
 def test_demos_are_found():

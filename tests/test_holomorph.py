@@ -41,7 +41,6 @@ from hopfgalois.powerlemmas import (
     orbit_decompose_from_thetas,
     rho_pair,
     run_power_lemma_suite,
-    subgroup_from_fg_pair,
 )
 
 S3 = load_group("s3")
@@ -434,7 +433,9 @@ CTX2 = PowerContext(S3, 2)
 def test_power_context_aut0_bookkeeping():
     assert len(CTX2.aut0) == 72
     for i, e in enumerate(CTX2.aut0):
-        assert CTX2.aut0_index(e) == i
+        assert CTX2.aut0_index(e.theta, e.phis) == i
+    with pytest.raises(ValueError, match="not invertible"):
+        CTX2.aut0_index((1, 2), (0, 99))
     # id 0 is the identity: inner, identity theta
     assert CTX2.is_inner_aut0(0)
     assert CTX2.aut0[0].theta == CTX2.identity_theta == (1, 2)
@@ -484,17 +485,6 @@ def test_fg_pair_validation():
     f[1] = 5
     with pytest.raises(ValueError, match="homomorphism"):
         FGPair(CTX2, tuple(f), pair.g_values)
-
-
-def test_subgroups_from_canonical_pairs():
-    G = CTX2.group
-    hol = holomorph_of(G)
-    assert subgroup_from_fg_pair(rho_pair(CTX2)) == hol.rho_image()
-    assert subgroup_from_fg_pair(lambda_pair(CTX2)) == hol.lambda_image()
-    ctx1 = PowerContext(S3, 1)
-    hol1 = holomorph_of(S3)
-    assert subgroup_from_fg_pair(rho_pair(ctx1)) == hol1.rho_image()
-    assert subgroup_from_fg_pair(lambda_pair(ctx1)) == hol1.lambda_image()
 
 
 # ── Orbit decompositions ─────────────────────────────────────────────────
@@ -632,6 +622,15 @@ def test_out_prop1_skips_when_kernel_is_not_perfect():
     res = check_out_prop1(rho_pair(CTX2))
     assert res.status == "skipped"
     assert "perfect" in res.detail
+
+
+def test_out_prop1_skips_when_out_is_not_solvable():
+    # Out(C2^3) = GL(3,2) is simple, and the abelian kernel is not perfect
+    ctx = PowerContext(load_group(GOLDEN.parent / "c2cube.txt"), 1)
+    for pair in (rho_pair(ctx), lambda_pair(ctx)):
+        res = check_out_prop1(pair)
+        assert res.status == "skipped"
+        assert res.detail == "outer automorphism group not solvable; kernel not perfect"
 
 
 def test_power_lemma_suite_is_clean():
