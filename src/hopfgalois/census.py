@@ -266,7 +266,8 @@ def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
     enumerate_end0 yields with the i-th source map; the verdict depends
     on the source maps alone.  The tree criterion holds only when T has
     no fixed point free automorphism; on any other T this mode raises
-    TreeCriterionError up front.
+    TreeCriterionError up front.  Its cost, |End0| endomorphisms plus
+    (n+1)^(2n) graph builds for the matrix, is gated by the budget.
 
     mode="fpf" reads only the images of real endomorphisms.  Where f and
     g agree is a subgroup, the equalizer of two homomorphisms, so the
@@ -282,17 +283,19 @@ def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
     """
     _check_power(n)
     total_endos = count_end0(T, n)
-    pair_space = total_endos * total_endos
+    graph_builds = (n + 1) ** (2 * n)
+    tree_cost = total_endos + graph_builds
     if mode == "tree":
         if has_fpf_automorphism(T):
             raise TreeCriterionError(
                 f"{T.name} admits a fixed-point-free automorphism, so the tree "
                 "criterion does not apply; mode='fpf' still counts by element scan"
             )
-        if pair_space > budget:
+        if tree_cost > budget:
             raise BudgetError(
-                f"{pair_space} pairs exceed the budget of {budget}; "
-                "use the tree-weighted or closed-form routes instead"
+                f"enumerating {total_endos} endomorphisms and building {graph_builds} "
+                f"pair graphs costs {tree_cost}, over the budget of {budget}; other "
+                "routes: mode='fpf', tree_weighted_F or formula_F (closed form)"
             )
         c = np.bincount(
             [_theta_index(e.theta, n) for e in enumerate_end0(T, n)], minlength=(n + 1) ** n
@@ -306,7 +309,7 @@ def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
             raise BudgetError(
                 f"comparing {len(thetas)} rows with {total_endos} endomorphisms "
                 f"over {width} columns costs {cost}, over the budget of {budget}; "
-                f"other routes: mode='tree' ({pair_space} pairs) or formula_F (closed form)"
+                f"other routes: mode='tree' (cost {tree_cost}) or formula_F (closed form)"
             )
         columns = prime_columns(T, n)
         identity = T.aut_index(tuple(range(T.order)))

@@ -12,8 +12,11 @@ of vertex 0.
 
 Only the transports depend on the automorphisms phi; the components, the
 tree verdict, the breadth-first arrow order in each component and the walk
-around each cycle depend on (theta_f, theta_g) alone.  pair_plan builds
-that shape once and keeps up to PLAN_STORE_SIZE shapes (all of rank 3).
+around each cycle depend on (theta_f, theta_g) alone.  pair_plan is the
+one component model: it builds that shape once, from one breadth-first
+search per component, and keeps up to PLAN_STORE_SIZE shapes (all of rank
+3).  components() reads the plan, and the union-find is_tree cross-checks
+its component count.
 
 Arrow naming: edge i induces a forward arrow ("a", i) from theta_f(i) to
 theta_g(i) whenever the g-side map can be inverted (theta_g(i) != 0), and
@@ -31,20 +34,18 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
     "CONSTANT",
     "UndirectedPairGraph",
-    "Component",
     "ComponentPlan",
     "PairPlan",
     "build_undirected",
     "is_tree",
     "components",
-    "find_simple_cycle",
     "PLAN_STORE_SIZE",
     "pair_plan",
     "clear_plans",
@@ -61,20 +62,6 @@ __all__ = [
 ]
 
 CONSTANT = -1  # transport of an arrow with tail 0: every element goes to the identity
-
-
-@dataclass(frozen=True)
-class Component:
-    vertices: tuple
-    edge_indices: tuple  # 0-based positions into the edge list
-
-    @property
-    def edge_count(self):
-        return len(self.edge_indices)
-
-    @property
-    def vertex_count(self):
-        return len(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -102,6 +89,10 @@ class ComponentPlan(NamedTuple):
     steps: tuple
     forward: tuple
     reverse: tuple
+
+    @property
+    def edge_count(self):
+        return len(self.vertices) - 1 + self.excess
 
 
 class PairPlan(NamedTuple):
@@ -158,50 +149,7 @@ def path_transport(aut, f, g, steps):
     return t
 
 
-# ── Components and the tree test ────────────────────────────────────────
-
-
-class _UnionFind:
-    def __init__(self, size):
-        self.parent = list(range(size))
-        self.saw_cycle = False
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            self.saw_cycle = True
-        else:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _union_find(graph):
-    uf = _UnionFind(graph.n + 1)
-    for u, v in graph.edges:
-        uf.union(u, v)
-    return uf
-
-
-def components(graph):
-    """Connected components, sorted by least vertex; isolated vertices
-    form singleton components with no edges."""
-    uf = _union_find(graph)
-    groups = {}
-    for v in range(graph.n + 1):
-        groups.setdefault(uf.find(v), []).append(v)
-    comps = []
-    for root in sorted(groups):
-        verts = tuple(sorted(groups[root]))
-        eidx = tuple(
-            i for i, (u, v) in enumerate(graph.edges) if uf.find(u) == root
-        )
-        comps.append(Component(verts, eidx))
-    return comps
+# ── The tree test ───────────────────────────────────────────────────────
 
 
 def is_tree(graph):
@@ -210,10 +158,20 @@ def is_tree(graph):
     A union-find acyclicity pass runs as a cross-assertion; the two can
     only disagree if the edge bookkeeping is corrupt.
     """
-    uf = _union_find(graph)
-    root = uf.find(0)
-    connected = all(uf.find(v) == root for v in range(graph.n + 1))
-    acyclic = not uf.saw_cycle
+    parent = list(range(graph.n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    acyclic = True
+    for u, v in graph.edges:
+        ru, rv = find(u), find(v)
+        acyclic = acyclic and ru != rv
+        parent[max(ru, rv)] = min(ru, rv)
+    connected = all(find(v) == 0 for v in range(graph.n + 1))  # roots are least
     if connected != acyclic:
         raise RuntimeError(
             "tree test inconsistency: connectivity and acyclicity disagree "
@@ -241,105 +199,65 @@ def clear_plans():
     _PARTS.clear()
 
 
-def _bfs_steps(shapes, base, within):
-    """Breadth-first arrow steps from ``base`` inside ``within``, arrows
-    tried in (index, kind) order."""
+def _bfs_steps(shapes, base):
+    """Breadth-first arrow steps from ``base``, arrows tried in (index,
+    kind) order."""
     seen = {base}
     steps = []
     queue = deque([base])
     while queue:
         v = queue.popleft()
         for kind, i, tail, head in shapes:
-            if tail == v and head not in seen and head in within:
+            if tail == v and head not in seen:
                 seen.add(head)
                 steps.append(_intern((head, tail, kind, i)))
                 queue.append(head)
-    if seen != set(within):
-        raise RuntimeError(f"component {within} not fully reachable from {base}")
     return _intern(tuple(steps))
 
 
-def find_simple_cycle(graph, component):
-    """The unique simple directed cycle of a unicyclic component, in both
-    orientations, based at the least vertex lying on the cycle.
+def _other_arrow(step):
+    """The step back along the same edge, on its other arrow."""
+    head, tail, kind, i = step
+    return _intern((tail, head, "b" if kind == "a" else "a", i))
 
-    Returns (base, forward steps, reverse steps), steps as in
-    ComponentPlan.  Raises ValueError when the component is a tree or has
-    more than one independent cycle.
+
+def _cycle_plan(edges, shapes, indices):
+    """(base, steps, forward, reverse) of a unicyclic component avoiding 0,
+    given its edge indices.
+
+    Leaf edges are peeled until only the cycle is left; its least vertex
+    is the base.  The one edge that the BFS tree from the base leaves unused closes the
+    cycle: ``forward`` runs the tree path to its f-end, its "a" arrow, and
+    the tree path to its g-end backwards; ``reverse`` is ``forward``
+    walked backwards, every step on its edge's other arrow.
     """
-    ec, vc = component.edge_count, component.vertex_count
-    if ec == vc - 1:
-        raise ValueError("component is a tree; it has no cycle")
-    if ec != vc:
-        raise ValueError(
-            f"component has {ec} edges on {vc} vertices; not unicyclic"
-        )
-    # Peel leaves until only the cycle core remains.
-    alive = set(component.edge_indices)
-    deg = {v: 0 for v in component.vertices}
-    for i in alive:
-        u, v = graph.edges[i]
-        deg[u] += 1
-        deg[v] += 1
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(deg):
-            if deg[v] == 1:
-                for i in sorted(alive):
-                    u, w = graph.edges[i]
-                    if v in (u, w):
-                        alive.discard(i)
-                        deg[u] -= 1
-                        deg[w] -= 1
-                        changed = True
-                        break
-    core = sorted(v for v in deg if deg[v] > 0)
-    base = core[0]
-    # Walk the cycle from the base, taking the lowest-index unused edge.
-    order = []  # (edge index, from, to)
-    at = base
-    used = set()
+    core = set(indices)
     while True:
-        nxt = None
-        for i in sorted(alive - used):
-            u, w = graph.edges[i]
-            if u == at:
-                nxt = (i, u, w)
-            elif w == at:
-                nxt = (i, w, u)
-            if nxt:
-                break
-        if nxt is None:
+        degree = Counter(v for i in core for v in edges[i])
+        leaf_edges = {i for i in core if 1 in (degree[edges[i][0]], degree[edges[i][1]])}
+        if not leaf_edges:
             break
-        used.add(nxt[0])
-        order.append(nxt)
-        at = nxt[2]
-        if at == base and len(used) == len(alive):
-            break
-    if at != base or len(used) != len(alive):
-        raise RuntimeError("cycle walk failed to close; component bookkeeping corrupt")
+        core -= leaf_edges
+    base = min(v for i in core for v in edges[i])
+    steps = _bfs_steps(shapes, base)
+    into = {step[0]: step for step in steps}
 
-    shapes = arrow_shapes(graph.edges)
+    def tree_path(v):  # steps from the base to v, in travel order
+        path = []
+        while v != base:
+            path.append(into[v])
+            v = path[-1][1]
+        return path[::-1]
 
-    def steps_for(walk, avoid=()):
-        # A loop edge matches either orientation with both of its arrows;
-        # ``avoid`` keeps the reverse walk off the forward walk's choice.
-        out = []
-        for i, frm, to in walk:
-            cands = [s for s in shapes if s[1] == i and s[2] == frm and s[3] == to]
-            if not cands:
-                raise RuntimeError(f"missing arrow for edge {i + 1} from {frm} to {to}")
-            kind = next((s for s in cands if s[:2] not in avoid), cands[0])[0]
-            out.append(_intern((to, frm, kind, i)))
-        return _intern(tuple(out))
-
-    fwd = steps_for(order)
-    rev = steps_for(
-        [(i, to, frm) for i, frm, to in reversed(order)],
-        avoid={(kind, i) for _head, _tail, kind, i in fwd},
+    (j,) = set(indices) - {step[3] for step in steps}
+    tf, tg = edges[j]
+    forward = (
+        tree_path(tf)
+        + [_intern((tg, tf, "a", j))]
+        + [_other_arrow(s) for s in reversed(tree_path(tg))]
     )
-    return base, fwd, rev
+    reverse = [_other_arrow(s) for s in reversed(forward)]
+    return base, steps, _intern(tuple(forward)), _intern(tuple(reverse))
 
 
 def pair_plan(theta_f, theta_g):
@@ -347,6 +265,10 @@ def pair_plan(theta_f, theta_g):
     kept by value so that its tree test and cross-assertion run once.  A
     new shape that finds PLAN_STORE_SIZE plans kept empties the store
     first, so the plans and their shared parts stay bounded at every rank.
+
+    Each component is read from one BFS, from its least vertex: arrows run
+    both ways along every edge that avoids 0 and away from 0 along the
+    others, so the BFS reaches exactly the undirected component.
     """
     key = (theta_f, theta_g)
     plan = _PLANS.get(key)
@@ -357,16 +279,35 @@ def pair_plan(theta_f, theta_g):
     graph = build_undirected(theta_f, theta_g)
     shapes = arrow_shapes(graph.edges)
     comps = []
-    for comp in components(graph):
-        excess = comp.edge_count - (comp.vertex_count - 1)
-        base, forward, reverse = comp.vertices[0], (), ()
-        if excess == 1 and base != 0:
-            base, forward, reverse = find_simple_cycle(graph, comp)
-        steps = _bfs_steps(shapes, base, comp.vertices)
-        comps.append(_intern(ComponentPlan(_intern(comp.vertices), excess, base, steps, forward, reverse)))
+    seen = set()
+    for v in range(graph.n + 1):
+        if v in seen:
+            continue
+        steps = _bfs_steps(shapes, v)
+        vertices = _intern(tuple(sorted([v, *(step[0] for step in steps)])))
+        seen.update(vertices)
+        indices = [i for i, (u, _) in enumerate(graph.edges) if u in vertices]
+        excess = len(indices) - (len(vertices) - 1)
+        base, forward, reverse = v, (), ()
+        if excess == 1 and v != 0:
+            base, steps, forward, reverse = _cycle_plan(graph.edges, shapes, indices)
+        comps.append(_intern(ComponentPlan(vertices, excess, base, steps, forward, reverse)))
+    tree = is_tree(graph)
+    if tree != (len(comps) == 1):
+        raise RuntimeError(
+            f"the BFS finds {len(comps)} components on {theta_f} / {theta_g}, "
+            f"but the union-find tree test says tree={tree}"
+        )
     multicycle = any(c.excess > 1 and c.vertices[0] != 0 for c in comps)
-    plan = _PLANS[key] = _intern(PairPlan(is_tree(graph), tuple(comps), multicycle))
+    plan = _PLANS[key] = _intern(PairPlan(tree, tuple(comps), multicycle))
     return plan
+
+
+def components(graph):
+    """The graph's ComponentPlans, by least vertex, read from its shape
+    plan; an isolated vertex is a component with no edges."""
+    theta_f, theta_g = zip(*graph.edges) if graph.edges else ((), ())
+    return pair_plan(theta_f, theta_g).components
 
 
 def plan_for(f, g):

@@ -93,7 +93,8 @@ def test_brute_budget_gates():
     # 64 rows x 6859 endomorphisms x 76 columns is about 3.3e7.
     with pytest.raises(BudgetError, match="rows.*mode='tree'.*formula_F"):
         brute_F(S3, 3, mode="fpf", budget=10**6)
-    with pytest.raises(BudgetError):
+    # 169 endomorphisms and 3^4 graph builds.
+    with pytest.raises(BudgetError, match="costs 250, over the budget of 10.*mode='fpf'.*tree_weighted_F.*formula_F"):
         brute_F(S3, 2, mode="tree", budget=10)
     with pytest.raises(ValueError, match="unknown mode"):
         brute_F(S3, 1, mode="magic")

@@ -62,6 +62,15 @@ def test_census_brute_fpf_reaches_the_s3_cube(capsys):
     assert "match\ttrue" in out
 
 
+def test_census_brute_tree_mode_prices_graph_builds_not_pairs(capsys):
+    # 390,625 endomorphisms and 5^8 graph builds, under the default budget;
+    # the 1.5e11 pairs are never visited.
+    rc, out, _ = run(capsys, "census", "brute", "--group", "s3", "--n", "4", "--mode", "tree")
+    assert rc == 0
+    assert "brute_F\t7776000000" in out
+    assert "match\ttrue" in out
+
+
 def test_census_brute_tree_mode_refuses_an_fpf_automorphism(capsys):
     rc, out, err = run(capsys, "census", "brute", "--group", "c3", "--n", "1",
                        "--mode", "tree")

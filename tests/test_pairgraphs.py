@@ -20,7 +20,6 @@ from hopfgalois.pairgraphs import (
     count_trees_root_degree,
     dump_lines,
     enumerate_labelled_trees,
-    find_simple_cycle,
     is_tree,
     pair_plan,
     path_transport,
@@ -169,7 +168,7 @@ def test_find_simple_cycle_on_a_unicyclic_component():
     g = StructuredEndo(S3, 2, (2, 1), (5, 1))
     und = build_undirected(f.theta, g.theta)
     comp = next(c for c in components(und) if 0 not in c.vertices)
-    base, fwd, rev = find_simple_cycle(und, comp)
+    base, fwd, rev = comp.base, comp.forward, comp.reverse
     assert base == 1
     for steps in (fwd, rev):
         # (head, tail) pairs chain from the base back to it
@@ -186,9 +185,9 @@ def test_find_simple_cycle_on_a_unicyclic_component():
     assert expanded(fwd_id) == want
     # both orientations are automorphisms of T
     assert sorted(expanded(fwd_id)) == list(range(6))
+    # A tree component carries no cycle walks.
     tree_comp = next(c for c in components(und) if 0 in c.vertices)
-    with pytest.raises(ValueError, match="no cycle"):
-        find_simple_cycle(und, tree_comp)
+    assert tree_comp.excess == 0 and tree_comp.forward == tree_comp.reverse == ()
 
 
 def test_pair_plans_are_kept_by_value(tmp_path):
