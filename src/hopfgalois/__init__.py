@@ -12,7 +12,6 @@ CLI exposes the same operations.
 """
 
 from .census import (
-    CensusReport,
     brute_F,
     formula_Einn,
     formula_F,
@@ -60,7 +59,6 @@ from .powerlemmas import run_power_lemma_suite
 
 __all__ = [
     "BudgetError",
-    "CensusReport",
     "FiniteGroup",
     "FpfVerdict",
     "GroupValidationError",

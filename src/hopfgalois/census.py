@@ -25,28 +25,22 @@ three ways that share no code path:
     map, with identity twists, stands for all A^k rows of that source
     map.  This route uses no pair graph.
 
-``run_verification`` packages the cross-checks (including holomorph
-regular-subgroup counts for small targets) into CensusReport rows so
-the CLI and the tests consume the same machinery.
+``run_verification`` lists the cross-checks (including holomorph
+regular-subgroup counts for small targets) as the rows that
+``hopfgalois verify`` prints.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .endomorphisms import count_end0, enumerate_end0
 from .fpf import TreeCriterionError
 from .groups import BudgetError, _is_prime, all_coords, has_fpf_automorphism, load_group
-from .holomorph import (
-    classify_inn_out,
-    enumerate_regular_subgroups,
-    holomorph_of,
-    regular_subgroups_oracle,
-)
+from .holomorph import enumerate_regular_subgroups, regular_subgroups_oracle
 from .pairgraphs import build_undirected, count_trees_root_degree, is_tree, tree_degree_census
 
 DEFAULT_BRUTE_BUDGET = 2 * 10**9
@@ -142,21 +136,6 @@ def tree_weighted_F(aut_order, n, method="auto"):
             f"at A = {A}, n = {n}"
         )
     return total
-
-
-def tree_pair_census(aut_order, n):
-    """Sum A^(2n - d(mu,nu)) over all source-map pairs whose pair graph
-    is a tree, as w . M . w over the tree matrix M.
-
-    This is the structured route with multiplicities: a source map with
-    k live coordinates stands for w = A^k endomorphisms, and a pair's
-    weight A^(2n - d) is the product of its two maps' weights, since d
-    counts the zero coordinates of both.  The weights are exact Python
-    integers (A = 2520 at n = 3 overflows int64).
-    """
-    maps = itertools.product(range(n + 1), repeat=n)
-    w = np.array([aut_order ** sum(1 for t in theta if t) for theta in maps], dtype=object)
-    return int(w @ _tree_matrix(n).astype(object) @ w)
 
 
 # ── Brute force over real pairs ──────────────────────────────────────────
@@ -322,149 +301,75 @@ def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
     raise ValueError(f"unknown mode {mode!r}: expected 'tree' or 'fpf'")
 
 
-# ── Reports ──────────────────────────────────────────────────────────────
+# ── Verification ─────────────────────────────────────────────────────────
 
 
-@dataclass(frozen=True)
-class CensusReport:
-    """One target's counts from every route that was affordable.
-
-    Optional fields stay None when a route was skipped; ``comparisons``
-    lists only the checks whose inputs are present, and ``match`` is
-    their conjunction.  hol_inn / hol_out count regular subgroups of
-    the holomorph isomorphic to the target, split by whether the pair
-    lands inside inner automorphisms.
-    """
-
-    T_name: str
-    n: int
-    aut_order: int
-    formula_F: int
-    tree_weighted_F: int
-    brute_F: int | None = None
-    fpf_count: int | None = None
-    formula_Einn: int | None = None
-    hol_inn: int | None = None
-    hol_out: int | None = None
-    hol_expected_inn: int | None = None
-
-    def comparisons(self):
-        rows = [
-            ("formula == tree-weighted", self.formula_F == self.tree_weighted_F),
-        ]
-        if self.brute_F is not None:
-            rows.append(("brute (tree mode) == formula", self.brute_F == self.formula_F))
-        if self.fpf_count is not None:
-            rows.append(("brute (fpf mode) == formula", self.fpf_count == self.formula_F))
-        if self.formula_Einn is not None:
-            denom = self.aut_order**self.n * math.factorial(self.n)
-            rows.append(
-                ("structure count divides out", self.formula_Einn * denom == self.formula_F)
-            )
-        if self.hol_inn is not None and self.hol_expected_inn is not None:
-            rows.append(("holomorph inn count", self.hol_inn == self.hol_expected_inn))
-        if self.hol_out is not None:
-            rows.append(("no out-type structures", self.hol_out == 0))
-        return rows
-
-    @property
-    def match(self):
-        return all(ok for _, ok in self.comparisons())
+def _count_rows(T, n, *modes):
+    """Check rows for T^n, where T is a group or a free |Aut T|: the
+    closed count against the tree-weighted sum and against ``brute_F`` in
+    each of ``modes``, then divided into structures."""
+    target, A = (f"(A={T})", T) if isinstance(T, int) else (T.name, len(T.automorphisms()))
+    F = formula_F(A, n)
+    return [
+        (target, n, "formula == tree-weighted", tree_weighted_F(A, n) == F),
+        *((target, n, f"brute ({m} mode) == formula", brute_F(T, n, mode=m) == F) for m in modes),
+        (target, n, "structure count divides out",
+         formula_Einn(A, n) * A**n * math.factorial(n) == F),
+    ]
 
 
-def _hol_counts(G, cross_check_oracle):
-    """(inn, out, expected_inn) regular-subgroup counts for Hol(G).
-
-    With cross_check_oracle the expectation comes from the exhaustive
-    subgroup walk over the full holomorph table, which is only affordable
-    when |Hol(G)| is small (36 for s3; the a5 holomorph has 7200
-    elements).  Without it the expectation is the closed structure count.
-    """
-    subs = enumerate_regular_subgroups(G)
-    inn = sum(1 for s in subs if s.classification == "inn")
-    out = len(subs) - inn
-    if cross_check_oracle:
-        hol = holomorph_of(G)
-        oracle = regular_subgroups_oracle(G, iso_type=G)
-        if len(oracle) != len(subs):
-            raise RuntimeError(
-                f"holomorph enumeration found {len(subs)} regular subgroups "
-                f"but the exhaustive oracle found {len(oracle)}"
-            )
-        expected_inn = sum(1 for key in oracle if classify_inn_out(hol, key) == "inn")
-    else:
-        expected_inn = formula_Einn(len(G.automorphisms()), 1)
-    return inn, out, expected_inn
-
-
-def _verification_row(T, n, with_tree, hol):
-    """One CensusReport for T^n: the closed formula against the
-    tree-weighted sum, the fpf-mode brute count and the structure count,
-    plus the tree-mode brute count when ``with_tree``, and the holomorph
-    counts when ``hol`` is "oracle" or "formula" (the source of the
-    expected inner count, see ``_hol_counts``)."""
-    A = len(T.automorphisms())
-    inn = out = expected_inn = None
-    if hol is not None:
-        inn, out, expected_inn = _hol_counts(T, cross_check_oracle=hol == "oracle")
-    return CensusReport(
-        T_name=T.name,
-        n=n,
-        aut_order=A,
-        formula_F=formula_F(A, n),
-        tree_weighted_F=tree_weighted_F(A, n),
-        brute_F=brute_F(T, n, mode="tree") if with_tree else None,
-        fpf_count=brute_F(T, n, mode="fpf"),
-        formula_Einn=formula_Einn(A, n),
-        hol_inn=inn,
-        hol_out=out,
-        hol_expected_inn=expected_inn,
-    )
+def _hol_rows(T, regulars):
+    """Check rows for the regular subgroups of Hol(T) isomorphic to T: as
+    many of inner type as the structure count, and none of outer type."""
+    inn = sum(1 for s in regulars if s.classification == "inn")
+    return [
+        (T.name, 1, "holomorph inn count", inn == formula_Einn(len(T.automorphisms()), 1)),
+        (T.name, 1, "no out-type structures", inn == len(regulars)),
+    ]
 
 
 def run_verification(level="quick"):
-    """Cross-validate every affordable route and return CensusReport rows.
+    """Cross-validate every affordable route, as the (target, n, check,
+    ok) rows that ``hopfgalois verify`` prints.
 
-    quick: S3 at n = 1 and n = 2 with both brute modes and holomorph
-    counts, plus arithmetic-only rows for a few free values of A.
-    full: adds A5 at n = 1 (its holomorph has 7200 elements and its
-    endomorphism pair space has 14641 entries), S3 at n = 3 with both
-    brute modes, and A5 at n = 2, the first power of a non-abelian
-    simple group, where only the fpf-mode count is affordable (3.4e9
-    pairs, but 9 rows against 58081 endomorphisms over 631 columns).
+    quick: S3 at n = 1 and n = 2 with both brute modes, the holomorph
+    counts of S3 (whose (f, g) search must find exactly the subgroups of
+    the exhaustive oracle), and arithmetic-only rows for a few free values
+    of A.  full: adds A5 at n = 1 with its holomorph counts (its
+    holomorph has 7200 elements, past the oracle), S3 at n = 3 with both
+    brute modes, and A5 at n = 2, the first power of a non-abelian simple
+    group, where only the fpf-mode count is affordable (3.4e9 pairs, but
+    9 rows against 58081 endomorphisms over 631 columns).
     """
     if level not in ("quick", "full"):
         raise ValueError(f"unknown level {level!r}: expected 'quick' or 'full'")
     s3 = load_group("s3")
-    reports = [
-        _verification_row(s3, 1, with_tree=True, hol="oracle"),
-        _verification_row(s3, 2, with_tree=True, hol=None),
-    ]
-    reports += [
-        CensusReport(
-            T_name=f"(A={free_a})",
-            n=n,
-            aut_order=free_a,
-            formula_F=formula_F(free_a, n),
-            tree_weighted_F=tree_weighted_F(free_a, n),
-            formula_Einn=formula_Einn(free_a, n),
+    s3_regulars = enumerate_regular_subgroups(s3)
+    oracle = regular_subgroups_oracle(s3, iso_type=s3)
+    if oracle != [s.elements for s in s3_regulars]:
+        raise RuntimeError(
+            f"holomorph enumeration found {len(s3_regulars)} regular subgroups of "
+            f"Hol(s3), the exhaustive oracle {len(oracle)}, and they must be the same"
         )
-        for free_a in (1, 2, 6, 2520)
-        for n in (1, 2)
+    rows = [
+        *_count_rows(s3, 1, "tree", "fpf"),
+        *_hol_rows(s3, s3_regulars),
+        *_count_rows(s3, 2, "tree", "fpf"),
     ]
+    rows += [row for A in (1, 2, 6, 2520) for n in (1, 2) for row in _count_rows(A, n)]
     if level == "full":
         a5 = load_group("a5")
-        reports += [
-            _verification_row(a5, 1, with_tree=True, hol="formula"),
-            _verification_row(s3, 3, with_tree=True, hol=None),
-            _verification_row(a5, 2, with_tree=False, hol=None),
+        rows += [
+            *_count_rows(a5, 1, "tree", "fpf"),
+            *_hol_rows(a5, enumerate_regular_subgroups(a5)),
+            *_count_rows(s3, 3, "tree", "fpf"),
+            *_count_rows(a5, 2, "fpf"),
         ]
-    return reports
+    return rows
 
 
 __all__ = [
     "DEFAULT_BRUTE_BUDGET",
-    "CensusReport",
     "brute_F",
     "formula_Einn",
     "formula_F",
@@ -473,6 +378,5 @@ __all__ = [
     "prime_columns",
     "run_verification",
     "tree_degree_counts",
-    "tree_pair_census",
     "tree_weighted_F",
 ]

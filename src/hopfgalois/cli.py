@@ -193,15 +193,12 @@ def _cmd_hol_verify_s3_lemmas(args):
 
 
 def _cmd_verify(args):
-    reports = run_verification(level=args.level)
-    any_bad = False
-    for r in reports:
-        for name, ok in r.comparisons():
-            status = "pass" if ok else "FAIL"
-            print(f"{r.T_name}\tn={r.n}\t{name}\t{status}")
-            any_bad = any_bad or not ok
-    print(f"result\t{'fail' if any_bad else 'pass'}")
-    return CHECK_FAILED if any_bad else 0
+    rows = run_verification(level=args.level)
+    for target, n, check, ok in rows:
+        print(f"{target}\tn={n}\t{check}\t{'pass' if ok else 'FAIL'}")
+    failed = not all(ok for *_, ok in rows)
+    print(f"result\t{'fail' if failed else 'pass'}")
+    return CHECK_FAILED if failed else 0
 
 
 # ── wiring ───────────────────────────────────────────────────────────────

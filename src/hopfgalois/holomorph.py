@@ -246,28 +246,6 @@ def classify_inn_out(hol, elements):
     return "inn" if all(e.aut in hol.inner_ids for e in elements) else "out"
 
 
-def _subgroup_from_tables(N, f_aut_ids, g_values):
-    """Sorted holomorph indices of {(g(s), f(s)) : s in N}, with the
-    regularity biconditional (regular iff g bijective) asserted on the set.
-
-    A non-bijective g may still produce |N| distinct elements when f
-    separates the collisions; such subgroups exist and are non-regular,
-    so the size of the set never decides regularity.
-    """
-    hol = holomorph_of(N)
-    flat = np.asarray(g_values, dtype=np.int64) * hol.aut_count + f_aut_ids
-    g_bijective = len(set(g_values)) == N.order
-    if g_bijective:
-        hol._closed_positions(np.unique(flat))
-    by_xi, by_orbit = hol._regularity(flat)
-    if not by_xi == by_orbit == g_bijective:
-        raise RuntimeError(
-            f"regularity tests ({by_xi}, {by_orbit}) and g-bijectivity "
-            f"({g_bijective}) disagree on an (f, g) subgroup"
-        )
-    return np.sort(flat)
-
-
 def enumerate_regular_subgroups(N):
     """All regular subgroups of Hol(N) isomorphic to N, by (f, g) search.
 
@@ -277,9 +255,10 @@ def enumerate_regular_subgroups(N):
     same automorphism image yield the same subgroups (they differ by
     precomposing an automorphism of N, which only reindexes sigma), so one
     representative per image is searched; the oracle test keeps this
-    honest.  Every produced subgroup is verified regular and asserted
-    isomorphic to N, as s ↦ (g(s), f(s)) is injective for bijective g;
-    other types need the oracle.
+    honest.  Every new subgroup has its closure checked once, both
+    regularity tests asserted, and its table asserted isomorphic to N, as
+    s ↦ (g(s), f(s)) is injective for bijective g; other types need the
+    oracle.
     """
     hol = holomorph_of(N)
     if hol.order > HOL_BUDGET:
@@ -301,16 +280,24 @@ def enumerate_regular_subgroups(N):
         for g in crossed_homomorphisms(N, F):
             if len(set(g)) != N.order:
                 continue
-            flat = _subgroup_from_tables(N, f, g)
+            flat = np.sort(np.asarray(g, dtype=np.int64) * hol.aut_count + f)
             key = tuple(flat.tolist())
             if key in found:
                 continue
-            elems = tuple(map(hol.element_of_index, key))
-            if find_isomorphism(hol.subgroup_table_group(elems), N) is None:
+            pos = hol._closed_positions(flat)
+            by_xi, by_orbit = hol._regularity(flat)
+            if not (by_xi and by_orbit):
+                raise RuntimeError(
+                    f"regularity tests ({by_xi}, {by_orbit}) fail on the subgroup "
+                    f"of Hol({N.name}) from a bijective crossed map"
+                )
+            sub = FiniteGroup(pos.tolist(), name=f"sub{N.order}-of-Hol({N.name})")
+            if find_isomorphism(sub, N) is None:
                 raise RuntimeError(
                     f"a regular subgroup of Hol({N.name}) from a bijective "
                     f"crossed map is not isomorphic to {N.name}"
                 )
+            elems = tuple(map(hol.element_of_index, key))
             found[key] = RegularSubgroup(elems, classify_inn_out(hol, elems))
     return [found[k] for k in sorted(found)]
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from hopfgalois.census import (
-    CensusReport,
     brute_F,
     formula_Einn,
     formula_F,
@@ -15,7 +14,6 @@ from hopfgalois.census import (
     prime_columns,
     run_verification,
     tree_degree_counts,
-    tree_pair_census,
     tree_weighted_F,
 )
 from hopfgalois.endomorphisms import enumerate_end0, image_coords_table
@@ -77,10 +75,10 @@ def test_degree_counts_refuse_enumerating_past_the_limit():
     assert tree_degree_counts(8) == tree_degree_counts(8, method="formula")
 
 
-def test_tree_pair_census_values():
-    assert tree_pair_census(6, 1) == 12
-    assert tree_pair_census(6, 2) == 3744
-    assert tree_pair_census(1, 2) == formula_F(1, 2)
+def test_tree_mode_weights_the_tree_matrix_by_source_map_counts():
+    assert brute_F(S3, 1, "tree") == 12
+    assert brute_F(S3, 2, "tree") == 3744
+    assert brute_F(load_group("c2"), 2, "tree") == 24 == formula_F(1, 2)
 
 
 def test_brute_modes_agree_with_the_formula():
@@ -186,36 +184,27 @@ def test_fpf_mode_reaches_the_first_non_simple_power():
     assert brute_F(A5, 2, mode="fpf") == 27763200 == formula_F(120, 2)
 
 
-def test_census_report_match_logic():
-    good = CensusReport("x", 1, 6, 12, 12, brute_F=12, fpf_count=12, formula_Einn=2)
-    assert good.match
-    assert all(ok for _, ok in good.comparisons())
-    bad = CensusReport("x", 1, 6, 12, 12, brute_F=13)
-    assert not bad.match
-    # absent routes contribute no comparisons
-    sparse = CensusReport("x", 1, 6, 12, 12)
-    assert [name for name, _ in sparse.comparisons()] == ["formula == tree-weighted"]
-    hol = CensusReport("x", 1, 6, 12, 12, hol_inn=2, hol_out=1, hol_expected_inn=2)
-    assert not hol.match  # an out-type structure is itself a mismatch
-
-
 def test_run_verification_quick():
-    reports = run_verification("quick")
-    assert len(reports) == 10
-    assert all(r.match for r in reports)
-    s3_row = reports[0]
-    assert (s3_row.T_name, s3_row.n) == ("s3", 1)
-    assert (s3_row.hol_inn, s3_row.hol_out, s3_row.hol_expected_inn) == (2, 0, 2)
+    rows = run_verification("quick")
+    assert len(rows) == 26
+    assert all(ok for *_, ok in rows)
+    assert rows[4:6] == [
+        ("s3", 1, "holomorph inn count", True),
+        ("s3", 1, "no out-type structures", True),
+    ]
     with pytest.raises(ValueError, match="unknown level"):
         run_verification("exhaustive")
 
 
 def test_run_verification_full_counts_the_s3_cube_and_the_a5_square():
-    reports = run_verification("full")
-    assert all(r.match for r in reports)
-    rows = {(r.T_name, r.n): r for r in reports}
-    assert rows[("s3", 3)].fpf_count == 3742848
-    a5_square = rows[("a5", 2)]
-    assert a5_square.fpf_count == formula_F(120, 2) == 27763200
-    assert a5_square.formula_Einn == formula_Einn(120, 2)
-    assert "brute (fpf mode) == formula" in dict(a5_square.comparisons())
+    rows = run_verification("full")
+    assert all(ok for *_, ok in rows)
+    checks = {(target, n, check) for target, n, check, _ in rows}
+    assert ("s3", 3, "brute (fpf mode) == formula") in checks
+    assert ("a5", 1, "holomorph inn count") in checks
+    a5_square = [check for target, n, check, _ in rows if (target, n) == ("a5", 2)]
+    assert a5_square == [
+        "formula == tree-weighted",
+        "brute (fpf mode) == formula",
+        "structure count divides out",
+    ]

@@ -8,6 +8,7 @@ from hopfgalois.cli import main
 
 C2CUBE = Path(__file__).parent / "data" / "c2cube.txt"
 LEMMAS_S3 = Path(__file__).parent / "data" / "hol_s3_lemmas.txt"
+VERIFY = {level: Path(__file__).parent / "data" / f"verify_{level}.txt" for level in ("quick", "full")}
 
 PAIR_FPF = """\
 n=2
@@ -232,7 +233,28 @@ def test_hol_lemma_suite(capsys):
 def test_verify_quick(capsys):
     rc, out, _ = run(capsys, "verify", "--level", "quick")
     assert rc == 0
-    assert out.strip().splitlines()[-1] == "result\tpass"
+    assert out == VERIFY["quick"].read_text()
+
+
+def test_verify_full(capsys):
+    rc, out, _ = run(capsys, "verify", "--level", "full")
+    assert rc == 0
+    assert out == VERIFY["full"].read_text()
+
+
+def test_verify_reports_a_failed_row(capsys, monkeypatch):
+    rows = [
+        ("s3", 1, "formula == tree-weighted", True),
+        ("s3", 1, "brute (tree mode) == formula", False),
+    ]
+    monkeypatch.setattr("hopfgalois.cli.run_verification", lambda level: rows)
+    rc, out, _ = run(capsys, "verify")
+    assert rc == 2
+    assert out.splitlines() == [
+        "s3\tn=1\tformula == tree-weighted\tpass",
+        "s3\tn=1\tbrute (tree mode) == formula\tFAIL",
+        "result\tfail",
+    ]
 
 
 def test_unknown_group_is_exit_1(capsys):

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hopfgalois.endomorphisms import identity_endo, trivial_endo
+from hopfgalois.census import formula_Einn
+from hopfgalois.endomorphisms import enumerate_end0, identity_endo, trivial_endo
+from hopfgalois.fpf import is_fpf_by_tree
 from hopfgalois.groups import (
     FiniteGroup,
     automorphism_table_group,
@@ -415,6 +417,20 @@ def test_pair_to_subgroup_over_a_power():
     elems = fpf_pair_to_subgroup(identity_endo(S3, 2), trivial_endo(S3, 2))
     assert elems == hol.lambda_image()
     assert hol.is_regular(elems)
+
+
+def test_s3_square_pairs_build_52_of_its_328_regular_subgroups():
+    # S3 is not simple, so the structure count covers only the subgroups
+    # that structured fpf pairs build; Hol(S3^2) has many more of its type.
+    endos = list(enumerate_end0(S3, 2))
+    verdicts = [(f, g, is_fpf_by_tree(f, g)) for f in endos for g in endos]
+    built = {fpf_pair_to_subgroup(f, g, v) for f, g, v in verdicts if v.is_fpf}
+    assert sum(v.is_fpf for *_, v in verdicts) == 3744
+    assert len(built) == formula_Einn(6, 2) == 52
+    regulars = enumerate_regular_subgroups(power_group(S3, 2))
+    assert len(regulars) == 328
+    assert all(s.classification == "inn" for s in regulars)
+    assert built <= {frozenset(s.elements) for s in regulars}
 
 
 def test_a5_lambda_image_passes_both_regularity_tests():
