@@ -4,7 +4,10 @@ A pair (f, g) over G = T^n is fixed point free when f and g agree only on
 the identity.  Two routes decide this:
 
 * a brute-force scan of all |T|^n elements (always available at desk
-  scale, and the oracle everything else is judged against);
+  scale, and the oracle everything else is judged against), which reads
+  each coordinate of f(x) and g(x) for every x at once from one table of
+  coordinate images per (T, n), built from the automorphism array and
+  the coordinate list alone;
 * the tree criterion: when T admits no fixed-point-free automorphism,
   (f, g) is fixed point free exactly when its undirected pair graph is a
   tree.  A non-tree graph then always yields an explicit non-identity
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .endomorphisms import image_coords_table
+from .endomorphisms import coordinate_images, image_rows
 from .groups import (
     BudgetError,
     all_coords,
@@ -86,19 +89,32 @@ def _assert_witness(f, g, witness):
 
 
 def is_fpf_bruteforce(f, g):
-    """Scan all of T^n; the first non-identity agreement is the witness."""
+    """Scan all of T^n; the first non-identity agreement is the witness.
+
+    Reads the n rows of f and the n rows of g from the coordinate-image
+    table of (T, n) and compares them element by element, so a scan
+    builds nothing per pair and shares no code with the pair graph.  The
+    budget is checked before the table is built.
+    """
     T, n = f.group, f.n
+    if g.group is not T or g.n != n:
+        raise ValueError("endomorphism pair lives over different powers")
     if T.order**n > SCAN_BUDGET:
         raise BudgetError(
-            f"|{T.name}|^{n} = {T.order ** n} elements exceed the scan budget {SCAN_BUDGET}"
+            f"|{T.name}|^{n} = {T.order ** n} elements exceed the scan budget {SCAN_BUDGET}; "
+            "when T has no fixed-point-free automorphism, is_fpf_by_tree or "
+            "decide_fpf decides the pair from its pair graph instead"
         )
-    coords = all_coords(T, n)
-    agree = (image_coords_table(f, coords) == image_coords_table(g, coords)).all(axis=1)
+    table = coordinate_images(T, n)
+    agree = np.ones(T.order**n, dtype=bool)
+    for a, b in zip(image_rows(f), image_rows(g)):
+        if a != b:  # a coordinate both read through the same row agrees everywhere
+            agree &= table[a] == table[b]
     agree[0] = False  # the identity always agrees and never counts
-    hits = np.flatnonzero(agree)
-    if hits.size == 0:
+    first = int(agree.argmax())
+    if not agree[first]:
         return FpfVerdict(True, "bruteforce", None)
-    witness = tuple(int(v) for v in coords[hits[0]])
+    witness = tuple(int(v) for v in all_coords(T, n)[first])
     _assert_witness(f, g, witness)
     return FpfVerdict(False, "bruteforce", witness)
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from hopfgalois import census
 from hopfgalois.cli import main
 
 C2CUBE = Path(__file__).parent / "data" / "c2cube.txt"
@@ -255,6 +256,24 @@ def test_verify_reports_a_failed_row(capsys, monkeypatch):
         "s3\tn=1\tbrute (tree mode) == formula\tFAIL",
         "result\tfail",
     ]
+
+
+def test_verify_fails_a_row_when_two_routes_disagree(capsys, monkeypatch):
+    # One labelled tree too many at degree 1 miscodes the tree-weighted
+    # route; every row that reads it fails and the run still finishes.
+    degree_counts = census.tree_degree_counts
+
+    def one_tree_too_many(n, method="auto"):
+        counts = dict(degree_counts(n, method=method))
+        counts[1] += 1
+        return counts
+
+    monkeypatch.setattr(census, "tree_degree_counts", one_tree_too_many)
+    rc, out, _ = run(capsys, "verify")
+    assert rc == 2
+    expected = VERIFY["quick"].read_text()
+    expected = expected.replace("formula == tree-weighted\tpass", "formula == tree-weighted\tFAIL")
+    assert out == expected.replace("result\tpass", "result\tfail")
 
 
 def test_unknown_group_is_exit_1(capsys):

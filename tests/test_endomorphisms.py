@@ -123,12 +123,16 @@ def test_aut0_is_exactly_the_invertible_part_of_end0():
 
 
 def test_image_table_matches_apply():
-    coords = all_coords(S3, 2)
-    assert coords.shape == (36, 2)
-    e = StructuredEndo(S3, 2, (2, 2), (1, 4))
-    table = image_coords_table(e)
-    for k in (0, 1, 7, 35):
-        assert tuple(int(v) for v in table[k]) == e.apply(tuple(int(v) for v in coords[k]))
+    assert all_coords(S3, 2).shape == (36, 2)
+    for e in (
+        StructuredEndo(S3, 2, (2, 2), (1, 4)),
+        StructuredEndo(S3, 3, (3, 0, 1), (5, None, 2)),
+        StructuredEndo(A5, 1, (1,), (77,)),
+    ):
+        coords, table = all_coords(e.group, e.n), image_coords_table(e)
+        assert table.shape == coords.shape
+        for x, image in zip(coords.tolist(), table.tolist()):
+            assert tuple(image) == e.apply(tuple(x))
 
 
 # ── Pair files ──────────────────────────────────────────────────────

@@ -52,6 +52,55 @@ def test_bruteforce_budget():
         is_fpf_bruteforce(identity_endo(a5, 3), trivial_endo(a5, 3))
 
 
+def test_bruteforce_refusal_names_the_graph_routes():
+    a5 = load_group("a5")  # no fixed-point-free automorphism: the tree routes apply
+    f, g = identity_endo(a5, 3), trivial_endo(a5, 3)
+    with pytest.raises(BudgetError, match="is_fpf_by_tree or decide_fpf"):
+        is_fpf_bruteforce(f, g)
+    assert decide_fpf(f, g).method == "tree-criterion"
+
+
+def test_bruteforce_refuses_a_pair_over_different_powers():
+    # The rows of g index the coordinate-image table of its own T^n only.
+    for g in (identity_endo(S3, 3), identity_endo(C5, 2)):
+        with pytest.raises(ValueError, match="different powers"):
+            is_fpf_bruteforce(identity_endo(S3, 2), g)
+
+
+@pytest.mark.parametrize("name,n,seed", [("s3", 3, 0x5C3), ("a5", 1, 0xA5), ("c5", 2, 0xC52)])
+def test_scan_witness_is_the_least_non_identity_agreement(name, n, seed):
+    # The reference walks T^n in all_coords (row-major) order in plain
+    # Python; C5 has fixed-point-free automorphisms, so its pairs include
+    # fpf pairs that no tree criterion decides.
+    T = load_group(name)
+    endos = list(enumerate_end0(T, n))
+    elements = list(itertools.product(range(T.order), repeat=n))[1:]
+    rng = random.Random(seed)
+    verdicts = set()
+    for _ in range(150):
+        f, g = rng.choice(endos), rng.choice(endos)
+        least = next((x for x in elements if f.apply(x) == g.apply(x)), None)
+        v = is_fpf_bruteforce(f, g)
+        assert (v.is_fpf, v.witness) == (least is None, least), (f, g)
+        verdicts.add(v.is_fpf)
+    assert verdicts == {True, False}
+
+
+def test_bruteforce_shares_no_code_with_the_routes_it_checks(monkeypatch):
+    endos = list(enumerate_end0(S3, 2))
+    pairs = list(itertools.product(endos, endos))
+    before = [is_fpf_bruteforce(f, g) for f, g in pairs]
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("the element scan must not reach this route")
+
+    monkeypatch.setattr("hopfgalois.fpf.plan_for", forbidden)
+    monkeypatch.setattr("hopfgalois.census.image_block", forbidden)
+    with pytest.raises(RuntimeError, match="must not reach"):
+        is_fpf_by_tree(*pairs[0])
+    assert [is_fpf_bruteforce(f, g) for f, g in pairs] == before
+
+
 def test_verdict_rejects_contradictory_witness():
     with pytest.raises(ValueError):
         FpfVerdict(True, "bruteforce", (1, 0))
