@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .endomorphisms import count_end0, enumerate_end0
+from .endomorphisms import ENDO_BUDGET, count_end0, enumerate_end0
 from .fpf import TreeCriterionError
 from .groups import BudgetError, _is_prime, all_coords, has_fpf_automorphism, load_group
 from .holomorph import enumerate_regular_subgroups, regular_subgroups_oracle
@@ -254,7 +254,7 @@ def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
     on the source maps alone.  The tree criterion holds only when T has
     no fixed point free automorphism; on any other T this mode raises
     TreeCriterionError up front.  Its cost, |End0| endomorphisms plus
-    (n+1)^(2n) graph builds for the matrix, is gated by the budget.
+    (n+1)^(2n) graph builds, is gated by the budget; |End0| by ENDO_BUDGET.
 
     mode="fpf" reads only the images of real endomorphisms.  Where f and
     g agree is a subgroup, the equalizer of two homomorphisms, so the
@@ -266,24 +266,35 @@ def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
     A^(non-zero entries of theta) endomorphisms of that source map.  The
     rows are compared with every endomorphism's images one source-map
     block at a time, and the cost rows * |End0| * columns is gated by
-    the budget.
+    the budget.  A refusal names the routes that would still run.
     """
     _check_power(n)
     total_endos = count_end0(T, n)
     graph_builds = (n + 1) ** (2 * n)
     tree_cost = total_endos + graph_builds
-    if mode == "tree":
+
+    def tree_refusal():
         if has_fpf_automorphism(T):
-            raise TreeCriterionError(
+            return TreeCriterionError(
                 f"{T.name} admits a fixed-point-free automorphism, so the tree "
                 "criterion does not apply; mode='fpf' still counts by element scan"
             )
+        if total_endos > ENDO_BUDGET:
+            return BudgetError(
+                f"End0({T.name}^{n}) has {total_endos} elements, over the budget of "
+                f"{ENDO_BUDGET}; other routes: tree_weighted_F or formula_F (closed form)"
+            )
         if tree_cost > budget:
-            raise BudgetError(
+            return BudgetError(
                 f"enumerating {total_endos} endomorphisms and building {graph_builds} "
                 f"pair graphs costs {tree_cost}, over the budget of {budget}; other "
                 "routes: mode='fpf', tree_weighted_F or formula_F (closed form)"
             )
+
+    if mode == "tree":
+        refusal = tree_refusal()
+        if refusal is not None:
+            raise refusal
         c = np.bincount(
             [_theta_index(e.theta, n) for e in enumerate_end0(T, n)], minlength=(n + 1) ** n
         )
@@ -293,10 +304,11 @@ def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
         width = prime_column_count(T, n)
         cost = len(thetas) * total_endos * width
         if cost > budget:
+            others = "tree_weighted_F" if tree_refusal() else f"mode='tree' (cost {tree_cost})"
             raise BudgetError(
                 f"comparing {len(thetas)} rows with {total_endos} endomorphisms "
                 f"over {width} columns costs {cost}, over the budget of {budget}; "
-                f"other routes: mode='tree' (cost {tree_cost}) or formula_F (closed form)"
+                f"other routes: {others} or formula_F (closed form)"
             )
         columns = prime_columns(T, n)
         identity = T.aut_index(tuple(range(T.order)))

@@ -38,7 +38,6 @@ from .powerlemmas import run_power_lemma_suite
 
 USAGE_ERROR = 1
 CHECK_FAILED = 2
-CROSS_TYPE_HOL_LIMIT = 600
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,19 +150,9 @@ def _cmd_hol_regulars(args):
         rows = [(len(s.elements), s.classification) for s in subs]
     else:
         # The pair search only ever produces subgroups isomorphic to G,
-        # so a cross-type query needs the exhaustive subgroup walk.  On a
-        # 2-vCPU VM (Python 3.11) the walk takes 8 ms on d4 (|Hol| 64),
-        # 14 ms on d5 (200), 24 ms on q8 (192), 0.1 s on a4 (288) and
-        # 1.9 s on s4 (576); the next catalog holomorph, a5's, has 7200
-        # elements.
-        hol = holomorph_of(G)
-        if hol.order > CROSS_TYPE_HOL_LIMIT:
-            raise BudgetError(
-                f"|Hol({G.name})| = {hol.order} is too large for the "
-                f"exhaustive cross-type scan (limit {CROSS_TYPE_HOL_LIMIT})"
-            )
+        # so a cross-type query needs the exhaustive subgroup walk.
         keys = regular_subgroups_oracle(G, iso_type=iso)
-        rows = [(len(k), classify_inn_out(hol, k)) for k in keys]
+        rows = [(len(k), classify_inn_out(holomorph_of(G), k)) for k in keys]
     for i, (order, cls) in enumerate(rows):
         print(f"{i}\t{order}\ttrue\t{cls}")
     print(f"total\t{len(rows)}")

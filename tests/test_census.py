@@ -98,6 +98,17 @@ def test_brute_budget_gates():
         brute_F(S3, 1, mode="magic")
 
 
+def test_brute_refuses_tree_mode_past_the_end0_limit_up_front():
+    # Tree mode at S3^5 costs 28,629,151 + 6^10, under the budget, but
+    # enumerate_end0 would refuse its 28,629,151 endomorphisms.
+    with pytest.raises(BudgetError, match=r"End0\(s3\^5\) has 28629151 .*tree_weighted_F or formula_F"):
+        brute_F(S3, 5, mode="tree", budget=10**12)
+    # So fpf mode, over its budget there, no longer recommends tree mode.
+    with pytest.raises(BudgetError, match="other routes: tree_weighted_F or formula_F") as err:
+        brute_F(S3, 5, mode="fpf")
+    assert "mode='tree'" not in str(err.value)
+
+
 @pytest.mark.parametrize("mode", ["tree", "fpf"])
 def test_brute_refuses_a_non_positive_power(mode):
     for n in (0, -1):

@@ -73,6 +73,23 @@ def test_census_brute_tree_mode_prices_graph_builds_not_pairs(capsys):
     assert "match\ttrue" in out
 
 
+@pytest.mark.parametrize("budget", [[], ["--budget", "1000000000000"]])
+def test_census_brute_at_the_s3_fifth_power_names_only_routes_that_run(capsys, budget):
+    # 28,629,151 endomorphisms: tree mode's cost 89,095,327 is under the
+    # default budget, but End0 is over the enumeration limit.
+    rc, out, err = run(capsys, "census", "brute", "--group", "s3", "--n", "5",
+                       "--mode", "tree", *budget)
+    assert rc == 1
+    assert out == ""
+    assert "End0(s3^5) has 28629151 elements" in err
+    assert "tree_weighted_F or formula_F" in err
+    rc, out, err = run(capsys, "census", "brute", "--group", "s3", "--n", "5",
+                       "--mode", "fpf", *budget)
+    assert rc == 1
+    assert "other routes: tree_weighted_F or formula_F" in err
+    assert "mode='tree'" not in err
+
+
 def test_census_brute_tree_mode_refuses_an_fpf_automorphism(capsys):
     rc, out, err = run(capsys, "census", "brute", "--group", "c3", "--n", "1",
                        "--mode", "tree")

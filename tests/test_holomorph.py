@@ -4,6 +4,7 @@ structure lemmas over direct powers."""
 import json
 import random
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hopfgalois.census import formula_Einn
 from hopfgalois.endomorphisms import enumerate_end0, identity_endo, trivial_endo
 from hopfgalois.fpf import is_fpf_by_tree
 from hopfgalois.groups import (
+    BudgetError,
     FiniteGroup,
     automorphism_table_group,
     compose_perm,
@@ -127,11 +129,12 @@ def test_non_regular_subgroup_is_rejected_by_both_tests():
     assert not hol.is_regular(stab)
 
 
-def test_check_closed_rejects_non_subgroups():
+def test_closure_checks_reject_non_subgroups():
     hol = holomorph_of(S3)
     broken = {hol.element_of_index(1), hol.element_of_index(7)}
-    with pytest.raises(ValueError):
-        hol.check_closed(broken)
+    for check in (hol.is_regular, hol.subgroup_table_group):
+        with pytest.raises(ValueError):
+            check(broken)
 
 
 # Plain-Python references for the set-level checks, from the scalar
@@ -202,7 +205,7 @@ def test_set_checks_agree_with_the_scalar_reference(name):
     for elements in _candidate_sets(hol, rng):
         assert hol.regularity_tests(elements) == _reference_regularity(hol, elements)
         escapes = _reference_escapes(hol, elements)
-        closure_checks = (hol.check_closed, hol.is_regular, hol.subgroup_table_group)
+        closure_checks = (hol.is_regular, hol.subgroup_table_group)
         if hol.identity not in elements:
             for check in closure_checks:
                 with pytest.raises(ValueError, match="identity"):
@@ -215,7 +218,6 @@ def test_set_checks_agree_with_the_scalar_reference(name):
                 e1, e2 = (HolElement(int(t), int(a)) for t, a in named)
                 assert (e1, e2) in escapes
         else:
-            hol.check_closed(elements)
             assert hol.is_regular(elements) == _reference_regularity(hol, elements)[0]
             table = hol.subgroup_table_group(elements)
             ordered = sorted(set(elements))
@@ -368,6 +370,21 @@ def test_oracle_reaches_targets_that_need_three_generators():
     assert all(len(key) == 8 and classify_inn_out(holomorph_of(d4), key) == "inn" for key in kept)
 
 
+def test_oracle_refuses_a_large_holomorph_before_searching_aut():
+    a5 = FiniteGroup(load_group("a5").mul, name="a5")  # fresh, so nothing is kept on it yet
+    with pytest.raises(BudgetError, match="too large.*limit 600.*enumerate_regular_subgroups"):
+        regular_subgroups_oracle(a5)
+    assert "auts" not in a5._memo
+
+
+def test_enumeration_refuses_on_the_holomorph_bound_before_searching_aut():
+    # |Hol(S4^2)| >= 576 · 576, since S4^2 has trivial center.
+    N = power_group(FiniteGroup(load_group("s4").mul, name="s4"), 2)
+    with pytest.raises(BudgetError, match=r"\|Hol\(s4\^2\)\| >= 331776 exceeds the budget"):
+        enumerate_regular_subgroups(N)
+    assert "auts" not in N._memo
+
+
 def test_byott_translate_arithmetic():
     assert byott_translate(3, 24, 6) == 12
     with pytest.raises(ValueError, match="not an integer"):
@@ -408,7 +425,18 @@ def test_non_fpf_refusal_leaves_the_aut_table_unbuilt():
     f = identity_endo(T, 2)
     with pytest.raises(ValueError, match="translation parts"):
         fpf_pair_to_subgroup(f, f)
-    assert holomorph_of(power_group(T, 2))._aut_group is None
+    assert "aut_group" not in power_group(T, 2)._memo
+
+
+def test_a5_square_pair_is_refused_before_the_power_is_built():
+    # (60 · 60)^2 bounds |Hol(A5^2)| from below; building A5^2 alone takes
+    # seconds, and its automorphisms would be searched next.
+    T = FiniteGroup(load_group("a5").mul, name="a5")
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"\|Hol\(a5\^2\)\| >= 12960000 exceeds the budget"):
+        fpf_pair_to_subgroup(identity_endo(T, 2), trivial_endo(T, 2))
+    assert time.perf_counter() - start < 1
+    assert ("power", 2) not in T._memo
 
 
 def test_pair_to_subgroup_over_a_power():
