@@ -266,7 +266,9 @@ def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
     A^(non-zero entries of theta) endomorphisms of that source map.  The
     rows are compared with every endomorphism's images one source-map
     block at a time, and the cost rows * |End0| * columns is gated by
-    the budget.  A refusal names the routes that would still run.
+    the budget.  A refusal names the routes that would still run; when T
+    has a fixed point free automorphism there are none, since the tree
+    mode, tree_weighted_F and formula_F all assume that T has none.
     """
     _check_power(n)
     total_endos = count_end0(T, n)
@@ -304,11 +306,18 @@ def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
         width = prime_column_count(T, n)
         cost = len(thetas) * total_endos * width
         if cost > budget:
-            others = "tree_weighted_F" if tree_refusal() else f"mode='tree' (cost {tree_cost})"
+            if has_fpf_automorphism(T):
+                others = (
+                    f"{T.name} admits a fixed-point-free automorphism, and the tree "
+                    "mode and the closed routes assume none, so no other route counts it"
+                )
+            elif tree_refusal():
+                others = "other routes: tree_weighted_F or formula_F (closed form)"
+            else:
+                others = f"other routes: mode='tree' (cost {tree_cost}) or formula_F (closed form)"
             raise BudgetError(
                 f"comparing {len(thetas)} rows with {total_endos} endomorphisms "
-                f"over {width} columns costs {cost}, over the budget of {budget}; "
-                f"other routes: {others} or formula_F (closed form)"
+                f"over {width} columns costs {cost}, over the budget of {budget}; {others}"
             )
         columns = prime_columns(T, n)
         identity = T.aut_index(tuple(range(T.order)))

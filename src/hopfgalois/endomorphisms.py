@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +35,6 @@ __all__ = [
     "enumerate_end0",
     "enumerate_aut0",
     "coordinate_images",
-    "image_rows",
     "image_coords_table",
     "parse_pair_file",
     "PairFileError",
@@ -79,10 +79,17 @@ class StructuredEndo:
     def apply(self, x):
         """Image of the coordinate tuple ``x``."""
         auts = self.group.automorphisms()
-        return tuple(
+        return tuple([
             0 if t == 0 else auts[p][x[t - 1]]
             for t, p in zip(self.theta, self.phis)
-        )
+        ])
+
+    @cached_property
+    def rows(self):
+        """The rows of coordinate_images(group, n) that hold the output
+        coordinates, in coordinate order; computed on first use."""
+        A = len(self.group.automorphisms())
+        return tuple([1 + (t - 1) * A + p if t else 0 for t, p in zip(self.theta, self.phis)])
 
     def __str__(self):
         bits = ",".join(
@@ -195,13 +202,6 @@ def coordinate_images(T, n):
     return T.memo(("coordinate_images", n), build)
 
 
-def image_rows(e):
-    """The rows of coordinate_images(e.group, e.n) that hold e's output
-    coordinates, in coordinate order."""
-    A = len(e.group.automorphisms())
-    return [1 + (t - 1) * A + p if t else 0 for t, p in zip(e.theta, e.phis)]
-
-
 def image_coords_table(e):
     """Images of every element of T^n under ``e``, as an (N, n) array.
 
@@ -209,7 +209,7 @@ def image_coords_table(e):
     coordinate_images; used by the holomorph subgroup of a pair and the
     Aut0 permutations of the power-lemma suite.
     """
-    return coordinate_images(e.group, e.n)[image_rows(e)].T
+    return coordinate_images(e.group, e.n)[list(e.rows)].T
 
 
 # ── Pair files ─────────────────────────────────────────────────────

@@ -33,16 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .endomorphisms import coordinate_images, image_rows
+from .endomorphisms import coordinate_images
 from .groups import (
     BudgetError,
-    all_coords,
     automorphism_table_group,
     has_fpf_automorphism,
     lowest_fixed_points,
+    power_coords,
     power_identity,
 )
-from .pairgraphs import CONSTANT, arrow_shapes, path_transport, plan_for, transport_id
+from .pairgraphs import CONSTANT, path_transport, plan_for, transport_id
 
 __all__ = [
     "FpfVerdict",
@@ -91,10 +91,11 @@ def _assert_witness(f, g, witness):
 def is_fpf_bruteforce(f, g):
     """Scan all of T^n; the first non-identity agreement is the witness.
 
-    Reads the n rows of f and the n rows of g from the coordinate-image
-    table of (T, n) and compares them element by element, so a scan
-    builds nothing per pair and shares no code with the pair graph.  The
-    budget is checked before the table is built.
+    Reads the n rows of f and the n rows of g (``f.rows``, ``g.rows``)
+    from the coordinate-image table of (T, n) and compares them element
+    by element, so a scan builds nothing per pair and shares no code with
+    the pair graph; the witness is decoded from its index by
+    power_coords.  The budget is checked before the table is built.
     """
     T, n = f.group, f.n
     if g.group is not T or g.n != n:
@@ -106,15 +107,21 @@ def is_fpf_bruteforce(f, g):
             "decide_fpf decides the pair from its pair graph instead"
         )
     table = coordinate_images(T, n)
-    agree = np.ones(T.order**n, dtype=bool)
-    for a, b in zip(image_rows(f), image_rows(g)):
-        if a != b:  # a coordinate both read through the same row agrees everywhere
+    agree = None
+    for a, b in zip(f.rows, g.rows):
+        if a == b:  # a coordinate both read through the same row agrees everywhere
+            continue
+        if agree is None:
+            agree = table[a] == table[b]
+        else:
             agree &= table[a] == table[b]
+    if agree is None:
+        agree = np.ones(T.order**n, dtype=bool)
     agree[0] = False  # the identity always agrees and never counts
     first = int(agree.argmax())
     if not agree[first]:
         return FpfVerdict(True, "bruteforce", None)
-    witness = tuple(int(v) for v in all_coords(T, n)[first])
+    witness = power_coords(T, n, first)
     _assert_witness(f, g, witness)
     return FpfVerdict(False, "bruteforce", witness)
 
@@ -181,10 +188,10 @@ def decide_fpf(f, g):
 # ── Path-condition evaluation ───────────────────────────────────────────
 
 
-def _single_arrow_conditions(aut, auts, f, g, sigma):
+def _single_arrow_conditions(aut, auts, plan, f, g, sigma):
     """Every arrow's constraint sigma[head] = transport(sigma[tail]),
-    read from the arrow shapes and transport ids of the pair."""
-    for kind, i, tail, head in arrow_shapes(zip(f.theta, g.theta)):
+    read from the plan's arrows and the transport ids of the pair."""
+    for kind, i, tail, head in plan.arrows:
         t = transport_id(aut, f, g, kind, i, tail)
         if sigma[head - 1] != (0 if t == CONSTANT else auts[t][sigma[tail - 1]]):
             return False
@@ -226,7 +233,7 @@ def check_path_conditions(f, g, sigma):
     """
     plan = plan_for(f, g)  # also checks that f and g share T^n
     aut, auts = automorphism_table_group(f.group), f.group.automorphisms()
-    verdict = _single_arrow_conditions(aut, auts, f, g, sigma)
+    verdict = _single_arrow_conditions(aut, auts, plan, f, g, sigma)
     direct = f.apply(sigma) == g.apply(sigma)
     if verdict != direct:
         raise RuntimeError(

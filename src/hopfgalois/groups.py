@@ -112,11 +112,14 @@ class FiniteGroup:
 
         This is the one store for data computed from the table, here and in
         the modules built on top (powers, coordinate arrays, Aut as a table
-        group, holomorph); it lives and dies with the group.
+        group, holomorph); it lives and dies with the group.  A hit is
+        one dict lookup.
         """
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
 
     # -- validation ------------------------------------------------------
 

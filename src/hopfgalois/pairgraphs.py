@@ -10,13 +10,13 @@ headline criterion, so this module also provides Prüfer-sequence
 enumeration of labelled trees and the closed count of trees by the degree
 of vertex 0.
 
-Only the transports depend on the automorphisms phi; the components, the
-tree verdict, the breadth-first arrow order in each component and the walk
-around each cycle depend on (theta_f, theta_g) alone.  pair_plan is the
-one component model: it builds that shape once, from one breadth-first
-search per component, and keeps up to PLAN_STORE_SIZE shapes (all of rank
-3).  components() reads the plan, and the union-find is_tree cross-checks
-its component count.
+Only the transports depend on the automorphisms phi; the arrows, the
+components, the tree verdict, the breadth-first arrow order in each
+component and the walk around each cycle depend on (theta_f, theta_g)
+alone.  pair_plan is the one component model: it builds that shape once,
+from one breadth-first search per component, and keeps up to
+PLAN_STORE_SIZE shapes (all of rank 3).  components() reads the plan,
+and the union-find is_tree cross-checks its component count.
 
 Arrow naming: edge i induces a forward arrow ("a", i) from theta_f(i) to
 theta_g(i) whenever the g-side map can be inverted (theta_g(i) != 0), and
@@ -99,6 +99,7 @@ class PairPlan(NamedTuple):
     tree: bool
     components: tuple  # ComponentPlans, by least vertex
     multicycle: bool  # some component avoiding 0 has two or more independent cycles
+    arrows: tuple  # arrow_shapes of the edges
 
 
 # ── Construction ────────────────────────────────────────────────────────
@@ -159,19 +160,27 @@ def is_tree(graph):
     only disagree if the edge bookkeeping is corrupt.
     """
     parent = list(range(graph.n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     acyclic = True
     for u, v in graph.edges:
-        ru, rv = find(u), find(v)
-        acyclic = acyclic and ru != rv
-        parent[max(ru, rv)] = min(ru, rv)
-    connected = all(find(v) == 0 for v in range(graph.n + 1))  # roots are least
+        while parent[u] != u:  # path halving; a root is the least vertex of its set
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u == v:
+            acyclic = False
+        elif u < v:
+            parent[v] = u
+        else:
+            parent[u] = v
+    connected = True
+    for v in range(1, graph.n + 1):  # vertex 0 is always a root
+        while parent[v] != v:
+            v = parent[v]
+        if v:
+            connected = False
+            break
     if connected != acyclic:
         raise RuntimeError(
             "tree test inconsistency: connectivity and acyclicity disagree "
@@ -277,7 +286,8 @@ def pair_plan(theta_f, theta_g):
     if len(_PLANS) >= PLAN_STORE_SIZE:
         clear_plans()
     graph = build_undirected(theta_f, theta_g)
-    shapes = arrow_shapes(graph.edges)
+    # Distinct shapes have distinct arrow tuples, so only the arrows are shared.
+    shapes = tuple([_intern(arrow) for arrow in arrow_shapes(graph.edges)])
     comps = []
     seen = set()
     for v in range(graph.n + 1):
@@ -299,7 +309,7 @@ def pair_plan(theta_f, theta_g):
             f"but the union-find tree test says tree={tree}"
         )
     multicycle = any(c.excess > 1 and c.vertices[0] != 0 for c in comps)
-    plan = _PLANS[key] = _intern(PairPlan(tree, tuple(comps), multicycle))
+    plan = _PLANS[key] = _intern(PairPlan(tree, tuple(comps), multicycle, shapes))
     return plan
 
 

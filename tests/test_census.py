@@ -124,6 +124,17 @@ def test_tree_mode_refuses_a_group_with_an_fpf_automorphism():
     assert brute_F(c3, 1, mode="fpf") == 6
 
 
+def test_fpf_mode_refusal_names_no_route_for_a_group_with_an_fpf_automorphism():
+    # C3^5 is over the fpf-mode budget, and the tree mode, tree_weighted_F
+    # and formula_F all assume no fpf automorphism: C3 has 6 fpf pairs,
+    # but formula_F(2, 1) is 4.
+    c3 = load_group("c3")
+    with pytest.raises(BudgetError, match="fixed-point-free automorphism") as err:
+        brute_F(c3, 5, mode="fpf")
+    for route in ("formula_F", "tree_weighted_F", "mode='tree'", "other routes"):
+        assert route not in str(err.value)
+
+
 def _end0_image_matrix(T, n, columns):
     """Images of the columns under every endomorphism, one row each in
     enumerate_end0 order, through the per-endomorphism image table.

@@ -98,6 +98,15 @@ def test_census_brute_tree_mode_refuses_an_fpf_automorphism(capsys):
     assert "mode='fpf'" in err
 
 
+def test_census_brute_fpf_refusal_names_no_closed_route_for_an_fpf_automorphism(capsys):
+    # Neither closed route counts C3, which has a fixed-point-free automorphism.
+    rc, out, err = run(capsys, "census", "brute", "--group", "c3", "--n", "5", "--mode", "fpf")
+    assert rc == 1
+    assert out == ""
+    assert "over the budget" in err and "c3 admits a fixed-point-free automorphism" in err
+    assert "formula_F" not in err and "tree_weighted_F" not in err
+
+
 @pytest.mark.parametrize("mode", ["tree", "fpf"])
 @pytest.mark.parametrize("n", ["0", "-1"])
 def test_census_brute_refuses_a_non_positive_power(capsys, mode, n):

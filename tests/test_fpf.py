@@ -22,7 +22,13 @@ from hopfgalois.fpf import (
     is_fpf_bruteforce,
     is_fpf_by_tree,
 )
-from hopfgalois.groups import BudgetError, load_group, lowest_fixed_points, power_identity
+from hopfgalois.groups import (
+    BudgetError,
+    load_group,
+    lowest_fixed_points,
+    power_coords,
+    power_identity,
+)
 from hopfgalois.pairgraphs import build_undirected, is_tree
 
 S3 = load_group("s3")
@@ -84,6 +90,26 @@ def test_scan_witness_is_the_least_non_identity_agreement(name, n, seed):
         assert (v.is_fpf, v.witness) == (least is None, least), (f, g)
         verdicts.add(v.is_fpf)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name,n", [("s3", 3), ("a5", 1)])
+def test_scan_of_a_pair_whose_rows_all_agree(name, n):
+    # No row differs, so every element agrees and the least non-identity
+    # one, index 1, is the witness.
+    T = load_group(name)
+    twisted = StructuredEndo(T, n, tuple(range(n, 0, -1)), (1,) * n)
+    for f in (identity_endo(T, n), trivial_endo(T, n), twisted):
+        assert is_fpf_bruteforce(f, f) == FpfVerdict(False, "bruteforce", power_coords(T, n, 1))
+
+
+def test_scan_over_the_trivial_group(tmp_path):
+    # T^n has only the identity, which never counts: every pair is fpf.
+    path = tmp_path / "c1.txt"
+    path.write_text("1\n0\n")
+    C1 = load_group(str(path))
+    endos = list(enumerate_end0(C1, 2))
+    for f, g in itertools.product(endos, endos):
+        assert is_fpf_bruteforce(f, g) == FpfVerdict(True, "bruteforce", None)
 
 
 def test_bruteforce_shares_no_code_with_the_routes_it_checks(monkeypatch):

@@ -58,6 +58,31 @@ def test_is_tree_small_cases():
     assert not is_tree(build_undirected((0, 0), (1, 1)))  # double edge
 
 
+def test_is_tree_equals_one_component_of_the_plan():
+    # The union-find test is independent of the plan store; over every
+    # rank-3 shape and seeded shapes of rank 4 to 7 the two agree.
+    shapes = [
+        (tf, tg)
+        for tf in itertools.product(range(4), repeat=3)
+        for tg in itertools.product(range(4), repeat=3)
+    ]
+    rng = random.Random(0x7EE)
+    for n in range(4, 8):
+        shapes += [
+            tuple(tuple(rng.randrange(n + 1) for _ in range(n)) for _ in range(2))
+            for _ in range(500)
+        ]
+    verdicts = set()
+    for tf, tg in shapes:
+        tree = is_tree(build_undirected(tf, tg))
+        assert tree == (len(pair_plan(tf, tg).components) == 1), (tf, tg)
+        verdicts.add(tree)
+    assert verdicts == {True, False}
+    # Three edges on three vertices: connected, but not acyclic.
+    with pytest.raises(RuntimeError, match="tree test inconsistency"):
+        is_tree(UndirectedPairGraph(2, ((0, 1), (1, 2), (2, 0))))
+
+
 def test_components_partition_vertices():
     g = build_undirected((1, 2, 0, 4), (2, 1, 0, 4))
     comps = components(g)
@@ -215,8 +240,9 @@ def test_pair_plans_are_kept_by_value(tmp_path):
         pair_plan(*(tuple(rng.randrange(5) for _ in range(4)) for _ in range(2)))
         assert len(pairgraphs._PLANS) <= PLAN_STORE_SIZE
     # per plan: itself, and per component its plan, vertices and three
-    # step tuples; steps (head, tail, kind, index) number 2·4·5² at rank 4
-    assert len(pairgraphs._PARTS) <= PLAN_STORE_SIZE * (1 + 5 * 5) + 2 * 4 * 5**2
+    # step tuples; steps (head, tail, kind, index) and arrows (kind,
+    # index, tail, head) number 2·4·5² each at rank 4
+    assert len(pairgraphs._PARTS) <= PLAN_STORE_SIZE * (1 + 5 * 5) + 2 * (2 * 4 * 5**2)
     clear_plans()
     assert not pairgraphs._PLANS and not pairgraphs._PARTS
     # A second S3, loaded from a table file, gets the same verdicts.
