@@ -41,6 +41,7 @@ __all__ = [
     "has_fpf_automorphism",
     "lowest_fixed_points",
     "power_group",
+    "power_base",
     "power_identity",
     "power_index",
     "power_coords",
@@ -619,7 +620,7 @@ def all_coords(T, n):
 
 def power_group(T, n):
     """The direct power T^n as a FiniteGroup (T itself when n = 1), built
-    once per n and kept on T."""
+    once per n and kept on T; the power keeps (T, n) for ``power_base``."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if n == 1:
@@ -628,9 +629,17 @@ def power_group(T, n):
     def build():
         cols = all_coords(T, n).T  # cols[i] holds coordinate i of every element
         mul = power_index(T, T.np_mul[cols[:, :, None], cols[:, None, :]])
-        return FiniteGroup(mul.tolist(), name=f"{T.name}^{n}")
+        G = FiniteGroup(mul.tolist(), name=f"{T.name}^{n}")
+        G.memo("power_of", lambda: (T, n))
+        return G
 
     return T.memo(("power", n), build)
+
+
+def power_base(N):
+    """(T, n) when N was built by ``power_group(T, n)``, else (N, 1); a read
+    that stores nothing on N."""
+    return N._memo.get("power_of", (N, 1))
 
 
 # ── Subgroup closure ────────────────────────────────────────────────────

@@ -25,6 +25,7 @@ The structure lemmas on direct powers T^n live in :mod:`.powerlemmas`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +40,7 @@ from .groups import (
     crossed_homomorphisms,
     enumerate_homomorphisms,
     find_isomorphism,
+    power_base,
     power_group,
     power_index,
     subgroup_closure,
@@ -216,22 +218,28 @@ def holomorph_of(N):
     return N.memo("holomorph", lambda: Holomorph(N))
 
 
-def _hol_order_floor(T, n=1):
-    """|N|·|Inn N| = (|T|·|T/Z(T)|)^n ≤ |Hol(N)| for N = T^n, read off T's
-    table: neither T^n nor an automorphism of it is built."""
+def _hol_order_floor(T, n):
+    """A lower bound on |Hol(T^n)| read off T: neither T^n nor an automorphism
+    of it is built.  For |T| > 1 and n ≥ 2 it is |T|^n·|Aut T|^n·n!, as
+    Aut(T) wr S_n acts faithfully on T^n (exact for S3^3); otherwise
+    |N|·|Inn N| = (|T|·|T/Z(T)|)^n."""
+    if T.order > 1 and n >= 2:
+        return (T.order * len(T.automorphisms())) ** n * math.factorial(n)
     center = T.memo("center_order", lambda: int((T.np_mul == T.np_mul.T).all(axis=0).sum()))
     return (T.order * (T.order // center)) ** n
 
 
-def _priced_holomorph(N, limit, refusal):
-    """Hol(N), or a BudgetError ending in ``refusal`` when it has more than
-    ``limit`` elements, raised on the lower bound before Aut(N) is searched."""
-    bound = _hol_order_floor(N)
+def _priced_holomorph(T, n, limit, refusal):
+    """Hol(T^n), or a BudgetError ending in ``refusal`` when it has more than
+    ``limit`` elements, raised on the floor before T^n is built or Aut(T^n)
+    searched, and on the exact order after."""
+    name = T.name if n == 1 else f"{T.name}^{n}"
+    bound = _hol_order_floor(T, n)
     if bound > limit:
-        raise BudgetError(f"|Hol({N.name})| >= {bound} {refusal}")
-    hol = holomorph_of(N)
+        raise BudgetError(f"|Hol({name})| >= {bound} {refusal}")
+    hol = holomorph_of(power_group(T, n))
     if hol.order > limit:
-        raise BudgetError(f"|Hol({N.name})| = {hol.order} {refusal}")
+        raise BudgetError(f"|Hol({name})| = {hol.order} {refusal}")
     return hol
 
 
@@ -259,11 +267,12 @@ def enumerate_regular_subgroups(N):
     precomposing an automorphism of N, which only reindexes sigma), so one
     representative per image is searched; the oracle test keeps this
     honest.  Every new subgroup has its closure checked once, both
-    regularity tests asserted, and its table asserted isomorphic to N, as
-    s ↦ (g(s), f(s)) is injective for bijective g; other types need the
-    oracle.
+    regularity tests asserted, and s ↦ (g(s), f(s)) asserted to carry N's
+    table onto the subgroup's (it is injective for bijective g); other
+    types need the oracle.  Hol(N) is priced from (T, n) when N is a
+    ``power_group``.
     """
-    hol = _priced_holomorph(N, HOL_BUDGET, f"exceeds the budget {HOL_BUDGET}")
+    hol = _priced_holomorph(*power_base(N), HOL_BUDGET, f"exceeds the budget {HOL_BUDGET}")
     auts_arr = N.aut_array()
 
     seen_images = set()
@@ -278,7 +287,8 @@ def enumerate_regular_subgroups(N):
         for g in crossed_homomorphisms(N, F):
             if len(set(g)) != N.order:
                 continue
-            flat = np.sort(np.asarray(g, dtype=np.int64) * hol.aut_count + f)
+            image = np.asarray(g, dtype=np.int64) * hol.aut_count + f  # s ↦ (g(s), f(s))
+            flat = np.sort(image)
             key = tuple(flat.tolist())
             if key in found:
                 continue
@@ -287,11 +297,11 @@ def enumerate_regular_subgroups(N):
                 raise RuntimeError(
                     f"a bijective crossed map must give a regular subgroup of Hol({N.name})"
                 )
-            sub = FiniteGroup(pos.tolist(), name=f"sub{N.order}-of-Hol({N.name})")
-            if find_isomorphism(sub, N) is None:
+            at = np.searchsorted(flat, image)  # position of each image in flat
+            if not (pos[at[:, None], at[None, :]] == at[N.np_mul]).all():
                 raise RuntimeError(
                     f"a regular subgroup of Hol({N.name}) from a bijective "
-                    f"crossed map is not isomorphic to {N.name}"
+                    f"crossed map is not isomorphic to {N.name} by s ↦ (g(s), f(s))"
                 )
             elems = tuple(map(hol.element_of_index, key))
             found[key] = RegularSubgroup(elems, classify_inn_out(hol, elems))
@@ -314,7 +324,7 @@ def regular_subgroups_oracle(N, iso_type=None, with_stats=False):
     """
     target = iso_type if iso_type is not None else N
     hol = _priced_holomorph(
-        N, ORACLE_HOL_LIMIT,
+        *power_base(N), ORACLE_HOL_LIMIT,
         f"is too large for the exhaustive subgroup walk (limit {ORACLE_HOL_LIMIT}); "
         f"for {N.name}'s own type use enumerate_regular_subgroups",
     )
@@ -361,15 +371,12 @@ def fpf_pair_to_subgroup(f, g, verdict=None):
     (g(s)·f(s)⁻¹, conjugation by f(s)).  The pair must be fixed point
     free; otherwise the map s ↦ element is not injective and a ValueError
     reports it.  The result is asserted to be a regular subgroup with
-    inner projection.  A lower bound on |Hol(T^n)| over HOL_BUDGET is
-    refused before T^n is built.
+    inner projection.  Hol(T^n) over HOL_BUDGET is refused, on its floor
+    before T^n is built.
     """
     T, n = f.group, f.n
-    bound = _hol_order_floor(T, n)
-    if bound > HOL_BUDGET:
-        raise BudgetError(f"|Hol({T.name}^{n})| >= {bound} exceeds the budget {HOL_BUDGET}")
-    N = power_group(T, n)
-    hol = holomorph_of(N)
+    hol = _priced_holomorph(T, n, HOL_BUDGET, f"exceeds the budget {HOL_BUDGET}")
+    N = hol.group
     if verdict is None:
         verdict = is_fpf_bruteforce(f, g)
     fv = power_index(T, image_coords_table(f).T)

@@ -61,8 +61,8 @@ MAX_G_PER_F = 4  # crossed maps g kept per searched f in the lemma suite
 
 class PowerContext:
     """Shared tables for G = T^n: the power table group, the invertible
-    structured endomorphisms in enumeration order, and their permutation
-    realizations on G."""
+    structured endomorphisms in enumeration order, and ``perms``, the
+    read-only (count, |G|) array whose row k is aut0 element k acting on G."""
 
     def __init__(self, T, n):
         self.T = T
@@ -70,7 +70,10 @@ class PowerContext:
         self.group = power_group(T, n)
         self.aut0 = tuple(enumerate_aut0(T, n))
         self._index = {(e.theta, e.phis): i for i, e in enumerate(self.aut0)}
-        self._perms = None
+        self.perms = np.array(
+            [power_index(T, image_coords_table(e).T) for e in self.aut0], dtype=np.int64
+        )
+        self.perms.setflags(write=False)
         self.identity_theta = tuple(range(1, n + 1))
 
     def aut0_index(self, theta, phis):
@@ -78,14 +81,6 @@ class PowerContext:
             return self._index[(theta, phis)]
         except KeyError:
             raise ValueError("endomorphism is not invertible over this power") from None
-
-    def aut0_perms(self):
-        """(count, |G|) array: row k is aut0 element k acting on G."""
-        if self._perms is None:
-            rows = [power_index(self.T, image_coords_table(e).T) for e in self.aut0]
-            self._perms = np.array(rows, dtype=np.int64)
-            self._perms.setflags(write=False)
-        return self._perms
 
     def is_inner_aut0(self, aut0_id):
         """Inner automorphisms of T^n are exactly identity-theta elements
@@ -120,7 +115,7 @@ class FGPair:
             raise ValueError("f and g tables must cover the whole group")
         if self.g_values[0] != 0:
             raise ValueError("crossed map must send the identity to the identity")
-        perms = ctx.aut0_perms()
+        perms = ctx.perms
         f = np.array(self.f_ids, dtype=np.int64)
         g = np.array(self.g_values, dtype=np.int64)
         mul = G.np_mul
@@ -157,10 +152,9 @@ class FGPair:
         )
 
     def fsn_image(self):
-        """The set of coordinate actions realized by f, closed under
-        composition (theta composes contravariantly, so the closure is
-        taken to be safe)."""
-        return _close_thetas(self.theta_of(s) for s in range(self.ctx.group.order))
+        """The set of coordinate actions realized by f: a subgroup, as f is
+        a homomorphism."""
+        return {self.theta_of(s) for s in range(self.ctx.group.order)}
 
     def g_is_bijective(self):
         return len(set(self.g_values)) == self.ctx.group.order
@@ -209,31 +203,24 @@ class OrbitDecomposition:
     orbit_ranks: tuple
     transporters_commute: bool | None
 
-    def __post_init__(self):
-        covered = set(self.fixed)
-        for orbit in self.orbits:
-            covered.update(orbit)
-        if covered != set(range(1, self.n + 1)):
-            raise ValueError("fixed set and orbits do not partition 1..n")
-        for orbit, mk in zip(self.orbits, self.orbit_ranks):
-            if len(orbit) != self.p**mk:
-                raise ValueError(
-                    f"orbit size {len(orbit)} is not p^{mk} for p = {self.p}"
-                )
-
     @property
     def r(self):
         return len(self.orbits)
 
 
-def _close_thetas(thetas):
-    """The closure of a set of 1-based permutation tuples under composition."""
-    group = set(thetas)
-    while True:
-        fresh = {tuple(t1[x - 1] for x in t2) for t1 in group for t2 in group} - group
-        if not fresh:
-            return group
-        group |= fresh
+def _p_exponent(size, p, what):
+    """k with p^k = size; a ValueError names ``what`` otherwise."""
+    k = 0
+    while p**k < size:
+        k += 1
+    if p**k != size:
+        raise ValueError(f"{what} has size {size}, not a power of {p}")
+    return k
+
+
+def _order_p_elements(T, p):
+    """The elements of T of order p, ascending."""
+    return [x for x, k in enumerate(T.element_orders()) if k == p]
 
 
 def orbit_decompose_from_thetas(labelled_thetas, n, p, prefer=None):
@@ -253,73 +240,41 @@ def orbit_decompose_from_thetas(labelled_thetas, n, p, prefer=None):
             raise ValueError(f"theta {theta} is not a permutation of 1..{n}")
         realized.setdefault(theta, []).append(label)
 
-    group = _close_thetas(realized)
-    size = len(group)
-    m = 0
-    while p**m < size:
-        m += 1
-    if p**m != size:
-        raise ValueError(f"realized action has size {size}, not a power of {p}")
+    group = set(realized)  # closed below into the group it generates
+    while fresh := {tuple(a[x - 1] for x in b) for a in group for b in group} - group:
+        group |= fresh
+    m = _p_exponent(len(group), p, "realized action")
+    # group is closed, so the image set of one point is its orbit; disjoint
+    # orbits sort by their least members
+    cells = sorted({tuple(sorted({t[i - 1] for t in group})) for i in range(1, n + 1)})
+    orbits = tuple(c for c in cells if len(c) > 1)
 
-    seen = set()
-    fixed, orbits = [], []
-    for i in range(1, n + 1):
-        if i in seen:
-            continue
-        orbit = {theta[i - 1] for theta in group}
-        if orbit == {i}:
-            fixed.append(i)
-            seen.add(i)
-            continue
-        # group is closed, so the image set of one point is its orbit
-        orbits.append(tuple(sorted(orbit)))
-        seen |= orbit
-    orbits.sort(key=min)
-
+    ordered = [(theta, label) for theta, labels in sorted(realized.items()) for label in labels]
     transporters = []
     all_preferred = True
     for orbit in orbits:
-        rep = min(orbit)
+        rep = orbit[0]
         for i in orbit:
-            candidates = [
-                label
-                for theta, labels in sorted(realized.items())
-                if theta[rep - 1] == i
-                for label in labels
-            ]
+            candidates = [label for theta, label in ordered if theta[rep - 1] == i]
             if not candidates:
                 raise ValueError(
                     f"no realized permutation carries {rep} to {i}; "
                     "the labelled thetas are not closed"
                 )
-            chosen = None
-            if prefer is not None:
-                for label in candidates:
-                    if prefer(label):
-                        chosen = label
-                        break
+            chosen = next((c for c in candidates if prefer is None or prefer(c)), None)
             if chosen is None:
-                chosen = candidates[0]
-                if prefer is not None:
-                    all_preferred = False
+                chosen, all_preferred = candidates[0], False
             transporters.append((i, chosen))
-
-    ranks = []
-    for orbit in orbits:
-        mk = 0
-        while p**mk < len(orbit):
-            mk += 1
-        ranks.append(mk)
 
     return OrbitDecomposition(
         p=p,
         n=n,
-        fixed=tuple(fixed),
-        orbits=tuple(orbits),
-        reps=tuple(min(o) for o in orbits),
+        fixed=tuple(c[0] for c in cells if len(c) == 1),
+        orbits=orbits,
+        reps=tuple(o[0] for o in orbits),
         transporters=tuple(transporters),
         m=m,
-        orbit_ranks=tuple(ranks),
+        orbit_ranks=tuple(_p_exponent(len(o), p, "orbit") for o in orbits),
         transporters_commute=(all_preferred if prefer is not None else None),
     )
 
@@ -340,7 +295,7 @@ def orbit_decompose(pair, p, variant=0):
         raise ValueError(f"p = {p} is not prime")
     if T.order % p != 0:
         raise ValueError(f"p = {p} does not divide |{T.name}| = {T.order}")
-    elems = [x for x in range(T.order) if T.element_order(x) == p]
+    elems = _order_p_elements(T, p)
     if variant >= len(elems):
         raise ValueError(f"only {len(elems)} elements of order {p}, variant {variant} unavailable")
     cyclic = subgroup_closure(T, [elems[variant]])
@@ -367,11 +322,9 @@ class RankReport:
 
 
 def check_rank_bounds(decomp):
-    """The two numeric relations tying the total rank to the orbit ranks.
-
-    Orbit sizes being p-powers is already enforced at construction; this
-    verifies the partition count and the rank inequality.
-    """
+    """The two numeric relations tying the total rank to the orbit ranks:
+    the partition count and the rank inequality (orbit sizes are p-powers
+    by construction)."""
     total = sum(decomp.p**mk for mk in decomp.orbit_ranks)
     return RankReport(
         partition_ok=(decomp.n - len(decomp.fixed) == total),
@@ -442,20 +395,14 @@ def g_bound_report(pair, decomp):
     With inner kernel images that bound must also sit under the coarse
     bound |T|^(#X_0 + 2r).
 
-    Raises when a transporter fails to commute with the kernel: the
-    containment argument is unavailable then.
+    The row is skipped unless the decomposition found commuting
+    transporters: the containment argument is unavailable then.
     """
-    ctx = pair.ctx
-    T, G = ctx.T, ctx.group
+    if not decomp.transporters_commute:
+        return CheckResult("g-image bound", "skipped", "no commuting transporters found")
+    T = pair.ctx.T
     kernel = pair.kernel_fsn()
     trans = dict(decomp.transporters)
-    for s in trans.values():
-        for t in kernel:
-            if G.mul[s][t] != G.mul[t][s]:
-                raise ValueError(
-                    f"transporter {s} does not commute with kernel element "
-                    f"{t}; the image bound does not apply"
-                )
     kernel_inner = f_kernel_inner(pair)
     containment_ok = True
     for tau in kernel:
@@ -603,7 +550,7 @@ def _suite_pairs(ctx):
     conjugation f."""
     T, n, G = ctx.T, ctx.n, ctx.group
     pairs = [("rho", rho_pair(ctx)), ("lambda", lambda_pair(ctx))]
-    perms = ctx.aut0_perms()
+    perms = ctx.perms
 
     def searched(name, f_ids):
         f_arr = np.array(f_ids, dtype=np.int64)
@@ -656,9 +603,8 @@ def run_power_lemma_suite(T, n=2):
     ctx = PowerContext(T, n)
     G = ctx.group
     results = []
-    primes = sorted(
-        {p for p in range(2, T.order + 1) if T.order % p == 0 and _is_prime(p)}
-    )
+    # by Cauchy's theorem these are the primes dividing |T|
+    primes = sorted({k for k in T.element_orders() if _is_prime(k)})
     for name, pair in _suite_pairs(ctx):
         kernel = set(pair.kernel_fsn())
         qualifying = 0
@@ -678,8 +624,7 @@ def run_power_lemma_suite(T, n=2):
             )
         ]
         for p in primes:
-            order_p = [x for x in range(T.order) if T.element_order(x) == p]
-            for variant in range(min(2, len(order_p))):
+            for variant in range(min(2, len(_order_p_elements(T, p)))):
                 decomp = orbit_decompose(pair, p, variant)
                 ranks = CheckResult(
                     "orbit ranks",
@@ -687,12 +632,7 @@ def run_power_lemma_suite(T, n=2):
                     f"m={decomp.m} fixed={len(decomp.fixed)} "
                     f"orbit-ranks={list(decomp.orbit_ranks)}",
                 )
-                if decomp.transporters_commute:
-                    bound = g_bound_report(pair, decomp)
-                else:
-                    bound = CheckResult(
-                        "g-image bound", "skipped", "no commuting transporters found"
-                    )
+                bound = g_bound_report(pair, decomp)
                 rows += [
                     replace(row, name=f"{row.name} p={p} choice {variant}")
                     for row in (ranks, bound, audit_prime_bound(pair, decomp))

@@ -170,3 +170,17 @@ def test_parse_pair_file():
 def test_pair_file_errors(mutation, complaint):
     with pytest.raises(PairFileError, match=complaint):
         parse_pair_file(mutation, S3)
+
+
+@pytest.mark.parametrize(
+    "mutation,complaint",
+    [
+        ("n=0\ntheta_f=0\nphi_f=-\ntheta_g=1\nphi_g=0", "n must be at least 1"),
+        ("n=2\ntheta_f=0,x\nphi_f=-,0\ntheta_g=1,2\nphi_g=0,2", "theta_f contains a non-integer entry"),
+        ("n=2\ntheta_f=0,1\nphi_f=-\ntheta_g=1,2\nphi_g=0,2", "phi_f must have 2 entries, found 1"),
+        ("n=2\ntheta_f=0,1\nphi_f=-,x\ntheta_g=1,2\nphi_g=0,2", r'phi_f\[1\] is neither an id nor "-"'),
+    ],
+)
+def test_pair_file_entry_errors(mutation, complaint):
+    with pytest.raises(PairFileError, match=complaint):
+        parse_pair_file(mutation, S3)

@@ -67,6 +67,11 @@ def test_rejects_bad_identity():
         FiniteGroup([[1, 0], [0, 1]])
 
 
+def test_rejects_bad_identity_column():
+    with pytest.raises(GroupValidationError, match=r"identity violated: mul\[1\]\[0\] = 0, expected 1"):
+        FiniteGroup([[0, 1], [0, 1]])
+
+
 def test_rejects_closure_violation():
     with pytest.raises(GroupValidationError, match="closure"):
         FiniteGroup([[0, 1], [1, 7]])
@@ -120,6 +125,23 @@ def test_file_rejects_corrupt_table(tmp_path):
         load_group(str(path))
     path.write_text("3\n0 1 2\n1 2 0\n")
     with pytest.raises(GroupValidationError, match="expected 3 table rows"):
+        load_group(str(path))
+
+
+@pytest.mark.parametrize(
+    "body,complaint",
+    [
+        ("\n  \n", "empty file"),
+        ("three\n0\n", "line 1 must be the group order"),
+        ("0\n", "order must be positive, got 0"),
+        ("2\n0 1\n1\n", "row 1 has 1 entries, expected 2"),
+        ("2\n0 1\n1 x\n", "row 1 contains a non-integer"),
+    ],
+)
+def test_file_parser_names_the_malformed_line(tmp_path, body, complaint):
+    path = tmp_path / "bad.tbl"
+    path.write_text(body)
+    with pytest.raises(GroupValidationError, match=complaint):
         load_group(str(path))
 
 

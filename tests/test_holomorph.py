@@ -1,6 +1,7 @@
 """Holomorphs, regular subgroups, pair parametrization, and the
 structure lemmas over direct powers."""
 
+import hashlib
 import json
 import random
 import re
@@ -378,9 +379,9 @@ def test_oracle_refuses_a_large_holomorph_before_searching_aut():
 
 
 def test_enumeration_refuses_on_the_holomorph_bound_before_searching_aut():
-    # |Hol(S4^2)| >= 576 · 576, since S4^2 has trivial center.
+    # |Hol(S4^2)| >= 24^2 · 24^2 · 2!, as Aut(S4) wr S_2 acts faithfully on S4^2.
     N = power_group(FiniteGroup(load_group("s4").mul, name="s4"), 2)
-    with pytest.raises(BudgetError, match=r"\|Hol\(s4\^2\)\| >= 331776 exceeds the budget"):
+    with pytest.raises(BudgetError, match=r"\|Hol\(s4\^2\)\| >= 663552 exceeds the budget"):
         enumerate_regular_subgroups(N)
     assert "auts" not in N._memo
 
@@ -429,14 +430,51 @@ def test_non_fpf_refusal_leaves_the_aut_table_unbuilt():
 
 
 def test_a5_square_pair_is_refused_before_the_power_is_built():
-    # (60 · 60)^2 bounds |Hol(A5^2)| from below; building A5^2 alone takes
-    # seconds, and its automorphisms would be searched next.
+    # 60^2 · 120^2 · 2! bounds |Hol(A5^2)| from below; building A5^2 alone
+    # takes seconds, and its automorphisms would be searched next.
     T = FiniteGroup(load_group("a5").mul, name="a5")
     start = time.perf_counter()
-    with pytest.raises(BudgetError, match=r"\|Hol\(a5\^2\)\| >= 12960000 exceeds the budget"):
+    with pytest.raises(BudgetError, match=r"\|Hol\(a5\^2\)\| >= 103680000 exceeds the budget"):
         fpf_pair_to_subgroup(identity_endo(T, 2), trivial_endo(T, 2))
     assert time.perf_counter() - start < 1
     assert ("power", 2) not in T._memo
+
+
+def test_s3_cube_is_refused_on_both_routes_before_searching_aut():
+    # 6^3 · 6^3 · 3! = 279936 = |Hol(S3^3)| exceeds the budget; the old
+    # floor (6 · 6)^3 = 46656 let both calls search Aut(S3^3) first.
+    T = FiniteGroup(S3.mul, name="s3")  # fresh, so nothing is kept on it yet
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match=r"\|Hol\(s3\^3\)\| >= 279936 exceeds the budget"):
+        enumerate_regular_subgroups(power_group(T, 3))
+    with pytest.raises(BudgetError, match=r"\|Hol\(s3\^3\)\| >= 279936 exceeds the budget"):
+        fpf_pair_to_subgroup(identity_endo(T, 3), trivial_endo(T, 3))
+    assert time.perf_counter() - start < 1
+    assert "auts" not in power_group(T, 3)._memo
+
+
+def test_oracle_refuses_on_the_exact_order_past_the_floor():
+    # a file-loaded group carries no (T, n): the floor |N|·|Inn N| is 64
+    c2cube = load_group(GOLDEN.parent / "c2cube.txt")
+    with pytest.raises(BudgetError, match=r"\|Hol\(c2cube\)\| = 1344 is too large"):
+        regular_subgroups_oracle(c2cube)
+
+
+def test_enumeration_rejects_a_bijective_crossed_map_that_is_not_a_homomorphism(monkeypatch):
+    # For the trivial f of c6 the identity map with 1 and 2 swapped is
+    # bijective and its set is rho(c6), a regular subgroup isomorphic to
+    # c6, but s -> (g(s), f(s)) does not carry c6's table onto it.
+    C6 = FiniteGroup(load_group("c6").mul, name="c6")
+
+    def patched(N, F):
+        if (F == np.arange(N.order)).all():
+            yield (0, 2, 1, 3, 4, 5)
+        else:
+            yield from crossed_homomorphisms(N, F)
+
+    monkeypatch.setattr("hopfgalois.holomorph.crossed_homomorphisms", patched)
+    with pytest.raises(RuntimeError, match="not isomorphic to c6"):
+        enumerate_regular_subgroups(C6)
 
 
 def test_pair_to_subgroup_over_a_power():
@@ -686,3 +724,24 @@ def test_power_lemma_suite_is_clean():
     assert counts["pass"] == 262
     assert counts["skipped"] == 46
     assert len(results) == 308
+
+
+def test_c2_square_suite_runs_the_containment_loop():
+    # Over C2^2 the swapping pairs give one-orbit decompositions with
+    # commuting transporters, so the g-image bound reconstructs kernel
+    # values through them (bound 2 = |T|·|Inn T|), which S3^2 never does.
+    # The digest was recorded before the suite was rewritten.
+    results = run_power_lemma_suite(load_group("c2"), n=2)
+    counts = {"pass": 0, "fail": 0, "skipped": 0}
+    for r in results:
+        counts[r.status] += 1
+    assert counts == {"pass": 88, "fail": 0, "skipped": 22}
+    one_orbit = [
+        r for r in results
+        if "g-image bound" in r.name and re.fullmatch(r"image \d <= 2 <= 4, inner kernel: True", r.detail)
+    ]
+    assert len(one_orbit) == 12 and all(r.status == "pass" for r in one_orbit)
+    text = "\n".join(f"{r.name}\t{r.status}\t{r.detail}" for r in results)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1ee88892737f468a61aaed28a97129ec6ba99c8bf307939345d14fdbb2b33497"
+    )
