@@ -203,9 +203,10 @@ class FiniteGroup:
 
         ``greedy`` repeatedly appends the lowest-index element outside the
         closure under products of 0 and the elements so far (for a group,
-        the subgroup they generate).  ``short`` first tries single elements,
-        then pairs, and only then falls back to greedy; it tends to give the
-        smallest search trees for backtracking.
+        the subgroup they generate).  ``short`` takes the lowest-index
+        element of order |G| when there is one, then the first generating
+        pair, and only then falls back to greedy; it gives the shallowest
+        search trees for backtracking.
         """
         if strategy not in ("greedy", "short"):
             raise ValueError(f"unknown strategy {strategy!r}")
@@ -215,12 +216,12 @@ class FiniteGroup:
         if self.order == 1:
             return ()
         if strategy == "short":
-            for x in range(1, self.order):
-                if len(subgroup_closure(self, [x])) == self.order:
-                    return (x,)
-            for x, y in itertools.combinations(range(1, self.order), 2):
-                if len(subgroup_closure(self, [x, y])) == self.order:
-                    return (x, y)
+            orders = self.element_orders()
+            if self.order in orders:
+                return (orders.index(self.order),)
+            for pair in itertools.combinations(range(1, self.order), 2):
+                if self._generates(pair):
+                    return pair
             return self.generating_sequence("greedy")
         # Assumes no axiom beyond the identity at 0, so validation can use
         # it; the closure grows from the newest elements only.
@@ -236,14 +237,29 @@ class FiniteGroup:
                 new = np.flatnonzero(reached & ~have)
         return tuple(gens)
 
+    def _generates(self, gens):
+        """Whether ``gens`` generate the group: the words in them reach every
+        element (in a finite group the inverses are positive powers)."""
+        mul, seen, work = self.mul, {0}, [0]
+        for x in work:
+            for g in gens:
+                y = mul[x][g]
+                if y not in seen:
+                    seen.add(y)
+                    work.append(y)
+        return len(seen) == self.order
+
     def _word_levels(self, gens):
         """Closure bookkeeping for generator-image backtracking, no product
         table.  Level k covers the subgroup generated by ``gens[:k+1]`` (an
-        irredundant sequence): its elements, the spanning steps (new, parent,
-        gen) with new = parent·gen that extend a map to the new elements, and
-        the closing triples (x, gen, x·gen) whose product was already known.
-        Each pair of an element x ≠ 1 and a generator is a step or a closing
-        triple at exactly one level."""
+        irredundant sequence) and is (elems, gen, waves, closing): its
+        elements, gens[k], the spanning steps new = parent·g that extend a
+        map to the new elements, and the closing triples (x, g, x·g) whose
+        product was already known.  The steps come in waves by word depth,
+        so every parent in a wave is known before the wave; a wave is
+        (new, [parents, gens]) and the closing triples are the index rows
+        [x·g, x, g].  Each pair of an element x ≠ 1 and a generator is a
+        step or a closing triple at exactly one level."""
         return self.memo(("levels", gens), lambda: self._build_levels(gens))
 
     def _build_levels(self, gens):
@@ -252,17 +268,25 @@ class FiniteGroup:
             start = len(elems)  # pairs of these with gens[:k] closed at earlier levels
             known.add(gen)
             elems.append(gen)
-            steps, closing = [], []
+            depth = dict.fromkeys(elems, 0)
+            steps, closing, ends = [], [], []
             for i, x in enumerate(elems):  # runs over the elements appended below too
                 for g in gens[k : k + 1] if i < start else gens[: k + 1]:
                     y = self.mul[x][g]
                     if y not in known:
                         known.add(y)
                         elems.append(y)
+                        depth[y] = depth[x] + 1
+                        if depth[y] > len(ends):  # found breadth first: depths never fall
+                            ends.append(len(steps))
                         steps.append((y, x, g))
                     elif x:
-                        closing.append((x, g, y))
-            levels.append((tuple(elems), tuple(steps), tuple(closing)))
+                        closing.append((y, x, g))
+            ends.append(len(steps))
+            cols = _read_only(np.array(steps + closing, dtype=np.intp).reshape(-1, 3).T.copy())
+            waves = tuple((cols[0, a:b], cols[1:, a:b]) for a, b in zip(ends, ends[1:]))
+            elem_ids = _read_only(np.array(elems, dtype=np.intp))
+            levels.append((elem_ids, gen, waves, cols[:, len(steps):]))
         return levels
 
     # -- automorphisms -------------------------------------------------------
@@ -437,55 +461,89 @@ def _parse_cayley_file(path):
 # ── Homomorphism search ─────────────────────────────────────────────────
 
 
+_FIRST_BLOCK_ROWS = 32  # maps in a search's first block (at least one parent)
+_BLOCK_ROWS = 256  # maps a block grows to (more only when one parent has more candidates)
+
+
 def _backtrack_images(src, dst, gens, candidates, action=None, injective=False):
     """Yield every map c: src → dst with c(st) = c(s)·a_s(c(t)), as a full
     image tuple.
 
     ``action`` is an (|src|, |dst|) array whose row s is the permutation
     a_s of dst, with s ↦ a_s a homomorphism into Aut(dst); None stands for
-    the trivial action, whose maps are the homomorphisms.  Backtracks over
-    the images of ``gens``, taken from ``candidates[k]`` for gens[k],
-    extends each along the spanning steps of its word level and checks it
-    only on the level's closing triples.  That is exact: given c(x·g) =
-    c(x)·a_x(c(g)) for every x and generator g, induction on the word
-    length of t gives the law for every pair s, t.  ``injective`` prunes
-    assignments that repeat an image.
+    the trivial action, whose maps are the homomorphisms.  The image of
+    gens[k] is taken from ``candidates[k]``.
+
+    The search runs on blocks of partial maps, held as the int32 columns
+    of an (|src|, block) array.  At level k a block repeats each of its
+    parent maps (fixed on the subgroup generated by gens[:k]) once per
+    candidate for gens[k], fills the level's new elements one wave of
+    ``FiniteGroup._word_levels`` at a time, each wave one gather from
+    dst's table, and keeps the maps that satisfy every closing triple of
+    the level, compared in one array operation.  That is exact: given
+    c(x·g) = c(x)·a_x(c(g)) for every x and generator g, induction on the
+    word length of t gives the law for every pair s, t.  ``injective``
+    drops the maps that repeat an image on the level's elements, found
+    with one mark array per block.
+
+    The survivors of a block are searched to the last level before the
+    next block is built.  A block takes as many parents as fit in its
+    size in maps, and at least one; the size starts at
+    ``_FIRST_BLOCK_ROWS`` and doubles per block until the search first
+    reaches the last level, and is ``_BLOCK_ROWS`` from then on, so the
+    first map costs one small block per level.  Maps come out in the
+    depth-first order of the candidate lists: lexicographic in the
+    positions of c(gens[0]) in candidates[0], c(gens[1]) in
+    candidates[1], and so on.  ``find_isomorphism`` returns the first
+    map, and callers that keep a prefix rely on the order.
     """
-    img = [0] * src.order
+    if not gens:
+        yield (0,) * src.order
+        return
     levels = src._word_levels(gens)
-    dmul = dst.mul
-    act = None if action is None else np.asarray(action).tolist()
+    dmul = dst.np_mul
+    act = None if action is None else np.asarray(action)
+    cands = [np.asarray(c, dtype=np.int32) for c in candidates]
+    block_rows = _FIRST_BLOCK_ROWS
 
-    def extend(k):
-        if k == len(gens):
-            yield tuple(img)
-            return
-        elems, steps, closing = levels[k]
-        for y in candidates[k]:
-            img[gens[k]] = y
-            ok = True
-            if act is None:
-                for new, x, g in steps:
-                    img[new] = dmul[img[x]][img[g]]
-                for x, g, xg in closing:
-                    if img[xg] != dmul[img[x]][img[g]]:
-                        ok = False
-                        break
+    def product(cx, cg, xs):  # c(x)·a_x(c(g)) for each (x, g) and each map
+        return dmul[cx, cg if act is None else act[xs[:, None], cg]]
+
+    def children(k, parents):
+        elems, gen, waves, closing = levels[k]
+        maps = np.repeat(parents, len(cands[k]), axis=1)
+        maps.reshape(src.order, parents.shape[1], len(cands[k]))[gen] = cands[k]
+        for new, pairs in waves:
+            maps[new] = product(*maps[pairs], pairs[0])
+        cxg, cx, cg = maps[closing]
+        maps = maps[:, (cxg == product(cx, cg, closing[1])).all(axis=0)]
+        if injective and maps.shape[1]:
+            marks = np.zeros((maps.shape[1], dst.order), dtype=bool)
+            marks[np.arange(maps.shape[1]), maps[elems]] = True
+            maps = maps[:, marks.sum(axis=1) == len(elems)]
+        return maps
+
+    def descend(k, parents):
+        nonlocal block_rows
+        start, c = 0, max(1, len(cands[k]))
+        while start < parents.shape[1]:
+            stop = start + max(1, block_rows // c)
+            maps = children(k, parents[:, start:stop])
+            start = stop
+            if k + 1 == len(gens):
+                block_rows = _BLOCK_ROWS
+                yield from map(tuple, maps.T.tolist())
             else:
-                for new, x, g in steps:
-                    img[new] = dmul[img[x]][act[x][img[g]]]
-                for x, g, xg in closing:
-                    if img[xg] != dmul[img[x]][act[x][img[g]]]:
-                        ok = False
-                        break
-            if ok and (not injective or len({img[e] for e in elems}) == len(elems)):
-                yield from extend(k + 1)
+                block_rows = min(2 * block_rows, _BLOCK_ROWS)
+                if maps.shape[1]:
+                    yield from descend(k + 1, maps)
 
-    yield from extend(0)
+    yield from descend(0, np.zeros((src.order, 1), dtype=np.int32))
 
 
-def enumerate_homomorphisms(src, dst, bijective=False, gens_strategy="greedy"):
-    """Yield all homomorphisms src → dst as full image tuples.
+def enumerate_homomorphisms(src, dst, bijective=False):
+    """Yield all homomorphisms src → dst as full image tuples, searched on
+    the ``short`` generators of src in the backtracker's order.
 
     Each generator of ``src`` may only go to an element whose order
     divides its own (equals it, with ``bijective=True``, which yields only
@@ -493,7 +551,7 @@ def enumerate_homomorphisms(src, dst, bijective=False, gens_strategy="greedy"):
     """
     if bijective and src.order != dst.order:
         return
-    gens = src.generating_sequence(gens_strategy)
+    gens = src.generating_sequence("short")
     src_orders = src.element_orders()
     dst_orders = dst.element_orders()
     candidates = []
@@ -527,7 +585,7 @@ def crossed_homomorphisms(N, f_perm_rows):
             raise ValueError(f"f({g}) is not an automorphism of {N.name}")
         if (F[mul[:, g]] != F[:, a]).any():
             raise ValueError(f"f is not a homomorphism: f(x·{g}) != f(x)∘f({g}) for some x")
-    return _backtrack_images(N, N, gens, [range(N.order)] * len(gens), action=F)
+    return _backtrack_images(N, N, gens, [np.arange(N.order)] * len(gens), action=F)
 
 
 def automorphism_table_group(N):
@@ -551,7 +609,7 @@ def find_isomorphism(src, dst):
         return None
     if sorted(src.element_orders()) != sorted(dst.element_orders()):
         return None
-    return next(enumerate_homomorphisms(src, dst, bijective=True, gens_strategy="short"), None)
+    return next(enumerate_homomorphisms(src, dst, bijective=True), None)
 
 
 # ── Fixed-point-freeness of automorphisms ───────────────────────────────

@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .endomorphisms import enumerate_aut0, image_coords_table
 from .groups import (
     _is_prime,
+    all_coords,
     automorphism_table_group,
     crossed_homomorphisms,
     invert_perm,
@@ -129,21 +131,26 @@ class FGPair:
         if not (g[mul] == rhs_g).all():
             raise ValueError("g does not satisfy the crossed-homomorphism law")
 
-    # -- notation shortcuts ---------------------------------------------
+    # -- notation shortcuts, decoded once per pair ------------------------
 
     def theta_of(self, s):
         return self.ctx.aut0[self.f_ids[s]].theta
 
-    def phi_of(self, s, i):
-        """T-automorphism images feeding output coordinate i (1-based) of
-        f(s); None on collapsed coordinates never occurs here."""
-        e = self.ctx.aut0[self.f_ids[s]]
-        return self.ctx.T.automorphisms()[e.phis[i - 1]]
+    @cached_property
+    def g_coords(self):
+        """g(s) as a coordinate tuple, for every s."""
+        rows = all_coords(self.ctx.T, self.ctx.n)[list(self.g_values)]
+        return tuple(map(tuple, rows.tolist()))
 
-    def a_of(self, s):
-        """g(s) as a coordinate tuple."""
-        return power_coords(self.ctx.T, self.ctx.n, self.g_values[s])
+    @cached_property
+    def phi_images(self):
+        """Per s, the T-automorphism image tuples feeding the output
+        coordinates of f(s), in coordinate order (f(s) is invertible, so
+        no coordinate is collapsed)."""
+        auts, aut0 = self.ctx.T.automorphisms(), self.ctx.aut0
+        return tuple(tuple(auts[p] for p in aut0[f].phis) for f in self.f_ids)
 
+    @cached_property
     def kernel_fsn(self):
         """Elements whose wreath part has identity coordinate action."""
         ident = self.ctx.identity_theta
@@ -300,7 +307,7 @@ def orbit_decompose(pair, p, variant=0):
         raise ValueError(f"only {len(elems)} elements of order {p}, variant {variant} unavailable")
     cyclic = subgroup_closure(T, [elems[variant]])
     members = [power_index(T, c) for c in itertools.product(cyclic, repeat=n)]
-    kernel = pair.kernel_fsn()
+    kernel = pair.kernel_fsn
 
     def commutes_with_kernel(s):
         return all(G.mul[s][t] == G.mul[t][s] for t in kernel)
@@ -366,12 +373,11 @@ def check_relations_lemma(pair, sigma, tau):
             "kernel of the coordinate action"
         )
     theta_s = pair.theta_of(sigma)
-    a_s, a_t = pair.a_of(sigma), pair.a_of(tau)
-    for i in range(1, n + 1):
-        phi_s = pair.phi_of(sigma, i)
-        phi_t = pair.phi_of(tau, i)
-        lhs = phi_s[a_t[theta_s[i - 1] - 1]]
-        rhs = T.mul[T.mul[T.inv[a_s[i - 1]]][a_t[i - 1]]][phi_t[a_s[i - 1]]]
+    a_s, a_t = pair.g_coords[sigma], pair.g_coords[tau]
+    phis_s, phis_t = pair.phi_images[sigma], pair.phi_images[tau]
+    for i in range(n):
+        lhs = phis_s[i][a_t[theta_s[i] - 1]]
+        rhs = T.mul[T.mul[T.inv[a_s[i]]][a_t[i]]][phis_t[i][a_s[i]]]
         if lhs != rhs:
             return False
     return True
@@ -380,7 +386,7 @@ def check_relations_lemma(pair, sigma, tau):
 def f_kernel_inner(pair):
     """Whether f sends the whole coordinate-action kernel into inner
     automorphisms of the power (identity action, all conjugation parts)."""
-    return all(pair.ctx.is_inner_aut0(pair.f_ids[t]) for t in pair.kernel_fsn())
+    return all(pair.ctx.is_inner_aut0(pair.f_ids[t]) for t in pair.kernel_fsn)
 
 
 def g_bound_report(pair, decomp):
@@ -401,22 +407,22 @@ def g_bound_report(pair, decomp):
     if not decomp.transporters_commute:
         return CheckResult("g-image bound", "skipped", "no commuting transporters found")
     T = pair.ctx.T
-    kernel = pair.kernel_fsn()
+    kernel = pair.kernel_fsn
     trans = dict(decomp.transporters)
     kernel_inner = f_kernel_inner(pair)
     containment_ok = True
     for tau in kernel:
-        a_tau = pair.a_of(tau)
+        a_tau = pair.g_coords[tau]
         for orbit, rep in zip(decomp.orbits, decomp.reps):
-            phi_tau_rep = pair.phi_of(tau, rep)
+            phi_tau_rep = pair.phi_images[tau][rep - 1]
             for i in orbit:
                 s = trans[i]
-                a_s = pair.a_of(s)
+                a_s = pair.g_coords[s]
                 anchor = a_s[rep - 1]
                 inner_val = T.mul[
                     T.mul[T.inv[anchor]][a_tau[rep - 1]]
                 ][phi_tau_rep[anchor]]
-                recon = invert_perm(pair.phi_of(s, rep))[inner_val]
+                recon = invert_perm(pair.phi_images[s][rep - 1])[inner_val]
                 if recon != a_tau[i - 1]:
                     containment_ok = False
     x0, r = len(decomp.fixed), decomp.r
@@ -452,7 +458,7 @@ def audit_prime_bound(pair, decomp):
     """
     T, p = pair.ctx.T, decomp.p
     x0, r = len(decomp.fixed), decomp.r
-    image_size = len({pair.g_values[t] for t in pair.kernel_fsn()})
+    image_size = len({pair.g_values[t] for t in pair.kernel_fsn})
     nontrivial = decomp.m >= 1
     derived = sum(p**mk - 2 for mk in decomp.orbit_ranks) <= sum(decomp.orbit_ranks)
     hypotheses = (
@@ -514,7 +520,7 @@ def check_out_prop1(pair):
     ctx = pair.ctx
     T, G = ctx.T, ctx.group
     out_solvable = out_is_solvable(T)
-    kernel = pair.kernel_fsn()
+    kernel = pair.kernel_fsn
     perfect = commutator_closure(G, kernel) == tuple(sorted(kernel))
     if not out_solvable or not perfect:
         missing = []
@@ -606,7 +612,7 @@ def run_power_lemma_suite(T, n=2):
     # by Cauchy's theorem these are the primes dividing |T|
     primes = sorted({k for k in T.element_orders() if _is_prime(k)})
     for name, pair in _suite_pairs(ctx):
-        kernel = set(pair.kernel_fsn())
+        kernel = set(pair.kernel_fsn)
         qualifying = 0
         failures = 0
         for sigma in range(G.order):

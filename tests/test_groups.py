@@ -1,5 +1,6 @@
 """Multiplication-table groups: validation, catalog, automorphisms, powers."""
 
+import hashlib
 import itertools
 import random
 from pathlib import Path
@@ -34,6 +35,20 @@ from hopfgalois.powerlemmas import (
 S3 = load_group("s3")
 C6 = load_group("c6")
 Q8 = load_group("q8")
+C2CUBE = Path(__file__).parent / "data" / "c2cube.txt"
+
+# automorphisms() of every catalog group as recorded before the search ran
+# on batches over the short generating sequence: the automorphism ids, the
+# positions in that list, must not move.
+AUT_DIGESTS = {
+    "a4": "84af63c054865af8", "a5": "cd30610e0c967fe9", "c10": "da1cd3c2ccc01310",
+    "c11": "4dff06a5bfe17228", "c12": "3318ba6afcb6ee15", "c2": "5cc3a6551605a0b4",
+    "c3": "f505b8eb8679d81b", "c4": "7be1205822bd0d39", "c5": "2656722d4c303af6",
+    "c6": "7d35dfebf60086aa", "c7": "57d1bb6a84f31c88", "c8": "47b6d3a68a1588e0",
+    "c9": "e72b836cb9c7414b", "d4": "6ad1f70ec49cbbf5", "d5": "40c9d191a2eb0bba",
+    "q8": "526e80a313b607b7", "s3": "ace7daf88f493522", "s4": "6869baa107d9896c",
+    "s5": "57a9754d7d7a0d27",
+}
 
 
 # ── Table validation ─────────────────────────────────────────────────────
@@ -204,6 +219,21 @@ def test_aut_index_round_trip():
     assert not arr.flags.writeable
 
 
+@pytest.mark.parametrize("name", catalog_names())
+def test_automorphism_ids_match_the_recorded_digests(name):
+    text = "\n".join(" ".join(map(str, a)) for a in load_group(name).automorphisms())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == AUT_DIGESTS[name]
+
+
+def test_bijective_search_finds_every_automorphism_of_c2cube():
+    # GL(3, 2) has order 168; the bijective search prunes repeats level by
+    # level and must keep exactly the bijective homomorphisms.
+    G = load_group(C2CUBE)
+    bijective = {h for h in enumerate_homomorphisms(G, G) if len(set(h)) == G.order}
+    assert len(G.automorphisms()) == len(bijective) == 168
+    assert set(G.automorphisms()) == bijective
+
+
 def test_inner_automorphisms():
     # S3 is centerless so conjugation is faithful: all 6 auts are inner.
     assert len(S3.inner_automorphism_ids()) == 6
@@ -219,6 +249,8 @@ def test_hom_counts():
     assert len(list(enumerate_homomorphisms(S3, C6))) == 2
     # identity plus one per involution of S3
     assert len(list(enumerate_homomorphisms(c2, S3))) == 4
+    # no element of S3 has order 6, so the bijective search has no candidate
+    assert list(enumerate_homomorphisms(C6, S3, bijective=True)) == []
 
 
 @pytest.mark.parametrize(

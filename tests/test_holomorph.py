@@ -289,6 +289,33 @@ def test_crossed_homs_are_exactly_the_maps_obeying_the_crossed_law(name, hom_cou
         assert sorted(crossed_homomorphisms(N, F)) == expected
 
 
+def _generator_images(maps, gens):
+    return [tuple(m[x] for x in gens) for m in maps]
+
+
+@pytest.mark.parametrize("name", ["s3", "a4", "s4"])
+def test_crossed_homs_come_out_in_lexicographic_order_of_generator_images(name):
+    # The lemma suite keeps a prefix of this order and find_isomorphism its
+    # first element; every candidate is an element, so position = value.
+    N = load_group(name)
+    gens = N.generating_sequence("short")
+    for f in enumerate_homomorphisms(N, automorphism_table_group(N)):
+        keys = _generator_images(crossed_homomorphisms(N, N.aut_array()[list(f)]), gens)
+        assert keys == sorted(set(keys))
+
+
+def test_homs_come_out_in_lexicographic_order_over_three_levels():
+    # c2cube needs three generators; each goes to an element of s3 whose
+    # order divides 2, candidates ascending: the identity and the three
+    # involutions, and a hom is trivial or onto one involution's C2.
+    c2cube = load_group(GOLDEN.parent / "c2cube.txt")
+    gens = c2cube.generating_sequence("short")
+    assert len(gens) == 3
+    keys = _generator_images(enumerate_homomorphisms(c2cube, S3), gens)
+    assert keys == sorted(set(keys))
+    assert len(keys) == 1 + 3 * 7
+
+
 def test_crossed_homs_refuse_an_action_that_is_not_a_homomorphism():
     C6 = load_group("c6")
     auts = np.array(C6.automorphisms(), dtype=np.int64)
@@ -328,6 +355,30 @@ def test_enumeration_agrees_with_the_oracle_live():
     for name in ("d4", "q8", "d5", "a4"):
         G = load_group(name)
         assert [s.elements for s in enumerate_regular_subgroups(G)] == regular_subgroups_oracle(G)
+
+
+# enumerate_regular_subgroups as recorded before the search ran on batches
+# over the short generating sequence; only s3 is pinned element by element
+# elsewhere (the oracle and holomorph_tour.txt).
+REGULAR_DIGESTS = {
+    "d4": "c980415730a946ca", "q8": "afffa449b74dc16d", "a4": "3478b423f55ab6fe",
+    "s4": "1d0128387da89131", "a5": "91cb375825026e09", "s5": "fc445559b8850945",
+    "s3^2": "0e3b2eb764856cd4",
+}
+
+
+def _regulars_digest(subgroups):
+    text = "\n".join(
+        s.classification + " " + " ".join(f"{e.trans}.{e.aut}" for e in s.elements)
+        for s in subgroups
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", ["d4", "q8", "a4", "s4", "a5", "s5"])
+def test_regular_subgroups_match_the_recorded_digests(name):
+    subs = enumerate_regular_subgroups(load_group(name))
+    assert _regulars_digest(subs) == REGULAR_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", ["s3", "d4", "s4"])
@@ -495,6 +546,7 @@ def test_s3_square_pairs_build_52_of_its_328_regular_subgroups():
     assert len(built) == formula_Einn(6, 2) == 52
     regulars = enumerate_regular_subgroups(power_group(S3, 2))
     assert len(regulars) == 328
+    assert _regulars_digest(regulars) == REGULAR_DIGESTS["s3^2"]
     assert all(s.classification == "inn" for s in regulars)
     assert built <= {frozenset(s.elements) for s in regulars}
 
@@ -537,7 +589,7 @@ def test_conj_aut0_matches_componentwise_conjugation():
 def test_rho_pair_shape():
     pair = rho_pair(CTX2)
     assert pair.g_is_bijective()
-    assert len(pair.kernel_fsn()) == 36  # f is constant: everything acts trivially
+    assert len(pair.kernel_fsn) == 36  # f is constant: everything acts trivially
     assert len(pair.fsn_image()) == 1
     assert f_kernel_inner(pair)
 
@@ -545,7 +597,7 @@ def test_rho_pair_shape():
 def test_lambda_pair_shape():
     pair = lambda_pair(CTX2)
     assert pair.g_is_bijective()
-    assert len(pair.kernel_fsn()) == 36  # conjugations never permute coordinates
+    assert len(pair.kernel_fsn) == 36  # conjugations never permute coordinates
     assert len(pair.fsn_image()) == 1
     assert f_kernel_inner(pair)  # all conjugation parts are inner
 
