@@ -220,7 +220,7 @@ class FiniteGroup:
             if self.order in orders:
                 return (orders.index(self.order),)
             for pair in itertools.combinations(range(1, self.order), 2):
-                if self._generates(pair):
+                if len(subgroup_closure(self, pair)) == self.order:
                     return pair
             return self.generating_sequence("greedy")
         # Assumes no axiom beyond the identity at 0, so validation can use
@@ -236,18 +236,6 @@ class FiniteGroup:
                 reached[arr[new[:, None], members]] = reached[arr[members[:, None], new]] = True
                 new = np.flatnonzero(reached & ~have)
         return tuple(gens)
-
-    def _generates(self, gens):
-        """Whether ``gens`` generate the group: the words in them reach every
-        element (in a finite group the inverses are positive powers)."""
-        mul, seen, work = self.mul, {0}, [0]
-        for x in work:
-            for g in gens:
-                y = mul[x][g]
-                if y not in seen:
-                    seen.add(y)
-                    work.append(y)
-        return len(seen) == self.order
 
     def _word_levels(self, gens):
         """Closure bookkeeping for generator-image backtracking, no product
@@ -323,18 +311,20 @@ class FiniteGroup:
         gi = inv[g]
         return tuple(mul[mul[g][x]][gi] for x in range(self.order))
 
+    def conjugation_aut_ids(self):
+        """Read-only int64 array whose entry g is the aut id of conjugation
+        by g, built once and kept on the group."""
+        return self.memo("conj_aut_ids", lambda: _read_only(np.array(
+            [self.aut_index(self.conjugation_images(x)) for x in range(self.order)], dtype=np.int64
+        )))
+
     def conjugation_aut_id(self, g):
-        ids = self.memo(
-            "conj_aut_ids",
-            lambda: tuple(self.aut_index(self.conjugation_images(x)) for x in range(self.order)),
-        )
-        return ids[g]
+        return int(self.conjugation_aut_ids()[g])
 
     def inner_automorphism_ids(self):
         """Sorted, deduplicated list of aut ids realized by conjugation."""
         return self.memo(
-            "inner_ids",
-            lambda: tuple(sorted({self.conjugation_aut_id(g) for g in range(self.order)})),
+            "inner_ids", lambda: tuple(np.unique(self.conjugation_aut_ids()).tolist())
         )
 
 
@@ -565,9 +555,10 @@ def enumerate_homomorphisms(src, dst, bijective=False):
     yield from _backtrack_images(src, dst, gens, candidates, injective=bijective)
 
 
-def crossed_homomorphisms(N, f_perm_rows):
+def crossed_homomorphisms(N, f_perm_rows, bijective=False):
     """All crossed maps g: N -> N relative to a homomorphism f into Aut(N),
-    i.e. g(st) = g(s)·f(s)(g(t)) with g(identity) = 1, as image tuples.
+    i.e. g(st) = g(s)·f(s)(g(t)) with g(identity) = 1, as image tuples
+    (only the bijective ones with ``bijective=True``).
 
     ``f_perm_rows`` is an (|N|, |N|) int array: row s is the permutation
     f(s).  Every element is a candidate image of each generator.  The
@@ -585,7 +576,9 @@ def crossed_homomorphisms(N, f_perm_rows):
             raise ValueError(f"f({g}) is not an automorphism of {N.name}")
         if (F[mul[:, g]] != F[:, a]).any():
             raise ValueError(f"f is not a homomorphism: f(x·{g}) != f(x)∘f({g}) for some x")
-    return _backtrack_images(N, N, gens, [np.arange(N.order)] * len(gens), action=F)
+    return _backtrack_images(
+        N, N, gens, [np.arange(N.order)] * len(gens), action=F, injective=bijective
+    )
 
 
 def automorphism_table_group(N):
@@ -705,18 +698,21 @@ def power_base(N):
 
 def subgroup_closure(G, seed, limit=None):
     """Sorted tuple of the subgroup generated by ``seed`` (indices), or None
-    as soon as it has more than ``limit`` elements."""
+    as soon as it has more than ``limit`` elements.
+
+    The words in the seed are walked from the identity by right
+    multiplication (in a finite group the inverses are positive powers),
+    |H|·|seed| products for a subgroup H."""
     limit = G.order if limit is None else limit
-    have = {0}
-    work = [x for x in set(seed) if x not in have]
-    have.update(work)
-    while work:
-        x = work.pop()
-        for y in list(have):
-            for z in (G.mul[x][y], G.mul[y][x]):
-                if z not in have:
-                    have.add(z)
-                    work.append(z)
-                    if len(have) > limit:
-                        return None
+    mul, gens = G.mul, set(seed) - {0}
+    have, work = {0}, [0]
+    for x in work:
+        row = mul[x]
+        for g in gens:
+            y = row[g]
+            if y not in have:
+                have.add(y)
+                work.append(y)
+                if len(have) > limit:
+                    return None
     return tuple(sorted(have)) if len(have) <= limit else None

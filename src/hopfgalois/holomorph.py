@@ -20,6 +20,11 @@ sets therefore enumerates the regular subgroups isomorphic to N, and an
 independent brute-force subgroup scan of the full holomorph table serves
 as the oracle for it.
 
+A fixed point free pair (f, g) of structured endomorphisms gives a regular
+subgroup too, and many pairs give the same one; ``fpf_pair_to_subgroup``
+makes one set check per distinct subgroup, in a store private to the pair
+route, which neither the enumeration nor the oracle reads.
+
 The structure lemmas on direct powers T^n live in :mod:`.powerlemmas`.
 """
 
@@ -83,6 +88,9 @@ class Holomorph:
         self.order = N.order * self.aut_count
         self.inner_ids = frozenset(N.inner_automorphism_ids())
         self._inv = np.array(N.inv, dtype=np.int64)
+        # fpf_pair_to_subgroup's verified subgroups, by sorted flat indices
+        # as bytes; no other route reads them.
+        self._pair_subgroups = {}
 
     # -- arithmetic -----------------------------------------------------
 
@@ -260,19 +268,23 @@ def classify_inn_out(hol, elements):
 def enumerate_regular_subgroups(N):
     """All regular subgroups of Hol(N) isomorphic to N, by (f, g) search.
 
-    f runs over Hom(N, Aut(N)); for each f the bijective crossed maps g
-    contribute subgroups (the others are never regular, a biconditional
-    the test suite checks over every crossed map).  Injective f with the
-    same automorphism image yield the same subgroups (they differ by
-    precomposing an automorphism of N, which only reindexes sigma), so one
-    representative per image is searched; the oracle test keeps this
-    honest.  Every new subgroup has its closure checked once, both
-    regularity tests asserted, and s ↦ (g(s), f(s)) asserted to carry N's
-    table onto the subgroup's (it is injective for bijective g); other
-    types need the oracle.  Hol(N) is priced from (T, n) when N is a
-    ``power_group``.
+    f runs over Hom(N, Aut(N)); for each f the backtracker yields only the
+    bijective crossed maps g, which contribute subgroups (the others are
+    never regular, a biconditional the test suite checks over every
+    crossed map).  Injective f with the same automorphism image yield the
+    same subgroups (they differ by precomposing an automorphism of N,
+    which only reindexes sigma), so one representative per image is
+    searched; the oracle test keeps this honest.  Every new subgroup has
+    its closure checked once, both regularity tests asserted, and
+    s ↦ (g(s), f(s)) asserted to carry N's table onto the subgroup's (it
+    is injective for bijective g); other types need the oracle.  Hol(N) is
+    priced from (T, n) when N is a ``power_group``.
     """
-    hol = _priced_holomorph(*power_base(N), HOL_BUDGET, f"exceeds the budget {HOL_BUDGET}")
+    hol = _priced_holomorph(
+        *power_base(N), HOL_BUDGET,
+        f"exceeds the budget {HOL_BUDGET}; census.formula_Einn gives the structure "
+        "count without Hol(N), but only for N = T^n with T non-abelian simple",
+    )
     auts_arr = N.aut_array()
 
     seen_images = set()
@@ -284,9 +296,7 @@ def enumerate_regular_subgroups(N):
                 continue
             seen_images.add(image)
         F = auts_arr[np.array(f, dtype=np.int64)]
-        for g in crossed_homomorphisms(N, F):
-            if len(set(g)) != N.order:
-                continue
+        for g in crossed_homomorphisms(N, F, bijective=True):
             image = np.asarray(g, dtype=np.int64) * hol.aut_count + f  # s ↦ (g(s), f(s))
             flat = np.sort(image)
             key = tuple(flat.tolist())
@@ -370,20 +380,29 @@ def fpf_pair_to_subgroup(f, g, verdict=None):
     In (trans, aut) coordinates the element for s is
     (g(s)·f(s)⁻¹, conjugation by f(s)).  The pair must be fixed point
     free; otherwise the map s ↦ element is not injective and a ValueError
-    reports it.  The result is asserted to be a regular subgroup with
-    inner projection.  Hol(T^n) over HOL_BUDGET is refused, on its floor
-    before T^n is built.
+    reports it.  Hol(T^n) over HOL_BUDGET is refused, on its floor before
+    T^n is built.
+
+    One set check per distinct subgroup: many pairs give the same
+    subgroup, so a pair costs array work plus one lookup of its sorted
+    flat indices in a store on the holomorph, private to this route (the
+    enumeration and the oracle never read it).  Distinct translation parts
+    make the flat indices distinct, so a hit is the same element set.  On
+    a miss the set is asserted to be a regular subgroup (closure and both
+    regularity tests) with inner projection before it is stored.
     """
     T, n = f.group, f.n
-    hol = _priced_holomorph(T, n, HOL_BUDGET, f"exceeds the budget {HOL_BUDGET}")
+    hol = _priced_holomorph(
+        T, n, HOL_BUDGET,
+        f"exceeds the budget {HOL_BUDGET}; fpf.decide_fpf decides the pair without Hol(N)",
+    )
     N = hol.group
     if verdict is None:
         verdict = is_fpf_bruteforce(f, g)
     fv = power_index(T, image_coords_table(f).T)
     gv = power_index(T, image_coords_table(g).T)
     trans = N.np_mul[gv, hol._inv[fv]]
-    flat = trans * hol.aut_count + [N.conjugation_aut_id(v) for v in fv.tolist()]
-    translations = np.unique(trans).size
+    translations = np.count_nonzero(np.bincount(trans, minlength=N.order))
     if not verdict.is_fpf:
         # s and s' with f(s)f(s')^-1 = g(s)g(s')^-1 share a translation
         # part, so the evaluation-at-identity map cannot be injective.
@@ -394,13 +413,18 @@ def fpf_pair_to_subgroup(f, g, verdict=None):
             f"{N.order} translation parts are distinct, the action cannot "
             "be regular"
         )
-    if np.unique(flat).size != N.order or translations != N.order:
+    if translations != N.order:
         raise RuntimeError("fpf pair produced colliding holomorph elements")
-    if not hol._regular(flat)[0]:
-        raise RuntimeError("fpf pair produced a non-regular subgroup")
-    elems = frozenset(map(hol.element_of_index, flat.tolist()))
-    if classify_inn_out(hol, elems) != "inn":
-        raise RuntimeError("fpf pair produced a subgroup with outer projection")
+    flat = np.sort(trans * hol.aut_count + N.conjugation_aut_ids()[fv])
+    key = flat.tobytes()
+    elems = hol._pair_subgroups.get(key)
+    if elems is None:
+        if not hol._regular(flat)[0]:
+            raise RuntimeError("fpf pair produced a non-regular subgroup")
+        elems = frozenset(map(hol.element_of_index, flat.tolist()))
+        if classify_inn_out(hol, elems) != "inn":
+            raise RuntimeError("fpf pair produced a subgroup with outer projection")
+        hol._pair_subgroups[key] = elems
     return elems
 
 

@@ -385,6 +385,31 @@ def test_subgroup_closure():
     assert subgroup_closure(S3, [1, 2], limit=5) is None
 
 
+def _two_sided_closure(G, seed):
+    """Reference: multiply every element found by every other, on both
+    sides, until nothing new appears."""
+    have = {0, *seed}
+    while True:
+        new = {G.mul[x][y] for x in have for y in have} - have
+        if not new:
+            return tuple(sorted(have))
+        have |= new
+
+
+@pytest.mark.parametrize("name", ["s3", "d4", "q8", "a4", "s4", "a5"])
+def test_subgroup_closure_walk_equals_the_two_sided_closure(name):
+    G, rng = load_group(name), random.Random(f"closure-{name}")
+    for _ in range(40):
+        seed = rng.sample(range(G.order), rng.randint(0, 3))
+        want = _two_sided_closure(G, seed)
+        assert subgroup_closure(G, seed) == want
+        # the limit boundary: exactly limit elements pass, limit + 1 do not
+        assert subgroup_closure(G, seed, limit=len(want)) == want
+        assert subgroup_closure(G, seed, limit=len(want) - 1) is None
+        limit = rng.randrange(G.order + 1)
+        assert subgroup_closure(G, seed, limit=limit) == (want if len(want) <= limit else None)
+
+
 def test_commutator_and_quotient():
     derived = commutator_closure(S3, range(6))
     assert len(derived) == 3

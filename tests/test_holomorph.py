@@ -13,7 +13,7 @@ import pytest
 
 from hopfgalois.census import formula_Einn
 from hopfgalois.endomorphisms import enumerate_end0, identity_endo, trivial_endo
-from hopfgalois.fpf import is_fpf_by_tree
+from hopfgalois.fpf import FpfVerdict, is_fpf_by_tree
 from hopfgalois.groups import (
     BudgetError,
     FiniteGroup,
@@ -496,11 +496,14 @@ def test_s3_cube_is_refused_on_both_routes_before_searching_aut():
     # floor (6 · 6)^3 = 46656 let both calls search Aut(S3^3) first.
     T = FiniteGroup(S3.mul, name="s3")  # fresh, so nothing is kept on it yet
     start = time.perf_counter()
-    with pytest.raises(BudgetError, match=r"\|Hol\(s3\^3\)\| >= 279936 exceeds the budget"):
+    with pytest.raises(BudgetError, match=r"\|Hol\(s3\^3\)\| >= 279936 exceeds the budget") as enum:
         enumerate_regular_subgroups(power_group(T, 3))
-    with pytest.raises(BudgetError, match=r"\|Hol\(s3\^3\)\| >= 279936 exceeds the budget"):
+    with pytest.raises(BudgetError, match=r"\|Hol\(s3\^3\)\| >= 279936 exceeds the budget") as pair:
         fpf_pair_to_subgroup(identity_endo(T, 3), trivial_endo(T, 3))
     assert time.perf_counter() - start < 1
+    # each refusal names a route that answers without Hol(N), and its reach
+    assert "formula_Einn" in str(enum.value) and "non-abelian simple" in str(enum.value)
+    assert "decide_fpf" in str(pair.value)
     assert "auts" not in power_group(T, 3)._memo
 
 
@@ -517,11 +520,11 @@ def test_enumeration_rejects_a_bijective_crossed_map_that_is_not_a_homomorphism(
     # c6, but s -> (g(s), f(s)) does not carry c6's table onto it.
     C6 = FiniteGroup(load_group("c6").mul, name="c6")
 
-    def patched(N, F):
+    def patched(N, F, bijective=False):
         if (F == np.arange(N.order)).all():
             yield (0, 2, 1, 3, 4, 5)
         else:
-            yield from crossed_homomorphisms(N, F)
+            yield from crossed_homomorphisms(N, F, bijective)
 
     monkeypatch.setattr("hopfgalois.holomorph.crossed_homomorphisms", patched)
     with pytest.raises(RuntimeError, match="not isomorphic to c6"):
@@ -536,6 +539,35 @@ def test_pair_to_subgroup_over_a_power():
     assert hol.is_regular(elems)
 
 
+# The 52 subgroups that fpf_pair_to_subgroup built from S3^2's fpf pairs
+# when it still checked every pair's set in full.
+S3_SQUARE_PAIR_SETS_DIGEST = "cbe5d4fa60b02931"
+
+
+def _sets_digest(sets):
+    text = "\n".join(sorted(" ".join(f"{e.trans}.{e.aut}" for e in sorted(s)) for s in sets))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_pair_store_keeps_one_checked_set_per_subgroup():
+    a5 = FiniteGroup(load_group("a5").mul, name="a5")  # fresh, so its store is empty
+    endos = list(enumerate_end0(a5, 1))
+    pairs = [(f, g) for f in endos for g in endos if is_fpf_by_tree(f, g).is_fpf]
+    hol = holomorph_of(a5)
+    assert len(pairs) == 240
+    assert {fpf_pair_to_subgroup(f, g) for f, g in pairs} == {hol.lambda_image(), hol.rho_image()}
+    assert len(hol._pair_subgroups) == 2
+    # a warm store changes no refusal: the verdict is checked before the lookup
+    f = identity_endo(a5, 1)
+    with pytest.raises(ValueError, match="translation parts"):
+        fpf_pair_to_subgroup(f, f)
+    with pytest.raises(RuntimeError, match="colliding"):
+        fpf_pair_to_subgroup(f, f, FpfVerdict(True, "tree-criterion", None))
+    # and the enumeration, which never reads the store, gives what it gave
+    assert _regulars_digest(enumerate_regular_subgroups(a5)) == REGULAR_DIGESTS["a5"]
+    assert len(hol._pair_subgroups) == 2
+
+
 def test_s3_square_pairs_build_52_of_its_328_regular_subgroups():
     # S3 is not simple, so the structure count covers only the subgroups
     # that structured fpf pairs build; Hol(S3^2) has many more of its type.
@@ -544,6 +576,7 @@ def test_s3_square_pairs_build_52_of_its_328_regular_subgroups():
     built = {fpf_pair_to_subgroup(f, g, v) for f, g, v in verdicts if v.is_fpf}
     assert sum(v.is_fpf for *_, v in verdicts) == 3744
     assert len(built) == formula_Einn(6, 2) == 52
+    assert _sets_digest(built) == S3_SQUARE_PAIR_SETS_DIGEST
     regulars = enumerate_regular_subgroups(power_group(S3, 2))
     assert len(regulars) == 328
     assert _regulars_digest(regulars) == REGULAR_DIGESTS["s3^2"]
