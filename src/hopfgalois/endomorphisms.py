@@ -160,7 +160,8 @@ def enumerate_end0(T, n):
     total = count_end0(T, n)
     if total > ENDO_BUDGET:
         raise BudgetError(
-            f"End0({T.name}^{n}) has {total} elements, over the budget of {ENDO_BUDGET}"
+            f"End0({T.name}^{n}) has {total} elements, over the budget of {ENDO_BUDGET}; "
+            "count_end0 counts them and census.formula_F the fixed point free pairs"
         )
     for theta in itertools.product(range(n + 1), repeat=n):
         for phis in _phi_products(T, theta):
@@ -172,7 +173,8 @@ def enumerate_aut0(T, n):
     total = count_aut0(T, n)
     if total > ENDO_BUDGET:
         raise BudgetError(
-            f"Aut0({T.name}^{n}) has {total} elements, over the budget of {ENDO_BUDGET}"
+            f"Aut0({T.name}^{n}) has {total} elements, over the budget of {ENDO_BUDGET}; "
+            "count_aut0 counts them and census.formula_F the fixed point free pairs"
         )
     for theta in itertools.permutations(range(1, n + 1)):
         for phis in _phi_products(T, theta):

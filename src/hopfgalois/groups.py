@@ -47,6 +47,7 @@ __all__ = [
     "power_coords",
     "all_coords",
     "subgroup_closure",
+    "row_finder",
 ]
 
 class GroupValidationError(ValueError):
@@ -90,16 +91,17 @@ class FiniteGroup:
     """
 
     def __init__(self, mul, name="?"):
-        self.mul = tuple(tuple(int(v) for v in row) for row in mul)
-        self.order = len(self.mul)
+        self.order = len(mul)
         self.name = name
-        for x, row in enumerate(self.mul):
+        for x, row in enumerate(mul):
             if len(row) != self.order:
                 raise GroupValidationError(
                     f"table is not square: row {x} has {len(row)} entries, "
                     f"expected {self.order}"
                 )
-        arr = np.array(self.mul, dtype=np.int64) if self.order else np.zeros((0, 0), dtype=np.int64)
+        # one conversion of the whole table; .tolist() gives plain ints
+        arr = np.array(mul, dtype=np.int64).reshape(self.order, self.order)
+        self.mul = tuple(tuple(row.tolist()) for row in arr)
         self.np_mul = _read_only(arr)
         self._memo = {}
         self._validate()
@@ -129,10 +131,6 @@ class FiniteGroup:
         arr = self.np_mul
         if m == 0:
             raise GroupValidationError("empty multiplication table")
-        if arr.shape != (m, m):
-            raise GroupValidationError(
-                f"table is not square: {len(self.mul)} rows but row lengths vary"
-            )
         if (arr < 0).any() or (arr >= m).any():
             x, y = map(int, np.argwhere((arr < 0) | (arr >= m))[0])
             raise GroupValidationError(
@@ -588,12 +586,30 @@ def automorphism_table_group(N):
     def build():
         auts = N.aut_array()
         # An automorphism is fixed by its images of a generating sequence.
-        gen_images = auts[:, list(N.generating_sequence())]
-        index = {row.tobytes(): i for i, row in enumerate(gen_images)}
-        mul = [[index[row.tobytes()] for row in a[gen_images]] for a in auts]
+        gen_images = auts[:, list(N.generating_sequence("short"))]
+        mul = row_finder(gen_images, N.order)(auts[:, gen_images])  # [i, j]: images of i∘j
+        if mul is None:
+            raise RuntimeError(f"a composite of two automorphisms of {N.name} is not among them")
         return FiniteGroup(mul, name=f"Aut({N.name})")
 
     return N.memo("aut_group", build)
+
+
+def row_finder(keys, radix):
+    """``find(rows)``: the position of each row (last axis) among the distinct
+    rows of ``keys``, all ints below ``radix``, or None if one is missing.
+    One sorted search of radix codes; a code too wide for int64 raises."""
+    weights = np.array([radix**k for k in range(keys.shape[-1], -1, -1)], dtype=np.int64)[1:]
+    codes = keys @ weights
+    order = np.argsort(codes)
+    codes = codes[order]
+
+    def find(rows):
+        query = rows @ weights
+        at = np.minimum(np.searchsorted(codes, query), len(codes) - 1)
+        return order[at] if (codes[at] == query).all() else None
+
+    return find
 
 
 def find_isomorphism(src, dst):

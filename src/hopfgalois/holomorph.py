@@ -16,9 +16,11 @@ homomorphism f from N into Aut(N) plus a crossed map g (g(st) =
 g(s)·f(s)(g(t))) give the subgroup {(g(s), f(s))}, regular precisely when
 g is bijective.  Both f and g come from the generator-image backtracker
 of :mod:`.groups`.  Enumerating all (f, g) pairs and deduplicating element
-sets therefore enumerates the regular subgroups isomorphic to N, and an
-independent brute-force subgroup scan of the full holomorph table serves
-as the oracle for it.
+sets therefore enumerates the regular subgroups isomorphic to N.  The
+crossed maps are searched once per Aut(N)-orbit of image classes of f,
+since conjugation by Aut(N) acts on Hol(N) and its regular subgroups; the
+rest of an orbit is a gather of index arrays.  An independent brute-force
+subgroup scan of the full holomorph table serves as the oracle for it.
 
 A fixed point free pair (f, g) of structured endomorphisms gives a regular
 subgroup too, and many pairs give the same one; ``fpf_pair_to_subgroup``
@@ -48,6 +50,7 @@ from .groups import (
     power_base,
     power_group,
     power_index,
+    row_finder,
     subgroup_closure,
 )
 
@@ -260,6 +263,13 @@ class RegularSubgroup:
     classification: str  # "inn" or "out"
 
 
+def _row_keys(rows):
+    """One void scalar per row of non-negative ints: as big-endian bytes they
+    compare as the rows do lexicographically, so np.unique sorts them so."""
+    rows = np.ascontiguousarray(rows, dtype=">i8")
+    return rows.view(f"V{8 * rows.shape[1]}").ravel()
+
+
 def classify_inn_out(hol, elements):
     """inn when every automorphism part is a conjugation, out otherwise."""
     return "inn" if all(e.aut in hol.inner_ids for e in elements) else "out"
@@ -273,49 +283,85 @@ def enumerate_regular_subgroups(N):
     never regular, a biconditional the test suite checks over every
     crossed map).  Injective f with the same automorphism image yield the
     same subgroups (they differ by precomposing an automorphism of N,
-    which only reindexes sigma), so one representative per image is
-    searched; the oracle test keeps this honest.  Every new subgroup has
-    its closure checked once, both regularity tests asserted, and
-    s ↦ (g(s), f(s)) asserted to carry N's table onto the subgroup's (it
-    is injective for bijective g); other types need the oracle.  Hol(N) is
-    priced from (T, n) when N is a ``power_group``.
+    which only reindexes sigma), so one f per image class (a non-injective
+    f is its own) is needed; the oracle test keeps this honest.
+
+    Conjugation by α in Aut(N), (t, β) ↦ (α(t), αβα⁻¹), is an automorphism
+    of Hol(N) that keeps the type and inn/out class (α c_x α⁻¹ = c_{α(x)})
+    and maps the subgroups of (f, g) onto those of (c_α∘f∘α⁻¹, α∘g∘α⁻¹).
+    So one f per Aut(N)-orbit of image classes is searched, and each other
+    class of its orbit is reached by one gather, with the least α moving f
+    into it.  Each α·h is found in Hom(N, Aut(N)) by its images of the
+    ``short`` generators; a miss raises RuntimeError.  Every distinct
+    subgroup has its closure checked, both regularity tests asserted, and
+    s ↦ (g(s), f(s)) asserted to carry N's table onto the subgroup's;
+    other types need the oracle.  Hol(N) is priced from (T, n) when N is a
+    ``power_group``.
     """
     hol = _priced_holomorph(
         *power_base(N), HOL_BUDGET,
         f"exceeds the budget {HOL_BUDGET}; census.formula_Einn gives the structure "
         "count without Hol(N), but only for N = T^n with T non-abelian simple",
     )
-    auts_arr = N.aut_array()
+    m, K, auts_arr = N.order, hol.aut_count, N.aut_array()
+    aut = automorphism_table_group(N)
+    amul, ainv = aut.np_mul, np.array(aut.inv)
+    inv_perms = auts_arr[list(aut.inv)]  # row α is α⁻¹ as a permutation of N
+    homs = np.array(list(enumerate_homomorphisms(N, aut)), dtype=np.int64).reshape(-1, m)
+    gens = list(N.generating_sequence("short"))  # a hom is fixed by its images of these
+    find = row_finder(homs[:, gens], K)
 
-    seen_images = set()
-    found = {}
-    for f in enumerate_homomorphisms(N, automorphism_table_group(N)):
-        if len(set(f)) == N.order:
-            image = frozenset(f)
-            if image in seen_images:
-                continue
-            seen_images.add(image)
-        F = auts_arr[np.array(f, dtype=np.int64)]
-        for g in crossed_homomorphisms(N, F, bijective=True):
-            image = np.asarray(g, dtype=np.int64) * hol.aut_count + f  # s ↦ (g(s), f(s))
-            flat = np.sort(image)
-            key = tuple(flat.tolist())
-            if key in found:
-                continue
-            regular, pos = hol._regular(flat)
-            if not regular:
-                raise RuntimeError(
-                    f"a bijective crossed map must give a regular subgroup of Hol({N.name})"
-                )
-            at = np.searchsorted(flat, image)  # position of each image in flat
-            if not (pos[at[:, None], at[None, :]] == at[N.np_mul]).all():
-                raise RuntimeError(
-                    f"a regular subgroup of Hol({N.name}) from a bijective "
-                    f"crossed map is not isomorphic to {N.name} by s ↦ (g(s), f(s))"
-                )
-            elems = tuple(map(hol.element_of_index, key))
-            found[key] = RegularSubgroup(elems, classify_inn_out(hol, elems))
-    return [found[k] for k in sorted(found)]
+    def conj(a, b):  # αβα⁻¹, elementwise
+        return amul[amul[a, b], ainv[a]]
+
+    def moved(rows, alphas):  # positions of α·h: (α·h)(s) = conj[α, h(α⁻¹(s))]
+        at = find(conj(alphas[:, None], rows[:, inv_perms[alphas][:, gens]]))
+        if at is None:
+            raise RuntimeError(
+                f"Hom({N.name}, Aut {N.name}) is not closed under conjugation by Aut({N.name})"
+            )
+        return at
+
+    # closed under the generators of Aut(N), so under Aut(N)
+    moved(homs, np.array(aut.generating_sequence(), dtype=np.int64))
+    # one class per image for injective h, one per map otherwise
+    ranked = np.sort(homs, axis=1)
+    injective = (np.diff(ranked, axis=1) != 0).all(axis=1)
+    keys = _row_keys(np.where(injective[:, None], ranked, homs))
+    classes = np.unique(keys, return_inverse=True)[1]
+
+    candidates = []  # rows s ↦ flat index of (g'(s), f'(s)), f' = α·f and g' = α∘g∘α⁻¹
+    met = set()  # the classes of the orbits searched so far
+    for f, c in enumerate(classes.tolist()):
+        if c in met:
+            continue
+        orbit_classes = classes[moved(homs[f : f + 1], np.arange(K))[0]]
+        met.update(orbit_classes.tolist())
+        alphas = np.unique(orbit_classes, return_index=True)[1]  # the least α per class
+        crossed = list(crossed_homomorphisms(N, auts_arr[homs[f]], bijective=True))
+        g = np.array(crossed, dtype=np.int64).reshape(-1, m)[:, inv_perms[alphas]]
+        beta, alphas = homs[f][inv_perms[alphas]], alphas[:, None]
+        candidates.append((auts_arr[alphas, g] * K + conj(alphas, beta)).reshape(-1, m))
+    images = np.concatenate(candidates)
+    flats = np.sort(images, axis=1)
+    first = np.unique(_row_keys(flats), return_index=True)[1]  # in lexicographic order
+
+    subgroups = []
+    for flat, image in zip(flats[first], images[first]):
+        regular, pos = hol._regular(flat)
+        if not regular:
+            raise RuntimeError(
+                f"a bijective crossed map must give a regular subgroup of Hol({N.name})"
+            )
+        at = np.searchsorted(flat, image)  # position of each image in flat
+        if not (pos[at[:, None], at[None, :]] == at[N.np_mul]).all():
+            raise RuntimeError(
+                f"a regular subgroup of Hol({N.name}) from a bijective "
+                f"crossed map is not isomorphic to {N.name} by s ↦ (g(s), f(s))"
+            )
+        elems = tuple(map(hol.element_of_index, flat.tolist()))
+        subgroups.append(RegularSubgroup(elems, classify_inn_out(hol, elems)))
+    return subgroups
 
 
 def regular_subgroups_oracle(N, iso_type=None, with_stats=False):
@@ -323,7 +369,8 @@ def regular_subgroups_oracle(N, iso_type=None, with_stats=False):
     holomorph table, then filter by regularity and isomorphism type.
 
     The subgroups are found by a walk from {1}: each subgroup found is
-    extended by one element outside it through a closure that is dropped
+    extended by one element outside it through a closure, seeded with the
+    elements that generated the subgroup plus the new one, that is dropped
     once it passes |N| elements.  Every subgroup H is the top of a chain
     <h1> < <h1, h2> < ... whose members are subgroups of H, so the walk is
     exact for any number of generators; it extends only subgroups whose
@@ -340,19 +387,19 @@ def regular_subgroups_oracle(N, iso_type=None, with_stats=False):
     )
     table = hol.as_table_group()
     want = N.order
-    found, work = {(0,)}, [(0,)]
+    found, work = {(0,)}, [((0,), ())]  # subgroups to extend, with the seeds that built them
     while work:
-        sub = work.pop()
+        sub, gens = work.pop()
         covered = set(sub)
         for x in range(table.order):
             if x in covered:
                 continue
             covered.update(table.mul[x][h] for h in sub)
-            cl = subgroup_closure(table, sub + (x,), limit=want)
+            cl = subgroup_closure(table, gens + (x,), limit=want)
             if cl is not None and want % len(cl) == 0 and cl not in found:
                 found.add(cl)
                 if len(cl) < want:
-                    work.append(cl)
+                    work.append((cl, gens + (x,)))
     subgroup_sets = [cl for cl in found if len(cl) == want]
     kept, regular_count = [], 0
     for cl in subgroup_sets:

@@ -46,6 +46,14 @@ def test_budget_gate():
         list(enumerate_end0(S3, 8))
 
 
+def test_budget_refusals_name_the_counting_routes():
+    with pytest.raises(BudgetError, match=r"End0\(s3\^8\) has 33232930569601 .*count_end0.*formula_F"):
+        list(enumerate_end0(S3, 8))
+    with pytest.raises(BudgetError, match=r"Aut0\(s3\^8\) has 67722117120 .*count_aut0.*formula_F"):
+        list(enumerate_aut0(S3, 8))
+    assert count_end0(S3, 8) == 33232930569601 and count_aut0(S3, 8) == 67722117120
+
+
 def test_every_enumerated_endo_is_a_homomorphism():
     rng = random.Random(0xE11D0)
     coords = [tuple(rng.randrange(6) for _ in range(2)) for _ in range(8)]

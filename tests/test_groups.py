@@ -77,6 +77,13 @@ def test_rejects_non_square_table():
         FiniteGroup([[0, 1], [1]])
 
 
+def test_table_entries_are_plain_ints_from_any_container():
+    arr = np.array(S3.mul, dtype=np.int64)
+    built = [FiniteGroup(table) for table in (arr, tuple(map(tuple, arr.tolist())), arr.tolist())]
+    assert all(G.mul == S3.mul for G in built)
+    assert all(type(v) is int for G in built for row in G.mul for v in row)
+
+
 def test_rejects_bad_identity():
     with pytest.raises(GroupValidationError, match="identity"):
         FiniteGroup([[1, 0], [0, 1]])

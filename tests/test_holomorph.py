@@ -243,6 +243,16 @@ def test_table_group_and_subgroup_extraction():
     assert find_isomorphism(sub, S3) is not None
 
 
+@pytest.mark.parametrize("name", ["s4", "a5", "s3^2"])
+def test_aut_table_entries_are_the_compositions(name):
+    # fresh groups, so each table is built here; auts[i] ∘ auts[j], from aut_array alone
+    s3 = FiniteGroup(S3.mul, name="s3")
+    N = power_group(s3, 2) if name == "s3^2" else FiniteGroup(load_group(name).mul, name=name)
+    auts = N.aut_array()
+    table = np.array(automorphism_table_group(N).mul)
+    assert (auts[table] == auts[:, auts]).all()
+
+
 def test_automorphism_table_group():
     for name, iso in (("s3", "s3"), ("q8", "s4")):  # Aut(S3) = S3, Aut(Q8) = S4
         N = load_group(name)
@@ -352,7 +362,7 @@ def test_enumeration_agrees_with_the_oracle_live():
     assert [s.elements for s in subs] == oracle
     assert all(s.classification == "inn" for s in subs)
     assert len(subs) == 2
-    for name in ("d4", "q8", "d5", "a4"):
+    for name in ("c2", "c8", "c9", "d4", "q8", "d5", "a4"):  # Aut(c2) is trivial
         G = load_group(name)
         assert [s.elements for s in enumerate_regular_subgroups(G)] == regular_subgroups_oracle(G)
 
@@ -375,9 +385,9 @@ def _regulars_digest(subgroups):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("name", ["d4", "q8", "a4", "s4", "a5", "s5"])
+@pytest.mark.parametrize("name", ["d4", "q8", "a4", "s4", "a5", "s5", "s3^2"])
 def test_regular_subgroups_match_the_recorded_digests(name):
-    subs = enumerate_regular_subgroups(load_group(name))
+    subs = enumerate_regular_subgroups(power_group(S3, 2) if name == "s3^2" else load_group(name))
     assert _regulars_digest(subs) == REGULAR_DIGESTS[name]
 
 
@@ -529,6 +539,17 @@ def test_enumeration_rejects_a_bijective_crossed_map_that_is_not_a_homomorphism(
     monkeypatch.setattr("hopfgalois.holomorph.crossed_homomorphisms", patched)
     with pytest.raises(RuntimeError, match="not isomorphic to c6"):
         enumerate_regular_subgroups(C6)
+
+
+def test_enumeration_rejects_a_hom_list_not_closed_under_aut(monkeypatch):
+    # One map of Hom(s4, Aut s4) dropped: an automorphism of s4 moves
+    # another map onto it, and the code of that image is found nowhere.
+    S4 = FiniteGroup(load_group("s4").mul, name="s4")
+    homs = list(enumerate_homomorphisms(S4, automorphism_table_group(S4)))
+    homs.pop()
+    monkeypatch.setattr("hopfgalois.holomorph.enumerate_homomorphisms", lambda src, dst: iter(homs))
+    with pytest.raises(RuntimeError, match=r"Hom\(s4, Aut s4\) is not closed under conjugation"):
+        enumerate_regular_subgroups(S4)
 
 
 def test_pair_to_subgroup_over_a_power():
