@@ -4,10 +4,15 @@ A pair (f, g) over G = T^n is fixed point free when f and g agree only on
 the identity.  Two routes decide this:
 
 * a brute-force scan of all |T|^n elements (always available at desk
-  scale, and the oracle everything else is judged against), which reads
-  each coordinate of f(x) and g(x) for every x at once from one table of
+  scale, and the oracle everything else is judged against).  Coordinate
+  i of f(x) and of g(x), for every x at once, is a row of one table of
   coordinate images per (T, n), built from the automorphism array and
-  the coordinate list alone;
+  the coordinate list alone.  Where two such rows agree is kept on T as
+  a bitset, one Python int per pair of rows in a flat list of R^2
+  entries (R = 1 + n|Aut T| rows), filled from one numpy comparison on
+  first use; a pair's scan ANDs n of them and takes the lowest set bit
+  past the identity as its witness.  Filled completely that is
+  R^2·|T|^n/8 bytes of bits, about 26 MB at A5^2;
 * the tree criterion: when T admits no fixed-point-free automorphism,
   (f, g) is fixed point free exactly when its undirected pair graph is a
   tree.  A non-tree graph then always yields an explicit non-identity
@@ -19,6 +24,10 @@ check_path_conditions evaluates the arrow constraints that a coordinate
 tuple must satisfy for f and g to agree on it; the conjunction over single
 arrows is provably the same condition as f(x) = g(x), and the composed
 path/cycle constraint set is asserted consistent with it on every call.
+
+Every witness and every direct f(x) = g(x) comparison is checked by
+_agree_at, which reads theta, phis and Aut(T) coordinate by coordinate
+and neither the scan's rows nor its table.
 
 The tree verdict, the witness and the path constraints read the graph's
 shape from pairgraphs.pair_plan, built once per (theta_f, theta_g); per
@@ -79,49 +88,92 @@ class FpfVerdict:
             raise ValueError("a witness contradicts a positive verdict")
 
 
+def _agree_at(f, g, x):
+    """f(x) == g(x), read from theta, phis and T's automorphisms one
+    output coordinate at a time, stopping at the first mismatch.  It reads
+    neither ``rows`` nor coordinate_images, so it stays independent of the
+    element scan whose witnesses it checks."""
+    auts = f.group.automorphisms()
+    for tf, pf, tg, pg in zip(f.theta, f.phis, g.theta, g.phis):
+        if (auts[pf][x[tf - 1]] if tf else 0) != (auts[pg][x[tg - 1]] if tg else 0):
+            return False
+    return True
+
+
 def _assert_witness(f, g, witness):
     if witness == power_identity(f.n):
         raise RuntimeError("constructed witness is the identity")
-    if f.apply(witness) != g.apply(witness):
+    if not _agree_at(f, g, witness):
         raise RuntimeError(
             f"constructed witness {witness} does not satisfy f(x) = g(x)"
         )
 
 
+def _agreement_store(T, n):
+    """(R, store) for T^n, kept on T: R = 1 + n|Aut T| is the row count of
+    coordinate_images(T, n), and store[a*R + b] is None until rows a and
+    b have been compared, then the int whose bit k says that they agree on
+    element k."""
+
+    def build():
+        R = 1 + n * len(T.automorphisms())
+        return R, [None] * R**2
+
+    return T.memo(("agreement_bits", n), build)
+
+
+def _fill_agreement_bits(T, n, R, store, a):
+    """Row a and column a of the store (agreement is symmetric), filled on
+    a store miss from one numpy comparison of row a of
+    coordinate_images(T, n) with every row; returns row a's R bitsets."""
+    table = coordinate_images(T, n)
+    packed = np.packbits(table == table[a], axis=1, bitorder="little")
+    width, raw = packed.shape[1], packed.tobytes()
+    bits = [int.from_bytes(raw[i:i + width], "little") for i in range(0, len(raw), width)]
+    store[a * R:(a + 1) * R] = bits
+    store[a::R] = bits
+    return bits
+
+
 def is_fpf_bruteforce(f, g):
     """Scan all of T^n; the first non-identity agreement is the witness.
 
-    Reads the n rows of f and the n rows of g (``f.rows``, ``g.rows``)
-    from the coordinate-image table of (T, n) and compares them element
-    by element, so a scan builds nothing per pair and shares no code with
-    the pair graph; the witness is decoded from its index by
-    power_coords.  The budget is checked before the table is built.
+    Coordinate i of f and of g reads rows ``f.rows[i]`` and ``g.rows[i]``
+    of the coordinate-image table of (T, n).  For each pair of rows (a, b)
+    an agreement bitset is kept on T, in a flat list indexed by a*R + b
+    with R = 1 + n|Aut T| rows: a Python int whose bit k says that rows a
+    and b agree on element k, built from one numpy comparison on the first
+    lookup of any pair in row a, for the whole row (see
+    _fill_agreement_bits).  A scan ANDs its n bitsets, drops the
+    identity's bit 0 and decodes the lowest set bit, the first agreeing
+    index, with power_coords; it builds nothing else per pair and shares
+    no code with the pair graph.  Filled completely, the store holds R^2
+    bitsets, R^2·|T|^n/8 bytes of bits: 10 KB for S3^3, 0.1 MB for A5,
+    4.8 MB for Q8^4, 8.2 MB for D5^4 and about 26 MB for A5^2, beside
+    the table's 6.9 MB.  A row fill costs about 1 ms on A5^2 (241 rows of
+    3,600 elements), so a few thousand pairs there scan slower cold than
+    a per-pair comparison would and faster once the rows are filled.  The
+    budget is checked before anything is built.
     """
     T, n = f.group, f.n
     if g.group is not T or g.n != n:
         raise ValueError("endomorphism pair lives over different powers")
-    if T.order**n > SCAN_BUDGET:
+    size = T.order**n
+    if size > SCAN_BUDGET:
         raise BudgetError(
-            f"|{T.name}|^{n} = {T.order ** n} elements exceed the scan budget {SCAN_BUDGET}; "
+            f"|{T.name}|^{n} = {size} elements exceed the scan budget {SCAN_BUDGET}; "
             "when T has no fixed-point-free automorphism, is_fpf_by_tree or "
             "decide_fpf decides the pair from its pair graph instead"
         )
-    table = coordinate_images(T, n)
-    agree = None
+    R, store = _agreement_store(T, n)
+    agree = (1 << size) - 2  # every element but the identity, which never counts
     for a, b in zip(f.rows, g.rows):
-        if a == b:  # a coordinate both read through the same row agrees everywhere
-            continue
-        if agree is None:
-            agree = table[a] == table[b]
-        else:
-            agree &= table[a] == table[b]
-    if agree is None:
-        agree = np.ones(T.order**n, dtype=bool)
-    agree[0] = False  # the identity always agrees and never counts
-    first = int(agree.argmax())
-    if not agree[first]:
+        if a != b:  # a coordinate both read through the same row agrees everywhere
+            bits = store[a * R + b]
+            agree &= _fill_agreement_bits(T, n, R, store, a)[b] if bits is None else bits
+    if not agree:
         return FpfVerdict(True, "bruteforce", None)
-    witness = power_coords(T, n, first)
+    witness = power_coords(T, n, (agree & -agree).bit_length() - 1)
     _assert_witness(f, g, witness)
     return FpfVerdict(False, "bruteforce", witness)
 
@@ -234,7 +286,7 @@ def check_path_conditions(f, g, sigma):
     plan = plan_for(f, g)  # also checks that f and g share T^n
     aut, auts = automorphism_table_group(f.group), f.group.automorphisms()
     verdict = _single_arrow_conditions(aut, auts, plan, f, g, sigma)
-    direct = f.apply(sigma) == g.apply(sigma)
+    direct = _agree_at(f, g, sigma)
     if verdict != direct:
         raise RuntimeError(
             "arrow conditions disagree with direct evaluation on "

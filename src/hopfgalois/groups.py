@@ -82,6 +82,18 @@ def invert_perm(a):
 # ── The table type ──────────────────────────────────────────────────────
 
 
+def _check_closure(arr, mul):
+    """Refuse the first entry of the square table ``arr`` (a numpy view of
+    ``mul``) outside 0..order-1."""
+    m = len(mul)
+    outside = (arr < 0) | (arr >= m)
+    if outside.any():
+        x, y = map(int, np.argwhere(outside)[0])
+        raise GroupValidationError(
+            f"closure violated: mul[{x}][{y}] = {mul[x][y]} is outside 0..{m - 1}"
+        )
+
+
 class FiniteGroup:
     """A finite group given by its full multiplication table.
 
@@ -100,7 +112,11 @@ class FiniteGroup:
                     f"expected {self.order}"
                 )
         # one conversion of the whole table; .tolist() gives plain ints
-        arr = np.array(mul, dtype=np.int64).reshape(self.order, self.order)
+        try:
+            arr = np.array(mul, dtype=np.int64).reshape(self.order, self.order)
+        except OverflowError:  # an entry past int64 is outside 0..order-1 as well
+            _check_closure(np.array(mul, dtype=object).reshape(self.order, self.order), mul)
+            raise
         self.mul = tuple(tuple(row.tolist()) for row in arr)
         self.np_mul = _read_only(arr)
         self._memo = {}
@@ -131,11 +147,7 @@ class FiniteGroup:
         arr = self.np_mul
         if m == 0:
             raise GroupValidationError("empty multiplication table")
-        if (arr < 0).any() or (arr >= m).any():
-            x, y = map(int, np.argwhere((arr < 0) | (arr >= m))[0])
-            raise GroupValidationError(
-                f"closure violated: mul[{x}][{y}] = {self.mul[x][y]} is outside 0..{m - 1}"
-            )
+        _check_closure(arr, self.mul)
         # Identity must be index 0, acting trivially on both sides.
         rng = np.arange(m)
         if (arr[0] != rng).any():

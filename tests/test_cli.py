@@ -308,6 +308,14 @@ def test_unknown_group_is_exit_1(capsys):
     assert "not a catalog name" in err
 
 
+def test_table_entry_past_int64_is_exit_1(tmp_path, capsys):
+    path = tmp_path / "overflow.tbl"
+    path.write_text("2\n0 1\n1 99999999999999999999\n")
+    rc, out, err = run(capsys, "hol", "regulars", "--group", str(path))
+    assert (rc, out) == (1, "")
+    assert err == "error: closure violated: mul[1][1] = 99999999999999999999 is outside 0..1\n"
+
+
 def test_usage_error_is_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census", "formula", "--n", "2"])  # missing --aut-order

@@ -16,6 +16,7 @@ from hopfgalois.fpf import (
     FpfVerdict,
     TreeCriterionError,
     WitnessError,
+    _agree_at,
     check_path_conditions,
     construct_witness,
     decide_fpf,
@@ -24,6 +25,7 @@ from hopfgalois.fpf import (
 )
 from hopfgalois.groups import (
     BudgetError,
+    FiniteGroup,
     load_group,
     lowest_fixed_points,
     power_coords,
@@ -125,6 +127,98 @@ def test_bruteforce_shares_no_code_with_the_routes_it_checks(monkeypatch):
     with pytest.raises(RuntimeError, match="must not reach"):
         is_fpf_by_tree(*pairs[0])
     assert [is_fpf_bruteforce(f, g) for f, g in pairs] == before
+
+
+def _plain_scan(f, g, elements, images):
+    """(is_fpf, witness) from the first x in all_coords order, identity
+    skipped, with f.apply(x) == g.apply(x); ``images[e]`` lists e.apply(x)
+    over ``elements``."""
+    least = next((x for x, a, b in zip(elements, images[f], images[g]) if a == b), None)
+    return least is None, least
+
+
+@pytest.mark.parametrize("name,n", [("s3", 2), ("a5", 1)])
+def test_scan_matches_a_plain_python_scan_on_every_pair(name, n):
+    T = FiniteGroup(load_group(name).mul, name=name)  # a store of this test's own
+    endos = list(enumerate_end0(T, n))
+    elements = list(itertools.product(range(T.order), repeat=n))[1:]
+    images = {e: [e.apply(x) for x in elements] for e in endos}
+    for f, g in itertools.product(endos, endos):
+        v = is_fpf_bruteforce(f, g)
+        assert (v.is_fpf, v.witness) == _plain_scan(f, g, elements, images), (f, g)
+
+
+def _fresh_s3(tmp_path, stem):
+    path = tmp_path / f"{stem}.tbl"
+    path.write_text("6\n" + "\n".join(" ".join(map(str, row)) for row in S3.mul) + "\n")
+    return load_group(str(path))
+
+
+def _over(G, e):
+    return StructuredEndo(G, e.n, e.theta, e.phis)
+
+
+def test_scan_store_lives_on_the_group_and_gives_cold_and_warm_verdicts_alike(tmp_path):
+    T = _fresh_s3(tmp_path, "first")
+    endos = list(enumerate_end0(T, 2))
+    pairs = list(itertools.product(endos, endos))
+    assert ("agreement_bits", 2) not in T._memo
+    cold = [is_fpf_bruteforce(f, g) for f, g in pairs]
+    R, store = T._memo["agreement_bits", 2]
+    assert (R, len(store)) == (13, 13 * 13)
+    # Every pair of distinct rows has been read, so those are all filled.
+    assert all(store[a * R + b] is not None for a in range(R) for b in range(R) if a != b)
+    assert [is_fpf_bruteforce(f, g) for f, g in pairs] == cold
+    # A second group from the same file starts with no store of its own,
+    # and a scan there fills only the row and column it reads.
+    U = _fresh_s3(tmp_path, "second")
+    assert ("agreement_bits", 2) not in U._memo
+    i = pairs.index((StructuredEndo(T, 2, (1, 0), (1, None)), StructuredEndo(T, 2, (2, 0), (3, None))))
+    f, g = (_over(U, e) for e in pairs[i])
+    assert is_fpf_bruteforce(f, g) == cold[i]
+    _, fresh = U._memo["agreement_bits", 2]
+    a = f.rows[0]  # the second coordinate reads row 0 on both sides
+    assert {k for k, bits in enumerate(fresh) if bits is not None} == (
+        {a * R + b for b in range(R)} | {b * R + a for b in range(R)}
+    )
+    # Cold from the other end of the pair list, on a third fresh group.
+    V = _fresh_s3(tmp_path, "third")
+    moved = [(_over(V, f), _over(V, g)) for f, g in reversed(pairs)]
+    assert [is_fpf_bruteforce(f, g) for f, g in moved] == cold[::-1]
+
+
+def test_scan_witness_check_catches_a_wrong_index(monkeypatch):
+    # Decode the index after the first agreeing one: for a pair where that
+    # element does not agree, the fused f(x) = g(x) check must refuse it.
+    endos = list(enumerate_end0(S3, 2))
+    elements = list(itertools.product(range(6), repeat=2))
+
+    def misses_the_next_element(f, g):
+        v = is_fpf_bruteforce(f, g)
+        if v.is_fpf or v.witness == elements[-1]:
+            return False
+        nxt = elements[elements.index(v.witness) + 1]
+        return f.apply(nxt) != g.apply(nxt)
+
+    f, g = next((f, g) for f in endos for g in endos if misses_the_next_element(f, g))
+    monkeypatch.setattr("hopfgalois.fpf.power_coords", lambda T, n, k: power_coords(T, n, k + 1))
+    with pytest.raises(RuntimeError, match="does not satisfy f\\(x\\) = g\\(x\\)"):
+        is_fpf_bruteforce(f, g)
+
+
+def test_fused_agreement_check_equals_apply_on_every_element():
+    rng = random.Random(0xA6EE)
+    endos = list(enumerate_end0(S3, 3))
+    elements = list(itertools.product(range(6), repeat=3))
+    verdicts, outcomes = set(), set()
+    for _ in range(150):
+        f, g = rng.choice(endos), rng.choice(endos)
+        verdicts.add(is_fpf_bruteforce(f, g).is_fpf)
+        for x in elements:
+            agree = _agree_at(f, g, x)
+            assert agree == (f.apply(x) == g.apply(x)), (f, g, x)
+            outcomes.add(agree)
+    assert verdicts == outcomes == {True, False}
 
 
 def test_verdict_rejects_contradictory_witness():

@@ -158,6 +158,9 @@ def test_file_rejects_corrupt_table(tmp_path):
         ("0\n", "order must be positive, got 0"),
         ("2\n0 1\n1\n", "row 1 has 1 entries, expected 2"),
         ("2\n0 1\n1 x\n", "row 1 contains a non-integer"),
+        # past int64: the same refusal as any other out-of-range entry
+        ("2\n0 1\n1 99999999999999999999\n", r"mul\[1\]\[1\] = 99999999999999999999 is outside 0\.\.1"),
+        ("2\n0 -99999999999999999999\n1 0\n", r"mul\[0\]\[1\] = -99999999999999999999 is outside"),
     ],
 )
 def test_file_parser_names_the_malformed_line(tmp_path, body, complaint):
