@@ -19,9 +19,9 @@ from .census import (
     tree_degree_counts,
     tree_weighted_F,
 )
-from .endomorphisms import PairFileError, parse_pair_file
+from .endomorphisms import parse_pair_file
 from .fpf import decide_fpf
-from .groups import BudgetError, GroupValidationError, find_isomorphism, load_group
+from .groups import BudgetError, find_isomorphism, has_fpf_automorphism, load_group
 from .holomorph import (
     classify_inn_out,
     enumerate_regular_subgroups,
@@ -84,19 +84,14 @@ def _cmd_census_brute(args):
     T = load_group(args.group)
     kwargs = {"budget": args.budget} if args.budget is not None else {}
     count = brute_F(T, args.n, mode=args.mode, **kwargs)
+    rows = [("group", T.name), ("n", args.n), ("mode", args.mode), ("brute_F", count)]
+    if has_fpf_automorphism(T):  # formula_F assumes T has none
+        _emit(rows + [("formula_F", "n/a"),
+                      ("match", f"n/a: {T.name} admits a fixed-point-free automorphism")])
+        return 0
     expected = formula_F(len(T.automorphisms()), args.n)
-    match = count == expected
-    _emit(
-        [
-            ("group", T.name),
-            ("n", args.n),
-            ("mode", args.mode),
-            ("brute_F", count),
-            ("formula_F", expected),
-            ("match", "true" if match else "false"),
-        ]
-    )
-    return 0 if match else CHECK_FAILED
+    _emit(rows + [("formula_F", expected), ("match", "true" if count == expected else "false")])
+    return 0 if count == expected else CHECK_FAILED
 
 
 # ── trees ────────────────────────────────────────────────────────────────
@@ -265,10 +260,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (GroupValidationError, PairFileError, BudgetError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (BudgetError, ValueError, OSError) as exc:  # table and pair-file errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

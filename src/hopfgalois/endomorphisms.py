@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groups import BudgetError, FiniteGroup, _read_only, all_coords
+from .groups import BudgetError, FiniteGroup, _read_only, all_coords, power_index
 
 __all__ = [
     "StructuredEndo",
@@ -35,7 +35,7 @@ __all__ = [
     "enumerate_end0",
     "enumerate_aut0",
     "coordinate_images",
-    "image_coords_table",
+    "image_indices",
     "parse_pair_file",
     "PairFileError",
 ]
@@ -204,14 +204,12 @@ def coordinate_images(T, n):
     return T.memo(("coordinate_images", n), build)
 
 
-def image_coords_table(e):
-    """Images of every element of T^n under ``e``, as an (N, n) array.
-
-    Row k is e(x) where x is the k-th coordinate tuple, gathered from
-    coordinate_images; used by the holomorph subgroup of a pair and the
-    Aut0 permutations of the power-lemma suite.
-    """
-    return coordinate_images(e.group, e.n)[list(e.rows)].T
+def image_indices(e):
+    """Images of every element of T^n under ``e``, as an int64 array of
+    flat power indices, elements in all_coords order; gathered from
+    coordinate_images for the holomorph subgroup of a pair and the Aut0
+    permutations of the power-lemma suite."""
+    return power_index(e.group, coordinate_images(e.group, e.n)[list(e.rows)])
 
 
 # ── Pair files ─────────────────────────────────────────────────────

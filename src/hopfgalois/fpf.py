@@ -160,10 +160,15 @@ def is_fpf_bruteforce(f, g):
         raise ValueError("endomorphism pair lives over different powers")
     size = T.order**n
     if size > SCAN_BUDGET:
-        raise BudgetError(
-            f"|{T.name}|^{n} = {size} elements exceed the scan budget {SCAN_BUDGET}; "
-            "when T has no fixed-point-free automorphism, is_fpf_by_tree or "
+        others = (
+            f"{T.name} admits a fixed-point-free automorphism, so the tree criterion "
+            "does not apply and no other route decides the pair"
+            if has_fpf_automorphism(T)
+            else "when T has no fixed-point-free automorphism, is_fpf_by_tree or "
             "decide_fpf decides the pair from its pair graph instead"
+        )
+        raise BudgetError(
+            f"|{T.name}|^{n} = {size} elements exceed the scan budget {SCAN_BUDGET}; {others}"
         )
     R, store = _agreement_store(T, n)
     agree = (1 << size) - 2  # every element but the identity, which never counts

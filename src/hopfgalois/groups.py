@@ -6,16 +6,18 @@ the identity pinned at index 0.  This module provides the table type, a
 small catalog of named groups, one generator-image backtracker that
 enumerates homomorphisms, automorphisms and crossed homomorphisms (maps
 with c(st) = c(s)·a_s(c(t)), a homomorphism being the case of the trivial
-action), direct powers T^n and their coordinate arrays, and the closure
-of a set of elements to the subgroup it generates.
+action) on each group's one generating sequence, direct powers T^n and
+their coordinate arrays, and the closure of a set of elements to the
+subgroup it generates.
 
 Tables are kept both as nested tuples (hashable, cheap scalar access) and
 as a read-only int64 numpy array for vectorised validation of tables and
-of crossed-map actions.  Everything computed from a table (automorphisms,
-their array and Aut as a table group, element orders, whether some
-automorphism is fixed point free and each one's least non-identity fixed
-point, the powers T^n and their coordinate arrays, the holomorph) lives in
-one memo on the group itself, exactly as long as the group does.
+of crossed-map actions.  Everything computed from a table (the generating
+sequence, automorphisms, their array and Aut as a table group, element
+orders, each automorphism's least non-identity fixed point and so whether
+one is fixed point free, the powers T^n and their coordinate arrays, the
+holomorph) lives in one memo on the group itself, exactly as long as the
+group does.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ __all__ = [
     "crossed_homomorphisms",
     "automorphism_table_group",
     "find_isomorphism",
-    "is_fixed_point_free",
     "has_fpf_automorphism",
     "lowest_fixed_points",
     "power_group",
@@ -173,8 +174,8 @@ class FiniteGroup:
         """Light's test (Clifford & Preston, The Algebraic Theory of
         Semigroups, §1.2): the g with (x·g)·y = x·(g·y) for all x, y are
         closed under products and include the identity, so checking the
-        greedy generating sequence decides associativity exactly."""
-        for g in self.generating_sequence():
+        closure sequence decides associativity exactly."""
+        for g in self._closure_sequence():
             left = arr[arr[:, g]]     # left[x, y] = (x·g)·y
             right = arr[:, arr[g]]    # right[x, y] = x·(g·y)
             bad = np.argwhere(left != right)
@@ -186,9 +187,6 @@ class FiniteGroup:
                 )
 
     # -- basic element arithmetic -----------------------------------------
-
-    def element_order(self, x):
-        return self.element_orders()[x]
 
     def element_orders(self):
         def build():
@@ -208,33 +206,31 @@ class FiniteGroup:
 
     # -- generation ---------------------------------------------------------
 
-    def generating_sequence(self, strategy="greedy"):
-        """A small generating sequence of element indices.
+    def generating_sequence(self):
+        """The generating sequence every generator-image search runs on: the
+        lowest-index element of order |G| when there is one, else the first
+        generating pair by index, else :meth:`_closure_sequence`.  Short
+        sequences give the shallowest search trees; built once and kept on
+        the group."""
+        return self.memo("gens", self._find_generators)
 
-        ``greedy`` repeatedly appends the lowest-index element outside the
-        closure under products of 0 and the elements so far (for a group,
-        the subgroup they generate).  ``short`` takes the lowest-index
-        element of order |G| when there is one, then the first generating
-        pair, and only then falls back to greedy; it gives the shallowest
-        search trees for backtracking.
-        """
-        if strategy not in ("greedy", "short"):
-            raise ValueError(f"unknown strategy {strategy!r}")
-        return self.memo(("gens", strategy), lambda: self._find_generators(strategy))
-
-    def _find_generators(self, strategy):
+    def _find_generators(self):
         if self.order == 1:
             return ()
-        if strategy == "short":
-            orders = self.element_orders()
-            if self.order in orders:
-                return (orders.index(self.order),)
-            for pair in itertools.combinations(range(1, self.order), 2):
-                if len(subgroup_closure(self, pair)) == self.order:
-                    return pair
-            return self.generating_sequence("greedy")
-        # Assumes no axiom beyond the identity at 0, so validation can use
-        # it; the closure grows from the newest elements only.
+        orders = self.element_orders()
+        if self.order in orders:
+            return (orders.index(self.order),)
+        for pair in itertools.combinations(range(1, self.order), 2):
+            if len(subgroup_closure(self, pair)) == self.order:
+                return pair
+        return self._closure_sequence()
+
+    def _closure_sequence(self):
+        """Repeatedly append the lowest-index element outside the closure
+        under products of 0 and the elements so far (for a group, the
+        subgroup they generate).  It assumes no axiom beyond the identity
+        at 0, so validation can use it; the closure grows from the newest
+        elements only."""
         arr, have, gens = self.np_mul, np.arange(self.order) == 0, []
         while not have.all():
             new = np.flatnonzero(~have)[:1]
@@ -543,7 +539,7 @@ def _backtrack_images(src, dst, gens, candidates, action=None, injective=False):
 
 def enumerate_homomorphisms(src, dst, bijective=False):
     """Yield all homomorphisms src → dst as full image tuples, searched on
-    the ``short`` generators of src in the backtracker's order.
+    the generating sequence of src in the backtracker's order.
 
     Each generator of ``src`` may only go to an element whose order
     divides its own (equals it, with ``bijective=True``, which yields only
@@ -551,7 +547,7 @@ def enumerate_homomorphisms(src, dst, bijective=False):
     """
     if bijective and src.order != dst.order:
         return
-    gens = src.generating_sequence("short")
+    gens = src.generating_sequence()
     src_orders = src.element_orders()
     dst_orders = dst.element_orders()
     candidates = []
@@ -578,7 +574,7 @@ def crossed_homomorphisms(N, f_perm_rows, bijective=False):
     bijection preserving products, and raises ValueError naming the check
     that fails.
     """
-    gens = N.generating_sequence("short")
+    gens = N.generating_sequence()
     F, mul = np.asarray(f_perm_rows, dtype=np.int64), N.np_mul
     for g in gens:
         a = F[g]
@@ -598,7 +594,7 @@ def automorphism_table_group(N):
     def build():
         auts = N.aut_array()
         # An automorphism is fixed by its images of a generating sequence.
-        gen_images = auts[:, list(N.generating_sequence("short"))]
+        gen_images = auts[:, list(N.generating_sequence())]
         mul = row_finder(gen_images, N.order)(auts[:, gen_images])  # [i, j]: images of i∘j
         if mul is None:
             raise RuntimeError(f"a composite of two automorphisms of {N.name} is not among them")
@@ -636,19 +632,6 @@ def find_isomorphism(src, dst):
 # ── Fixed-point-freeness of automorphisms ───────────────────────────────
 
 
-def is_fixed_point_free(images):
-    """True iff the map fixes index 0 and nothing else."""
-    return images[0] == 0 and all(images[x] != x for x in range(1, len(images)))
-
-
-def has_fpf_automorphism(G):
-    """Whether some automorphism of G is fixed point free; decided once and
-    kept on G."""
-    return G.memo(
-        "has_fpf_aut", lambda: any(is_fixed_point_free(a) for a in G.automorphisms())
-    )
-
-
 def lowest_fixed_points(G):
     """Per automorphism id, its least fixed point other than the identity,
     or None when it fixes only the identity; built once and kept on G."""
@@ -659,6 +642,12 @@ def lowest_fixed_points(G):
         return tuple(int(k) if row.any() else None for k, row in zip(fixed.argmax(axis=1), fixed))
 
     return G.memo("lowest_fixed_points", build)
+
+
+def has_fpf_automorphism(G):
+    """Whether some automorphism of G fixes only the identity, read off
+    ``lowest_fixed_points`` once and kept on G."""
+    return G.memo("has_fpf_aut", lambda: None in lowest_fixed_points(G))
 
 
 # ── Direct powers T^n ───────────────────────────────────────────────────

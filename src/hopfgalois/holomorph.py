@@ -38,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .endomorphisms import image_coords_table
+from .endomorphisms import image_indices
 from .fpf import is_fpf_bruteforce
 from .groups import (
     BudgetError,
@@ -49,7 +49,6 @@ from .groups import (
     find_isomorphism,
     power_base,
     power_group,
-    power_index,
     row_finder,
     subgroup_closure,
 )
@@ -292,7 +291,7 @@ def enumerate_regular_subgroups(N):
     So one f per Aut(N)-orbit of image classes is searched, and each other
     class of its orbit is reached by one gather, with the least α moving f
     into it.  Each α·h is found in Hom(N, Aut(N)) by its images of the
-    ``short`` generators; a miss raises RuntimeError.  Every distinct
+    generating sequence; a miss raises RuntimeError.  Every distinct
     subgroup has its closure checked, both regularity tests asserted, and
     s ↦ (g(s), f(s)) asserted to carry N's table onto the subgroup's;
     other types need the oracle.  Hol(N) is priced from (T, n) when N is a
@@ -308,7 +307,7 @@ def enumerate_regular_subgroups(N):
     amul, ainv = aut.np_mul, np.array(aut.inv)
     inv_perms = auts_arr[list(aut.inv)]  # row α is α⁻¹ as a permutation of N
     homs = np.array(list(enumerate_homomorphisms(N, aut)), dtype=np.int64).reshape(-1, m)
-    gens = list(N.generating_sequence("short"))  # a hom is fixed by its images of these
+    gens = list(N.generating_sequence())  # a hom is fixed by its images of these
     find = row_finder(homs[:, gens], K)
 
     def conj(a, b):  # αβα⁻¹, elementwise
@@ -446,8 +445,7 @@ def fpf_pair_to_subgroup(f, g, verdict=None):
     N = hol.group
     if verdict is None:
         verdict = is_fpf_bruteforce(f, g)
-    fv = power_index(T, image_coords_table(f).T)
-    gv = power_index(T, image_coords_table(g).T)
+    fv, gv = image_indices(f), image_indices(g)
     trans = N.np_mul[gv, hol._inv[fv]]
     translations = np.count_nonzero(np.bincount(trans, minlength=N.order))
     if not verdict.is_fpf:

@@ -54,7 +54,6 @@ __all__ = [
     "transport_id",
     "path_transport",
     "prufer_decode",
-    "prufer_encode",
     "enumerate_labelled_trees",
     "count_trees_root_degree",
     "tree_degree_census",
@@ -356,28 +355,6 @@ def prufer_decode(seq, n):
     b = heapq.heappop(leaves)
     edges.append((min(a, b), max(a, b)))
     return edges
-
-
-def prufer_encode(edges, n):
-    """Inverse of prufer_decode on tree edge lists."""
-    if len(edges) != n:
-        raise ValueError(f"a tree on {n + 1} vertices needs exactly {n} edges")
-    adj = {v: set() for v in range(n + 1)}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    leaves = [v for v in range(n + 1) if len(adj[v]) == 1]
-    heapq.heapify(leaves)
-    seq = []
-    for _ in range(n - 1):
-        leaf = heapq.heappop(leaves)
-        nbr = next(iter(adj[leaf]))
-        seq.append(nbr)
-        adj[nbr].discard(leaf)
-        adj[leaf].clear()
-        if len(adj[nbr]) == 1:
-            heapq.heappush(leaves, nbr)
-    return tuple(seq)
 
 
 def enumerate_labelled_trees(n):

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .endomorphisms import enumerate_aut0, image_coords_table
+from .endomorphisms import enumerate_aut0, image_indices
 from .groups import (
     _is_prime,
     all_coords,
@@ -72,9 +72,7 @@ class PowerContext:
         self.group = power_group(T, n)
         self.aut0 = tuple(enumerate_aut0(T, n))
         self._index = {(e.theta, e.phis): i for i, e in enumerate(self.aut0)}
-        self.perms = np.array(
-            [power_index(T, image_coords_table(e).T) for e in self.aut0], dtype=np.int64
-        )
+        self.perms = np.array([image_indices(e) for e in self.aut0], dtype=np.int64)
         self.perms.setflags(write=False)
         self.identity_theta = tuple(range(1, n + 1))
 

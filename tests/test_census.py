@@ -16,9 +16,9 @@ from hopfgalois.census import (
     tree_degree_counts,
     tree_weighted_F,
 )
-from hopfgalois.endomorphisms import enumerate_end0, image_coords_table
+from hopfgalois.endomorphisms import enumerate_end0, image_indices
 from hopfgalois.fpf import TreeCriterionError, is_fpf_bruteforce
-from hopfgalois.groups import BudgetError, load_group, power_group, power_index
+from hopfgalois.groups import BudgetError, load_group, power_group
 
 S3 = load_group("s3")
 A5 = load_group("a5")
@@ -139,7 +139,7 @@ def _end0_image_matrix(T, n, columns):
     """Images of the columns under every endomorphism, one row each in
     enumerate_end0 order, through the per-endomorphism image table.
     Column-major, so that a reduction over columns is a few fast passes."""
-    rows = [power_index(T, image_coords_table(e)[columns].T) for e in enumerate_end0(T, n)]
+    rows = [image_indices(e)[columns] for e in enumerate_end0(T, n)]
     return np.array(rows, dtype=np.min_scalar_type(T.order**n - 1), order="F")
 
 

@@ -56,6 +56,26 @@ def test_census_brute(capsys):
     assert "match\ttrue" in out
 
 
+def _no_formula(brute, name):
+    # formula_F assumes that T has no fixed-point-free automorphism
+    return [f"brute_F\t{brute}", "formula_F\tn/a",
+            f"match\tn/a: {name} admits a fixed-point-free automorphism"]
+
+
+def test_census_brute_has_no_formula_for_an_fpf_automorphism(capsys):
+    # x -> x^2 fixes only the identity of C3
+    rc, out, _ = run(capsys, "census", "brute", "--group", "c3", "--n", "1", "--mode", "fpf")
+    assert (rc, out.splitlines()[3:]) == (0, _no_formula(6, "c3"))
+
+
+def test_census_brute_has_no_formula_for_a_one_element_table(tmp_path, capsys):
+    # the one automorphism of the trivial group fixes only the identity
+    path = tmp_path / "c1.txt"
+    path.write_text("1\n0\n")
+    rc, out, _ = run(capsys, "census", "brute", "--group", str(path), "--n", "2", "--mode", "fpf")
+    assert (rc, out.splitlines()[3:]) == (0, _no_formula(81, "c1"))
+
+
 def test_census_brute_fpf_reaches_the_s3_cube(capsys):
     rc, out, _ = run(capsys, "census", "brute", "--group", "s3", "--n", "3",
                      "--mode", "fpf")

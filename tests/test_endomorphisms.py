@@ -14,12 +14,12 @@ from hopfgalois.endomorphisms import (
     enumerate_aut0,
     enumerate_end0,
     identity_endo,
-    image_coords_table,
+    image_indices,
     is_automorphism,
     parse_pair_file,
     trivial_endo,
 )
-from hopfgalois.groups import BudgetError, all_coords, load_group, power_identity
+from hopfgalois.groups import BudgetError, all_coords, load_group, power_identity, power_index
 
 S3 = load_group("s3")
 A5 = load_group("a5")
@@ -137,10 +137,10 @@ def test_image_table_matches_apply():
         StructuredEndo(S3, 3, (3, 0, 1), (5, None, 2)),
         StructuredEndo(A5, 1, (1,), (77,)),
     ):
-        coords, table = all_coords(e.group, e.n), image_coords_table(e)
-        assert table.shape == coords.shape
-        for x, image in zip(coords.tolist(), table.tolist()):
-            assert tuple(image) == e.apply(tuple(x))
+        coords, images = all_coords(e.group, e.n), image_indices(e)
+        assert images.shape == (len(coords),)
+        for x, image in zip(coords.tolist(), images.tolist()):
+            assert image == power_index(e.group, e.apply(tuple(x)))
 
 
 # ── Pair files ──────────────────────────────────────────────────────

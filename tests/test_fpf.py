@@ -68,6 +68,15 @@ def test_bruteforce_refusal_names_the_graph_routes():
     assert decide_fpf(f, g).method == "tree-criterion"
 
 
+def test_bruteforce_refusal_names_no_tree_route_for_an_fpf_automorphism():
+    c3 = load_group("c3")  # x -> x^2 fixes only the identity: no tree route applies
+    f, g = identity_endo(c3, 9), trivial_endo(c3, 9)
+    for decide in (is_fpf_bruteforce, decide_fpf):
+        with pytest.raises(BudgetError, match="c3 admits a fixed-point-free automorphism") as err:
+            decide(f, g)
+        assert "is_fpf_by_tree" not in str(err.value) and "decide_fpf" not in str(err.value)
+
+
 def test_bruteforce_refuses_a_pair_over_different_powers():
     # The rows of g index the coordinate-image table of its own T^n only.
     for g in (identity_endo(S3, 3), identity_endo(C5, 2)):

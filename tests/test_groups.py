@@ -17,8 +17,8 @@ from hopfgalois.groups import (
     enumerate_homomorphisms,
     find_isomorphism,
     has_fpf_automorphism,
-    is_fixed_point_free,
     load_group,
+    lowest_fixed_points,
     power_coords,
     power_group,
     power_index,
@@ -184,6 +184,24 @@ def test_element_orders():
     assert sorted(Q8.element_orders()) == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
+# Every search yields its maps in the order of the generating sequence, and
+# `hol verify-s3-lemmas` keeps a prefix of the crossed maps of S3^2, so its
+# golden file depends on the pair (7, 15): of 16 other generating pairs of
+# S3^2, 11 changed 32 to 40 of the suite's 308 rows.
+GENERATING_SEQUENCES = {
+    "a4": (1, 3), "a5": (1, 15), "d4": (1, 2), "d5": (1, 2), "q8": (2, 4),
+    "s3": (1, 2), "s4": (1, 8), "s5": (1, 32),
+    **{f"c{k}": (1,) for k in range(2, 13)},
+}
+
+
+def test_generating_sequences_are_pinned():
+    pinned = {name: load_group(name).generating_sequence() for name in catalog_names()}
+    assert pinned == GENERATING_SEQUENCES
+    assert power_group(S3, 2).generating_sequence() == (7, 15)
+    assert load_group(C2CUBE).generating_sequence() == (1, 2, 4)  # no generating pair
+
+
 def test_center_and_abelian():
     # |Z(G)| = |G| / |Inn(G)|: S3 has a trivial center, Q8 one of order 2
     assert S3.order // len(S3.inner_automorphism_ids()) == 1
@@ -314,12 +332,8 @@ def test_find_isomorphism_on_relabeled_table():
 
 def test_fixed_point_free_automorphisms():
     c5 = load_group("c5")
-    doubling = next(
-        a for a in c5.automorphisms() if a != tuple(range(5))
-    )
-    assert is_fixed_point_free(doubling) or any(
-        is_fixed_point_free(a) for a in c5.automorphisms()
-    )
+    doubling = c5.aut_index(tuple(2 * x % 5 for x in range(5)))
+    assert lowest_fixed_points(c5)[doubling] is None  # x = 2x only at 0
     assert has_fpf_automorphism(c5)
     # These are the targets the tree criterion needs: no fpf automorphism.
     assert not has_fpf_automorphism(S3)
@@ -386,7 +400,7 @@ def test_all_coords_belongs_to_its_own_group(colliding_ids):
 
 
 def test_subgroup_closure():
-    rot = next(x for x in range(6) if S3.element_order(x) == 3)
+    rot = next(x for x in range(6) if S3.element_orders()[x] == 3)
     assert len(subgroup_closure(S3, [rot])) == 3
     assert len(subgroup_closure(S3, [0])) == 1
     # a limit drops a closure once it has more elements than the limit
@@ -439,7 +453,7 @@ def test_solvability_and_simplicity():
     assert not out_is_solvable(load_group(Path(__file__).parent / "data" / "c2cube.txt"))
     # simple: every element other than 1 has the whole group as normal closure
     assert all(_normal_closure_order(a5, x) == 60 for x in range(1, 60))
-    rot = next(x for x in range(6) if S3.element_order(x) == 3)
+    rot = next(x for x in range(6) if S3.element_orders()[x] == 3)
     assert _normal_closure_order(S3, rot) == 3
 
 
