@@ -188,18 +188,20 @@ def coordinate_images(T, n):
     """Every value one output coordinate of a structured endomorphism of
     T^n can take, on every element of T^n at once.
 
-    A read-only (1 + n|Aut T|, |T|^n) int64 array, elements in all_coords
-    order.  Row 0 is the identity (a collapsed coordinate); row
+    A read-only (1 + n|Aut T|, |T|^n) array of the smallest unsigned
+    dtype that holds |T| - 1 (uint8 for every catalog group), elements in
+    all_coords order.  Row 0 is the identity (a collapsed coordinate); row
     1 + (t-1)|Aut T| + p is automorphism p applied to input coordinate t.
     Built once per n from T.aut_array() and all_coords alone and kept on
-    T: 33 KB for S3^3, 58 KB for A5, 6.9 MB for A5^2.  It stays int64
-    because power_index over these values reaches |T|^n - 1.
+    T: 4.1 KB for S3^3, 7.3 KB for A5, 0.87 MB for A5^2.  Flat power
+    indices reach |T|^n - 1, so readers widen before power_index.
     """
 
     def build():
-        auts, cols = T.aut_array(), all_coords(T, n).T
+        dtype = np.min_scalar_type(T.order - 1)
+        auts, cols = T.aut_array().astype(dtype), all_coords(T, n).T
         images = auts[:, cols].swapaxes(0, 1).reshape(-1, T.order**n)
-        return _read_only(np.concatenate([np.zeros((1, T.order**n), np.int64), images]))
+        return _read_only(np.concatenate([np.zeros((1, T.order**n), dtype), images]))
 
     return T.memo(("coordinate_images", n), build)
 
@@ -208,8 +210,10 @@ def image_indices(e):
     """Images of every element of T^n under ``e``, as an int64 array of
     flat power indices, elements in all_coords order; gathered from
     coordinate_images for the holomorph subgroup of a pair and the Aut0
-    permutations of the power-lemma suite."""
-    return power_index(e.group, coordinate_images(e.group, e.n)[list(e.rows)])
+    permutations of the power-lemma suite.  The rows are widened to int64
+    first: a narrow dtype times |T| would wrap under numpy's promotion."""
+    rows = coordinate_images(e.group, e.n)[list(e.rows)].astype(np.int64)
+    return power_index(e.group, rows)
 
 
 # ── Pair files ─────────────────────────────────────────────────────

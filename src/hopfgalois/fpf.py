@@ -7,7 +7,8 @@ the identity.  Two routes decide this:
   scale, and the oracle everything else is judged against).  Coordinate
   i of f(x) and of g(x), for every x at once, is a row of one table of
   coordinate images per (T, n), built from the automorphism array and
-  the coordinate list alone.  Where two such rows agree is kept on T as
+  the coordinate list alone in the smallest unsigned dtype that holds
+  |T| - 1 (uint8 for every catalog T).  Where two such rows agree is kept on T as
   a bitset, one Python int per pair of rows in a flat list of R^2
   entries (R = 1 + n|Aut T| rows), filled from one numpy comparison on
   first use; a pair's scan ANDs n of them and takes the lowest set bit
@@ -150,9 +151,10 @@ def is_fpf_bruteforce(f, g):
     no code with the pair graph.  Filled completely, the store holds R^2
     bitsets, R^2·|T|^n/8 bytes of bits: 10 KB for S3^3, 0.1 MB for A5,
     4.8 MB for Q8^4, 8.2 MB for D5^4 and about 26 MB for A5^2, beside
-    the table's 6.9 MB.  A row fill costs about 1 ms on A5^2 (241 rows of
-    3,600 elements), so a few thousand pairs there scan slower cold than
-    a per-pair comparison would and faster once the rows are filled.  The
+    the uint8 table's 0.87 MB.  A row fill costs about 0.6 ms on A5^2
+    (241 rows of 3,600 elements, one uint8 comparison and packbits), so
+    a few thousand pairs there scan slower cold than a per-pair
+    comparison would and faster once the rows are filled.  The
     budget is checked before anything is built.
     """
     T, n = f.group, f.n

@@ -16,7 +16,7 @@ endomorphisms, and no core module imports it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -24,13 +24,14 @@ import numpy as np
 from .endomorphisms import enumerate_aut0, image_indices
 from .groups import (
     _is_prime,
+    _read_only,
     all_coords,
     automorphism_table_group,
     crossed_homomorphisms,
-    invert_perm,
     power_coords,
     power_group,
     power_index,
+    row_finder,
     subgroup_closure,
 )
 
@@ -63,8 +64,10 @@ MAX_G_PER_F = 4  # crossed maps g kept per searched f in the lemma suite
 
 class PowerContext:
     """Shared tables for G = T^n: the power table group, the invertible
-    structured endomorphisms in enumeration order, and ``perms``, the
-    read-only (count, |G|) array whose row k is aut0 element k acting on G."""
+    structured endomorphisms in enumeration order and, indexed by their
+    ids, ``perms`` (row k is aut0 element k acting on G), ``compose``
+    (entry [a, b] is the id of a∘b, b applied first), ``thetas`` (0-based
+    source coordinates) and ``phis`` (T-automorphism ids), all read-only."""
 
     def __init__(self, T, n):
         self.T = T
@@ -72,8 +75,15 @@ class PowerContext:
         self.group = power_group(T, n)
         self.aut0 = tuple(enumerate_aut0(T, n))
         self._index = {(e.theta, e.phis): i for i, e in enumerate(self.aut0)}
-        self.perms = np.array([image_indices(e) for e in self.aut0], dtype=np.int64)
-        self.perms.setflags(write=False)
+        self.perms = _read_only(np.array([image_indices(e) for e in self.aut0], dtype=np.int64))
+        # an automorphism is its images of a generating sequence, so a∘b is
+        # found among the rows by the images a(b(x)) of the generators x;
+        # one row of a at a time keeps the queries at (count, generators)
+        keys = self.perms[:, list(self.group.generating_sequence())]
+        find = row_finder(keys, self.group.order)
+        self.compose = _read_only(np.array([find(a[keys]) for a in self.perms]))
+        self.thetas = _read_only(np.array([e.theta for e in self.aut0], dtype=np.int64) - 1)
+        self.phis = _read_only(np.array([e.phis for e in self.aut0], dtype=np.int64))
         self.identity_theta = tuple(range(1, n + 1))
 
     def aut0_index(self, theta, phis):
@@ -115,18 +125,13 @@ class FGPair:
             raise ValueError("f and g tables must cover the whole group")
         if self.g_values[0] != 0:
             raise ValueError("crossed map must send the identity to the identity")
-        perms = ctx.perms
         f = np.array(self.f_ids, dtype=np.int64)
         g = np.array(self.g_values, dtype=np.int64)
         mul = G.np_mul
-        order = G.order
-        fperm = perms[f]  # row s is the permutation realized by f(s)
-        lhs = fperm[mul]  # [s, t, x] -> f(st)(x)
-        comp = fperm[np.arange(order)[:, None, None], fperm[None, :, :]]
-        if not (lhs == comp).all():
+        if not (f[mul] == ctx.compose[f[:, None], f[None, :]]).all():
             raise ValueError("f is not a homomorphism into the wreath elements")
-        rhs_g = mul[g[:, None], fperm[np.arange(order)[:, None], g[None, :]]]
-        if not (g[mul] == rhs_g).all():
+        # [s, t]: g(s)·f(s)(g(t))
+        if not (g[mul] == mul[g[:, None], ctx.perms[f[:, None], g[None, :]]]).all():
             raise ValueError("g does not satisfy the crossed-homomorphism law")
 
     # -- notation shortcuts, decoded once per pair ------------------------
@@ -135,31 +140,36 @@ class FGPair:
         return self.ctx.aut0[self.f_ids[s]].theta
 
     @cached_property
-    def g_coords(self):
-        """g(s) as a coordinate tuple, for every s."""
-        rows = all_coords(self.ctx.T, self.ctx.n)[list(self.g_values)]
-        return tuple(map(tuple, rows.tolist()))
-
-    @cached_property
-    def phi_images(self):
-        """Per s, the T-automorphism image tuples feeding the output
-        coordinates of f(s), in coordinate order (f(s) is invertible, so
-        no coordinate is collapsed)."""
-        auts, aut0 = self.ctx.T.automorphisms(), self.ctx.aut0
-        return tuple(tuple(auts[p] for p in aut0[f].phis) for f in self.f_ids)
+    def wreath(self):
+        """(theta, phis, a): (|G|, n) arrays whose row s holds the 0-based
+        source coordinates and the T-automorphism ids of f(s), and the
+        coordinates of g(s)."""
+        ctx, f = self.ctx, list(self.f_ids)
+        return ctx.thetas[f], ctx.phis[f], all_coords(ctx.T, ctx.n)[list(self.g_values)]
 
     @cached_property
     def kernel_fsn(self):
         """Elements whose wreath part has identity coordinate action."""
-        ident = self.ctx.identity_theta
-        return tuple(
-            s for s in range(self.ctx.group.order) if self.theta_of(s) == ident
-        )
+        trivial = (self.wreath[0] == np.arange(self.ctx.n)).all(axis=1)
+        return tuple(np.flatnonzero(trivial).tolist())
+
+    @cached_property
+    def kernel_commutes(self):
+        """Bool (|G|, |kernel|) array: [s, j] says s commutes with the j-th
+        kernel element."""
+        mul, kernel = self.ctx.group.np_mul, list(self.kernel_fsn)
+        return mul[:, kernel] == mul[kernel].T
+
+    @cached_property
+    def kernel_inner(self):
+        """Whether f sends the whole coordinate-action kernel into inner
+        automorphisms of the power (identity action, all conjugation parts)."""
+        return all(map(self.ctx.is_inner_aut0, {self.f_ids[t] for t in self.kernel_fsn}))
 
     def fsn_image(self):
         """The set of coordinate actions realized by f: a subgroup, as f is
         a homomorphism."""
-        return {self.theta_of(s) for s in range(self.ctx.group.order)}
+        return {self.ctx.aut0[k].theta for k in set(self.f_ids)}
 
     def g_is_bijective(self):
         return len(set(self.g_values)) == self.ctx.group.order
@@ -289,13 +299,14 @@ def orbit_decompose(pair, p, variant=0):
     rank-n subgroup C^n, C generated by the variant-th lowest-index
     order-p element of T.  variant=0 is the deterministic default; passing
     1 exercises independence from the choice when a second element exists.
+    The members of C^n are built once per (p, variant) and kept on G.
 
     Transporters are searched among elements commuting with the whole
     kernel of the coordinate action, as the bound lemma wants; failure to
     find commuting ones is recorded, not fatal.
     """
     ctx = pair.ctx
-    T, n, G = ctx.T, ctx.n, ctx.group
+    T, n = ctx.T, ctx.n
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
     if T.order % p != 0:
@@ -303,17 +314,17 @@ def orbit_decompose(pair, p, variant=0):
     elems = _order_p_elements(T, p)
     if variant >= len(elems):
         raise ValueError(f"only {len(elems)} elements of order {p}, variant {variant} unavailable")
-    cyclic = subgroup_closure(T, [elems[variant]])
-    members = [power_index(T, c) for c in itertools.product(cyclic, repeat=n)]
-    kernel = pair.kernel_fsn
 
-    def commutes_with_kernel(s):
-        return all(G.mul[s][t] == G.mul[t][s] for t in kernel)
+    def members():
+        cyclic = subgroup_closure(T, [elems[variant]])
+        return sorted(power_index(T, c) for c in itertools.product(cyclic, repeat=n))
 
-    labelled = [(s, pair.theta_of(s)) for s in sorted(members)]
-    return orbit_decompose_from_thetas(
-        labelled, n, p, prefer=commutes_with_kernel
-    )
+    labelled = [
+        (s, pair.theta_of(s))
+        for s in ctx.group.memo(("prime_members", p, variant), members)
+    ]
+    commuting = pair.kernel_commutes.all(axis=1)
+    return orbit_decompose_from_thetas(labelled, n, p, prefer=commuting.__getitem__)
 
 
 @dataclass(frozen=True)
@@ -349,6 +360,24 @@ class CheckResult:
     detail: str = ""
 
 
+def _relation_by_coordinate(pair, sigma, tau):
+    """Per coordinate i, whether
+
+        phi_{sigma,i}(a_tau at theta_sigma(i))
+            = (a_sigma at i)^-1 · (a_tau at i) · phi_{tau,i}(a_sigma at i)
+
+    holds, a_s being the coordinates of g(s): for index arrays (or ints)
+    sigma and tau that broadcast to one shape, a bool array of that shape
+    with a last axis of n, gathered from ``pair.wreath``.  It checks no
+    precondition."""
+    T = pair.ctx.T
+    auts, mul, inv = T.aut_array(), T.np_mul, np.array(T.inv)
+    theta, phis, a = pair.wreath
+    a_s, a_t = a[sigma], a[tau]
+    lhs = auts[phis[sigma], a[np.asarray(tau)[..., None], theta[sigma]]]
+    return lhs == mul[mul[inv[a_s], a_t], auts[phis[tau], a_s]]
+
+
 def check_relations_lemma(pair, sigma, tau):
     """Componentwise relation tying g(sigma) and g(tau) for commuting
     sigma, tau with tau acting trivially on coordinates:
@@ -359,7 +388,7 @@ def check_relations_lemma(pair, sigma, tau):
     Preconditions are errors, not silent skips.
     """
     ctx = pair.ctx
-    G, T, n = ctx.group, ctx.T, ctx.n
+    G = ctx.group
     if G.mul[sigma][tau] != G.mul[tau][sigma]:
         raise ValueError(
             f"elements {sigma} and {tau} do not commute; the relation "
@@ -370,21 +399,13 @@ def check_relations_lemma(pair, sigma, tau):
             f"element {tau} permutes coordinates; it must lie in the "
             "kernel of the coordinate action"
         )
-    theta_s = pair.theta_of(sigma)
-    a_s, a_t = pair.g_coords[sigma], pair.g_coords[tau]
-    phis_s, phis_t = pair.phi_images[sigma], pair.phi_images[tau]
-    for i in range(n):
-        lhs = phis_s[i][a_t[theta_s[i] - 1]]
-        rhs = T.mul[T.mul[T.inv[a_s[i]]][a_t[i]]][phis_t[i][a_s[i]]]
-        if lhs != rhs:
-            return False
-    return True
+    return bool(_relation_by_coordinate(pair, sigma, tau).all())
 
 
 def f_kernel_inner(pair):
     """Whether f sends the whole coordinate-action kernel into inner
-    automorphisms of the power (identity action, all conjugation parts)."""
-    return all(pair.ctx.is_inner_aut0(pair.f_ids[t]) for t in pair.kernel_fsn)
+    automorphisms of the power; decided once per pair."""
+    return pair.kernel_inner
 
 
 def g_bound_report(pair, decomp):
@@ -393,7 +414,10 @@ def g_bound_report(pair, decomp):
 
     Every kernel value is first reconstructed coordinate-by-coordinate
     from its orbit-representative block through the transporters (the
-    containment statement), then the numeric bounds are compared:
+    containment statement): for tau in the kernel and the transporter s
+    carrying rep to i, a_tau at i is fixed by the commuting-pair relation
+    of (s, tau) at coordinate rep, which reads it as a_tau at
+    theta_s(rep) = i.  Then the numeric bounds are compared:
     per orbit at most |T|·|Inn(T)| blocks when f maps the kernel to inner
     automorphisms, |T|·|Aut(T)| otherwise, and |T| per fixed coordinate.
     With inner kernel images that bound must also sit under the coarse
@@ -408,21 +432,11 @@ def g_bound_report(pair, decomp):
     kernel = pair.kernel_fsn
     trans = dict(decomp.transporters)
     kernel_inner = f_kernel_inner(pair)
-    containment_ok = True
-    for tau in kernel:
-        a_tau = pair.g_coords[tau]
-        for orbit, rep in zip(decomp.orbits, decomp.reps):
-            phi_tau_rep = pair.phi_images[tau][rep - 1]
-            for i in orbit:
-                s = trans[i]
-                a_s = pair.g_coords[s]
-                anchor = a_s[rep - 1]
-                inner_val = T.mul[
-                    T.mul[T.inv[anchor]][a_tau[rep - 1]]
-                ][phi_tau_rep[anchor]]
-                recon = invert_perm(pair.phi_images[s][rep - 1])[inner_val]
-                if recon != a_tau[i - 1]:
-                    containment_ok = False
+    containment_ok = all(
+        _relation_by_coordinate(pair, trans[i], np.array(kernel))[:, rep - 1].all()
+        for orbit, rep in zip(decomp.orbits, decomp.reps)
+        for i in orbit
+    )
     x0, r = len(decomp.fixed), decomp.r
     phi_range = (
         len(T.inner_automorphism_ids()) if kernel_inner else len(T.automorphisms())
@@ -478,12 +492,12 @@ def audit_prime_bound(pair, decomp):
 
 
 def commutator_closure(G, subset):
-    """The subgroup generated by commutators of elements of ``subset``."""
-    comms = set()
-    for a in subset:
-        for b in subset:
-            comms.add(G.mul[G.mul[a][b]][G.inv[G.mul[b][a]]])
-    return subgroup_closure(G, comms)
+    """The subgroup generated by commutators of elements of ``subset``,
+    all gathered at once: [a, b] = ab·(ba)^-1."""
+    s = np.fromiter(subset, dtype=np.int64)
+    ab = G.np_mul[s[:, None], s[None, :]]
+    comms = G.np_mul[ab, np.array(G.inv)[ab.T]]
+    return subgroup_closure(G, np.unique(comms).tolist())
 
 
 def out_is_solvable(T):
@@ -605,28 +619,19 @@ def run_power_lemma_suite(T, n=2):
     criterion.  Returns CheckResult rows; no row may be "fail".
     """
     ctx = PowerContext(T, n)
-    G = ctx.group
     results = []
     # by Cauchy's theorem these are the primes dividing |T|
     primes = sorted({k for k in T.element_orders() if _is_prime(k)})
     for name, pair in _suite_pairs(ctx):
-        kernel = set(pair.kernel_fsn)
-        qualifying = 0
-        failures = 0
-        for sigma in range(G.order):
-            for tau in kernel:
-                if G.mul[sigma][tau] != G.mul[tau][sigma]:
-                    continue
-                qualifying += 1
-                if not check_relations_lemma(pair, sigma, tau):
-                    failures += 1
-        rows = [
-            CheckResult(
-                "commuting-pair relation",
-                "pass" if failures == 0 else "fail",
-                f"{qualifying} qualifying pairs, {failures} failures",
-            )
-        ]
+        # every commuting (sigma, tau) with tau in the kernel, in one gather
+        sigma, j = np.nonzero(pair.kernel_commutes)
+        tau = np.array(pair.kernel_fsn)[j]
+        failures = int((~_relation_by_coordinate(pair, sigma, tau).all(axis=1)).sum())
+        results.append(CheckResult(
+            f"{name}: commuting-pair relation",
+            "pass" if failures == 0 else "fail",
+            f"{len(sigma)} qualifying pairs, {failures} failures",
+        ))
         for p in primes:
             for variant in range(min(2, len(_order_p_elements(T, p)))):
                 decomp = orbit_decompose(pair, p, variant)
@@ -636,11 +641,10 @@ def run_power_lemma_suite(T, n=2):
                     f"m={decomp.m} fixed={len(decomp.fixed)} "
                     f"orbit-ranks={list(decomp.orbit_ranks)}",
                 )
-                bound = g_bound_report(pair, decomp)
-                rows += [
-                    replace(row, name=f"{row.name} p={p} choice {variant}")
-                    for row in (ranks, bound, audit_prime_bound(pair, decomp))
+                results += [
+                    CheckResult(f"{name}: {row.name} p={p} choice {variant}", row.status, row.detail)
+                    for row in (ranks, g_bound_report(pair, decomp), audit_prime_bound(pair, decomp))
                 ]
-        rows.append(check_out_prop1(pair))
-        results += [replace(row, name=f"{name}: {row.name}") for row in rows]
+        row = check_out_prop1(pair)
+        results.append(CheckResult(f"{name}: {row.name}", row.status, row.detail))
     return results

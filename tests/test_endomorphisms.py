@@ -3,12 +3,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from hopfgalois.endomorphisms import (
     PairFileError,
     StructuredEndo,
     compose,
+    coordinate_images,
     count_aut0,
     count_end0,
     enumerate_aut0,
@@ -141,6 +143,17 @@ def test_image_table_matches_apply():
         assert images.shape == (len(coords),)
         for x, image in zip(coords.tolist(), images.tolist()):
             assert image == power_index(e.group, e.apply(tuple(x)))
+
+
+def test_narrow_image_table_widens_to_flat_indices():
+    # the table holds coordinates of A5 in uint8, but flat indices of A5^2
+    # reach 3599: image_indices must widen before power_index multiplies
+    assert coordinate_images(A5, 2).dtype == np.uint8
+    e = StructuredEndo(A5, 2, (2, 1), (7, 77))
+    images = image_indices(e)
+    assert images.dtype == np.int64 and images.max() == 3599
+    for x, image in zip(all_coords(A5, 2).tolist(), images.tolist()):
+        assert image == power_index(A5, e.apply(tuple(x)))
 
 
 # ── Pair files ──────────────────────────────────────────────────────

@@ -23,6 +23,7 @@ from hopfgalois.groups import (
     enumerate_homomorphisms,
     find_isomorphism,
     load_group,
+    power_coords,
     power_group,
 )
 from hopfgalois.holomorph import (
@@ -37,6 +38,8 @@ from hopfgalois.holomorph import (
 from hopfgalois.powerlemmas import (
     FGPair,
     PowerContext,
+    _relation_by_coordinate,
+    _suite_pairs,
     check_out_prop1,
     check_rank_bounds,
     check_relations_lemma,
@@ -675,6 +678,19 @@ def test_fg_pair_validation():
         FGPair(CTX2, tuple(f), pair.g_values)
 
 
+@pytest.mark.parametrize(
+    "ctx",
+    [CTX2, PowerContext(load_group("a5"), 1), PowerContext(load_group(GOLDEN.parent / "c2cube.txt"), 1)],
+    ids=["s3^2", "a5", "c2cube"],
+)
+def test_aut0_composition_table(ctx):
+    perms, count = ctx.perms, len(ctx.aut0)
+    assert ctx.compose.shape == (count, count)
+    # [a, b, x] = a(b(x))
+    composed = perms[np.arange(count)[:, None, None], perms[None, :, :]]
+    assert (perms[ctx.compose] == composed).all()
+
+
 # ── Orbit decompositions ─────────────────────────────────────────────────
 
 
@@ -785,6 +801,42 @@ def test_relations_lemma_requires_kernel_membership():
         check_relations_lemma(pair, tau, tau)
 
 
+def _relation_scalar(pair, sigma, tau):
+    """The relation transcribed coordinate by coordinate from theta, phis,
+    T's automorphisms and power_coords, with no precondition:
+    phi_{sigma,i}(a_tau at theta_sigma(i))
+        = (a_sigma at i)^-1 · (a_tau at i) · phi_{tau,i}(a_sigma at i)."""
+    ctx = pair.ctx
+    T, n, auts = ctx.T, ctx.n, ctx.T.automorphisms()
+    e_s, e_t = ctx.aut0[pair.f_ids[sigma]], ctx.aut0[pair.f_ids[tau]]
+    a_s = power_coords(T, n, pair.g_values[sigma])
+    a_t = power_coords(T, n, pair.g_values[tau])
+    for i in range(n):
+        lhs = auts[e_s.phis[i]][a_t[e_s.theta[i] - 1]]
+        rhs = T.mul[T.mul[T.inv[a_s[i]]][a_t[i]]][auts[e_t.phis[i]][a_s[i]]]
+        if lhs != rhs:
+            return False
+    return True
+
+
+def test_relation_helper_matches_scalar_transcription():
+    # every (sigma, tau) in G x G, not only the commuting kernel pairs the
+    # suite asks about, so that both verdicts are exercised
+    G = CTX2.group
+    sigma, tau = (a.ravel() for a in np.indices((G.order, G.order)))
+    seen = set()
+    for name, pair in _suite_pairs(CTX2):
+        got = _relation_by_coordinate(pair, sigma, tau).all(axis=1)
+        want = [_relation_scalar(pair, s, t) for s, t in zip(sigma.tolist(), tau.tolist())]
+        assert got.tolist() == want, name
+        seen.update(want)
+        kernel = set(pair.kernel_fsn)
+        for s, t in zip(sigma.tolist(), tau.tolist()):
+            if t in kernel and G.mul[s][t] == G.mul[t][s]:
+                assert check_relations_lemma(pair, s, t) == _relation_scalar(pair, s, t)
+    assert seen == {True, False}
+
+
 def test_relations_lemma_holds_on_canonical_pairs():
     pair = lambda_pair(CTX2)
     G = CTX2.group
@@ -851,3 +903,29 @@ def test_c2_square_suite_runs_the_containment_loop():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "1ee88892737f468a61aaed28a97129ec6ba99c8bf307939345d14fdbb2b33497"
     )
+
+
+# Rows of run_power_lemma_suite pinned before the suite became array work:
+# row count and the first 12 hex digits of the sha256 of its
+# name/status/detail lines.
+SUITE_DIGESTS = {
+    ("a5", 1): "200:b7590e033380",
+    ("s3", 1): "140:d93696675b78",
+    ("a4", 1): "140:f98c07c2d43f",
+    ("d4", 1): "80:bbc4fc03454f",
+    ("q8", 1): "50:d5e072e36405",
+    ("s4", 1): "140:3ce9ed36a7d8",
+    ("s3", 2): "308:500441090d47",
+    ("d4", 2): "80:81f3620613fc",
+    ("q8", 2): "50:cc5be4d71a7a",
+    ("a4", 2): "140:acbf0efb0a3b",
+    ("s4", 2): "308:14096b8414f8",
+}
+
+
+@pytest.mark.parametrize("name,n", list(SUITE_DIGESTS), ids=[f"{t}^{n}" for t, n in SUITE_DIGESTS])
+def test_power_lemma_suite_digests(name, n):
+    rows = run_power_lemma_suite(load_group(name), n)
+    text = "\n".join(f"{r.name}\t{r.status}\t{r.detail}" for r in rows)
+    got = f"{len(rows)}:{hashlib.sha256(text.encode()).hexdigest()[:12]}"
+    assert got == SUITE_DIGESTS[name, n]
