@@ -31,21 +31,27 @@ _agree_at, which reads theta, phis and Aut(T) coordinate by coordinate
 and neither the scan's rows nor its table.
 
 The tree verdict, the witness and the path constraints read the graph's
-shape from pairgraphs.pair_plan, built once per (theta_f, theta_g); per
-pair they only look up automorphism ids in the Aut(T) table and expand an
-id to an image where a coordinate value is read.  The brute-force scan
-uses no pair graph.
+shape from pairgraphs.pair_plan, built once per (theta_f, theta_g).  Per
+pair each route makes one memo read on T: the graph routes read
+_AutTables (automorphisms, quotient rows, Aut(T) rows, lowest fixed
+points, fpf flag), the scan its agreement store, and _agree_at gets the
+automorphisms from its caller.  An arrow transport is one lookup in the
+quotient rows.  The tree verdict hands its plan and tables to the
+witness builder.  The brute-force scan uses no pair graph and no
+quotient rows.  A verdict is a tuple that refuses a witness on a
+positive answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .endomorphisms import coordinate_images
 from .groups import (
     BudgetError,
+    aut_quotient_rows,
     automorphism_table_group,
     has_fpf_automorphism,
     lowest_fixed_points,
@@ -78,47 +84,76 @@ class WitnessError(RuntimeError):
     is multi-cyclic or has a fixed-point-free cycle transport)."""
 
 
-@dataclass(frozen=True)
-class FpfVerdict:
+class _VerdictFields(NamedTuple):
     is_fpf: bool
     method: str  # "bruteforce" or "tree-criterion"
     witness: tuple | None  # non-identity x with f(x) = g(x), when not fpf
 
-    def __post_init__(self):
-        if self.witness is not None and self.is_fpf:
+
+class FpfVerdict(_VerdictFields):
+    """A tuple (is_fpf, method, witness) whose construction refuses a
+    witness on a positive verdict."""
+
+    __slots__ = ()
+
+    def __new__(cls, is_fpf, method, witness):
+        if witness is not None and is_fpf:
             raise ValueError("a witness contradicts a positive verdict")
+        return tuple.__new__(cls, (is_fpf, method, witness))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here: check it too
+        return cls(*iterable)
 
 
-def _agree_at(f, g, x):
-    """f(x) == g(x), read from theta, phis and T's automorphisms one
-    output coordinate at a time, stopping at the first mismatch.  It reads
-    neither ``rows`` nor coordinate_images, so it stays independent of the
-    element scan whose witnesses it checks."""
-    auts = f.group.automorphisms()
+class _AutTables(NamedTuple):
+    """What the graph routes read of T, kept on T as one memo entry."""
+
+    auts: tuple  # T.automorphisms()
+    quot: tuple  # aut_quotient_rows(T)
+    mul: tuple  # automorphism_table_group(T).mul
+    lowest: tuple  # lowest_fixed_points(T)
+    has_fpf: bool  # has_fpf_automorphism(T)
+
+
+def _tables(T):
+    """T's _AutTables, built on first use: one memo read per route."""
+    return T.memo("fpf_tables", lambda: _AutTables(
+        T.automorphisms(), aut_quotient_rows(T), automorphism_table_group(T).mul,
+        lowest_fixed_points(T), has_fpf_automorphism(T),
+    ))
+
+
+def _agree_at(auts, f, g, x):
+    """f(x) == g(x), read from theta, phis and T's automorphisms ``auts``
+    one output coordinate at a time, stopping at the first mismatch.  It
+    reads neither ``rows`` nor coordinate_images, so it stays independent
+    of the element scan whose witnesses it checks."""
     for tf, pf, tg, pg in zip(f.theta, f.phis, g.theta, g.phis):
         if (auts[pf][x[tf - 1]] if tf else 0) != (auts[pg][x[tg - 1]] if tg else 0):
             return False
     return True
 
 
-def _assert_witness(f, g, witness):
+def _assert_witness(auts, f, g, witness):
     if witness == power_identity(f.n):
         raise RuntimeError("constructed witness is the identity")
-    if not _agree_at(f, g, witness):
+    if not _agree_at(auts, f, g, witness):
         raise RuntimeError(
             f"constructed witness {witness} does not satisfy f(x) = g(x)"
         )
 
 
 def _agreement_store(T, n):
-    """(R, store) for T^n, kept on T: R = 1 + n|Aut T| is the row count of
-    coordinate_images(T, n), and store[a*R + b] is None until rows a and
-    b have been compared, then the int whose bit k says that they agree on
-    element k."""
+    """(R, store, auts) for T^n, kept on T: R = 1 + n|Aut T| is the row
+    count of coordinate_images(T, n), store[a*R + b] is None until rows a
+    and b have been compared, then the int whose bit k says that they agree
+    on element k, and auts is T's automorphisms, which check a witness."""
 
     def build():
-        R = 1 + n * len(T.automorphisms())
-        return R, [None] * R**2
+        auts = T.automorphisms()
+        R = 1 + n * len(auts)
+        return R, [None] * R**2, auts
 
     return T.memo(("agreement_bits", n), build)
 
@@ -172,7 +207,7 @@ def is_fpf_bruteforce(f, g):
         raise BudgetError(
             f"|{T.name}|^{n} = {size} elements exceed the scan budget {SCAN_BUDGET}; {others}"
         )
-    R, store = _agreement_store(T, n)
+    R, store, auts = _agreement_store(T, n)
     agree = (1 << size) - 2  # every element but the identity, which never counts
     for a, b in zip(f.rows, g.rows):
         if a != b:  # a coordinate both read through the same row agrees everywhere
@@ -181,8 +216,34 @@ def is_fpf_bruteforce(f, g):
     if not agree:
         return FpfVerdict(True, "bruteforce", None)
     witness = power_coords(T, n, (agree & -agree).bit_length() - 1)
-    _assert_witness(f, g, witness)
+    _assert_witness(auts, f, g, witness)
     return FpfVerdict(False, "bruteforce", witness)
+
+
+def _witness_from_plan(f, g, plan, tables):
+    """construct_witness on the pair's plan and T's _tables."""
+    auts, quot, mul, lowest, _ = tables
+    for comp in plan.components:
+        if comp.vertices[0] == 0 or comp.excess > 1 or f.group.order == 1:
+            continue  # the identity's component, two cycles, or no seed but 0
+        seed = 1
+        if comp.excess == 1:
+            seed = lowest[path_transport(quot, mul, f, g, comp.forward)]
+            if seed is None:
+                continue  # cycle transport is fixed point free; unusable
+        sigma = [0] * f.n
+        sigma[comp.base - 1] = seed
+        # No arrow inside a component avoiding 0 starts at 0, so every
+        # transport here is an automorphism.
+        for head, tail, kind, i in comp.steps:
+            sigma[head - 1] = auts[transport_id(quot, f, g, kind, i, tail)][sigma[tail - 1]]
+        witness = tuple(sigma)
+        _assert_witness(auts, f, g, witness)
+        return witness
+    raise WitnessError(
+        "no usable component: every non-0 component is multi-cyclic or its "
+        "cycle transport has no non-trivial fixed point"
+    )
 
 
 def construct_witness(f, g):
@@ -196,29 +257,7 @@ def construct_witness(f, g):
     coordinates stay at the identity.  The result is re-checked against
     f and g before being returned.
     """
-    T = f.group
-    aut, auts = automorphism_table_group(T), T.automorphisms()
-    for comp in plan_for(f, g).components:
-        if comp.vertices[0] == 0 or comp.excess > 1 or T.order == 1:
-            continue  # the identity's component, two cycles, or no seed but 0
-        seed = 1
-        if comp.excess == 1:
-            seed = lowest_fixed_points(T)[path_transport(aut, f, g, comp.forward)]
-            if seed is None:
-                continue  # cycle transport is fixed point free; unusable
-        sigma = [0] * f.n
-        sigma[comp.base - 1] = seed
-        # No arrow inside a component avoiding 0 starts at 0, so every
-        # transport here is an automorphism.
-        for head, tail, kind, i in comp.steps:
-            sigma[head - 1] = auts[transport_id(aut, f, g, kind, i, tail)][sigma[tail - 1]]
-        witness = tuple(sigma)
-        _assert_witness(f, g, witness)
-        return witness
-    raise WitnessError(
-        "no usable component: every non-0 component is multi-cyclic or its "
-        "cycle transport has no non-trivial fixed point"
-    )
+    return _witness_from_plan(f, g, plan_for(f, g), _tables(f.group))
 
 
 def is_fpf_by_tree(f, g):
@@ -226,14 +265,16 @@ def is_fpf_by_tree(f, g):
     automorphism: fpf iff the pair graph is a tree, with an explicit
     witness constructed in the negative case."""
     T = f.group
-    if has_fpf_automorphism(T):
+    tables = _tables(T)
+    if tables.has_fpf:
         raise TreeCriterionError(
             f"{T.name} admits a fixed-point-free automorphism; "
             "the tree criterion does not apply"
         )
-    if plan_for(f, g).tree:
+    plan = plan_for(f, g)
+    if plan.tree:
         return FpfVerdict(True, "tree-criterion", None)
-    return FpfVerdict(False, "tree-criterion", construct_witness(f, g))
+    return FpfVerdict(False, "tree-criterion", _witness_from_plan(f, g, plan, tables))
 
 
 def decide_fpf(f, g):
@@ -247,17 +288,17 @@ def decide_fpf(f, g):
 # ── Path-condition evaluation ───────────────────────────────────────────
 
 
-def _single_arrow_conditions(aut, auts, plan, f, g, sigma):
+def _single_arrow_conditions(quot, auts, plan, f, g, sigma):
     """Every arrow's constraint sigma[head] = transport(sigma[tail]),
     read from the plan's arrows and the transport ids of the pair."""
     for kind, i, tail, head in plan.arrows:
-        t = transport_id(aut, f, g, kind, i, tail)
+        t = transport_id(quot, f, g, kind, i, tail)
         if sigma[head - 1] != (0 if t == CONSTANT else auts[t][sigma[tail - 1]]):
             return False
     return True
 
 
-def _reduced_path_conditions(aut, auts, plan, f, g, sigma):
+def _reduced_path_conditions(quot, mul, auts, plan, f, g, sigma):
     """The composed-path constraint set: BFS tree paths in every component
     plus both cycle orientations in unicyclic components.  Complete for
     graphs whose components are trees or unicyclic; in the presence of a
@@ -267,7 +308,7 @@ def _reduced_path_conditions(aut, auts, plan, f, g, sigma):
         # want[v] is the base value carried along the BFS path to v.
         want = {comp.base: 0 if comp.base == 0 else sigma[comp.base - 1]}
         for head, tail, kind, i in comp.steps:
-            t = transport_id(aut, f, g, kind, i, tail)
+            t = transport_id(quot, f, g, kind, i, tail)
             want[head] = 0 if t == CONSTANT else auts[t][want[tail]]
             if sigma[head - 1] != want[head]:
                 ok = False
@@ -277,7 +318,7 @@ def _reduced_path_conditions(aut, auts, plan, f, g, sigma):
         if comp.forward:
             val = sigma[comp.base - 1]
             for cycle in (comp.forward, comp.reverse):
-                if auts[path_transport(aut, f, g, cycle)][val] != val:
+                if auts[path_transport(quot, mul, f, g, cycle)][val] != val:
                     ok = False
     return ok
 
@@ -291,15 +332,15 @@ def check_path_conditions(f, g, sigma):
     disagreement raises, so a True/False answer is triple-checked.
     """
     plan = plan_for(f, g)  # also checks that f and g share T^n
-    aut, auts = automorphism_table_group(f.group), f.group.automorphisms()
-    verdict = _single_arrow_conditions(aut, auts, plan, f, g, sigma)
-    direct = _agree_at(f, g, sigma)
+    auts, quot, mul, _, _ = _tables(f.group)
+    verdict = _single_arrow_conditions(quot, auts, plan, f, g, sigma)
+    direct = _agree_at(auts, f, g, sigma)
     if verdict != direct:
         raise RuntimeError(
             "arrow conditions disagree with direct evaluation on "
             f"sigma={sigma}: arrows say {verdict}, equality says {direct}"
         )
-    reduced = _reduced_path_conditions(aut, auts, plan, f, g, sigma)
+    reduced = _reduced_path_conditions(quot, mul, auts, plan, f, g, sigma)
     if plan.multicycle:
         if verdict and not reduced:
             raise RuntimeError(

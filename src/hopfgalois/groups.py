@@ -13,11 +13,11 @@ subgroup it generates.
 Tables are kept both as nested tuples (hashable, cheap scalar access) and
 as a read-only int64 numpy array for vectorised validation of tables and
 of crossed-map actions.  Everything computed from a table (the generating
-sequence, automorphisms, their array and Aut as a table group, element
-orders, each automorphism's least non-identity fixed point and so whether
-one is fixed point free, the powers T^n and their coordinate arrays, the
-holomorph) lives in one memo on the group itself, exactly as long as the
-group does.
+sequence, automorphisms, their array, Aut as a table group and its
+quotient rows, element orders, each automorphism's least non-identity
+fixed point and so whether one is fixed point free, the powers T^n and
+their coordinate arrays, the holomorph) lives in one memo on the group
+itself, exactly as long as the group does.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "enumerate_homomorphisms",
     "crossed_homomorphisms",
     "automorphism_table_group",
+    "aut_quotient_rows",
     "find_isomorphism",
     "has_fpf_automorphism",
     "lowest_fixed_points",
@@ -601,6 +602,18 @@ def automorphism_table_group(N):
         return FiniteGroup(mul, name=f"Aut({N.name})")
 
     return N.memo("aut_group", build)
+
+
+def aut_quotient_rows(N):
+    """Row a is ``aut.mul[aut.inv[a]]`` for aut = automorphism_table_group(N),
+    so entry [a][b] is the id of inverse(a)∘b, b applied first; the rows are
+    aut's own, shared, and the tuple of them is kept on N."""
+
+    def build():
+        aut = automorphism_table_group(N)
+        return tuple(aut.mul[a] for a in aut.inv)
+
+    return N.memo("aut_quotient_rows", build)
 
 
 def row_finder(keys, radix):

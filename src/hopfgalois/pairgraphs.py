@@ -22,11 +22,16 @@ Arrow naming: edge i induces a forward arrow ("a", i) from theta_f(i) to
 theta_g(i) whenever the g-side map can be inverted (theta_g(i) != 0), and
 a reverse arrow ("b", i) whenever the f-side can; arrow_shapes lists them.
 An arrow's transport (transport_id) is an automorphism id of T, the
-inverse of the head-side automorphism after the tail-side one, read from
-automorphism_table_group(T); with both arrows present the two ids are
-mutually inverse.  An arrow whose tail is vertex 0 carries the marker
-CONSTANT instead, the constant map onto the identity, because the
-coordinate it constrains must be the identity.  No arrow ever has head 0.
+inverse of the head-side automorphism after the tail-side one: one lookup
+in T's quotient rows (groups.aut_quotient_rows), row a holding the
+products inverse(a)∘b in Aut(T); paths compose the ids through Aut(T)'s
+table.  With both arrows present the two ids are mutually inverse.  An
+arrow whose tail is vertex 0 carries the marker CONSTANT instead, the
+constant map onto the identity, because the coordinate it constrains
+must be the identity.  No arrow ever has head 0.
+
+An UndirectedPairGraph is a plain (n, edges) tuple that refuses a vertex
+outside 0..n when it is built.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ import heapq
 import itertools
 import math
 from collections import Counter, deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
@@ -63,12 +67,28 @@ __all__ = [
 CONSTANT = -1  # transport of an arrow with tail 0: every element goes to the identity
 
 
-@dataclass(frozen=True)
-class UndirectedPairGraph:
-    """Multigraph on {0..n} with exactly n labelled edges, loops allowed."""
-
+class _GraphFields(NamedTuple):
     n: int
     edges: tuple  # edge i (0-based) is the pair (theta_f(i+1), theta_g(i+1))
+
+
+class UndirectedPairGraph(_GraphFields):
+    """Multigraph on {0..n} with exactly n labelled edges, loops allowed; a
+    tuple whose construction refuses a vertex outside 0..n, naming the
+    first one among the f-ends and then the g-ends."""
+
+    __slots__ = ()
+
+    def __new__(cls, n, edges):
+        for u, v in edges:
+            if not (0 <= u <= n and 0 <= v <= n):
+                bad = next(w for w in itertools.chain(*zip(*edges)) if not 0 <= w <= n)
+                raise ValueError(f"vertex {bad} is outside 0..{n}")
+        return tuple.__new__(cls, (n, edges))
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here: check it too
+        return cls(*iterable)
 
 
 class ComponentPlan(NamedTuple):
@@ -106,13 +126,9 @@ class PairPlan(NamedTuple):
 
 def build_undirected(mu, nu):
     """Graph with edge i joining mu[i] and nu[i]."""
-    n = len(mu)
-    if len(nu) != n:
+    if len(nu) != len(mu):
         raise ValueError("mu and nu must have the same length")
-    for v in itertools.chain(mu, nu):
-        if not 0 <= v <= n:
-            raise ValueError(f"vertex {v} is outside 0..{n}")
-    return UndirectedPairGraph(n, tuple(zip(mu, nu)))
+    return UndirectedPairGraph(len(mu), tuple(zip(mu, nu)))
 
 
 def arrow_shapes(edges):
@@ -127,25 +143,27 @@ def arrow_shapes(edges):
     return out
 
 
-def transport_id(aut, f, g, kind, i, tail):
+def transport_id(quot, f, g, kind, i, tail):
     """Transport of arrow (kind, i) of the pair (f, g): the head-side
-    automorphism inverted after the tail-side one, as an id of ``aut`` =
-    automorphism_table_group(T), or CONSTANT for a 0 tail."""
+    automorphism inverted after the tail-side one, one lookup
+    ``quot[head phi][tail phi]`` in quot = aut_quotient_rows(T), or CONSTANT
+    for a 0 tail."""
     if tail == 0:
         return CONSTANT
     if kind == "a":
-        return aut.mul[aut.inv[g.phis[i]]][f.phis[i]]
-    return aut.mul[aut.inv[f.phis[i]]][g.phis[i]]
+        return quot[g.phis[i]][f.phis[i]]
+    return quot[f.phis[i]][g.phis[i]]
 
 
-def path_transport(aut, f, g, steps):
+def path_transport(quot, mul, f, g, steps):
     """Transport of a path given as steps in travel order: the ids composed
-    through ``aut.mul``, last step outermost.  CONSTANT absorbs, since every
-    automorphism fixes the identity."""
+    through ``mul``, the rows of automorphism_table_group(T), last step
+    outermost.  CONSTANT absorbs, since every automorphism fixes the
+    identity."""
     t = 0
     for _head, tail, kind, i in steps:
-        a = transport_id(aut, f, g, kind, i, tail)
-        t = CONSTANT if CONSTANT in (a, t) else aut.mul[a][t]
+        a = transport_id(quot, f, g, kind, i, tail)
+        t = CONSTANT if CONSTANT in (a, t) else mul[a][t]
     return t
 
 

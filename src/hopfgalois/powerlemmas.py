@@ -65,9 +65,10 @@ MAX_G_PER_F = 4  # crossed maps g kept per searched f in the lemma suite
 class PowerContext:
     """Shared tables for G = T^n: the power table group, the invertible
     structured endomorphisms in enumeration order and, indexed by their
-    ids, ``perms`` (row k is aut0 element k acting on G), ``compose``
-    (entry [a, b] is the id of a∘b, b applied first), ``thetas`` (0-based
-    source coordinates) and ``phis`` (T-automorphism ids), all read-only."""
+    ids, ``perms`` (row k is aut0 element k acting on G), ``keys`` (row k
+    is its images of G's generating sequence), ``thetas`` (0-based source
+    coordinates) and ``phis`` (T-automorphism ids), all read-only; and
+    ``find``, which maps rows of generator images to the ids they key."""
 
     def __init__(self, T, n):
         self.T = T
@@ -77,11 +78,9 @@ class PowerContext:
         self._index = {(e.theta, e.phis): i for i, e in enumerate(self.aut0)}
         self.perms = _read_only(np.array([image_indices(e) for e in self.aut0], dtype=np.int64))
         # an automorphism is its images of a generating sequence, so a∘b is
-        # found among the rows by the images a(b(x)) of the generators x;
-        # one row of a at a time keeps the queries at (count, generators)
-        keys = self.perms[:, list(self.group.generating_sequence())]
-        find = row_finder(keys, self.group.order)
-        self.compose = _read_only(np.array([find(a[keys]) for a in self.perms]))
+        # found among the rows by the images a(b(x)) of the generators x
+        self.keys = _read_only(self.perms[:, list(self.group.generating_sequence())])
+        self.find = row_finder(self.keys, self.group.order)
         self.thetas = _read_only(np.array([e.theta for e in self.aut0], dtype=np.int64) - 1)
         self.phis = _read_only(np.array([e.phis for e in self.aut0], dtype=np.int64))
         self.identity_theta = tuple(range(1, n + 1))
@@ -128,7 +127,10 @@ class FGPair:
         f = np.array(self.f_ids, dtype=np.int64)
         g = np.array(self.g_values, dtype=np.int64)
         mul = G.np_mul
-        if not (f[mul] == ctx.compose[f[:, None], f[None, :]]).all():
+        # compose only the distinct images of f: [i, j] is the id of u[i]∘u[j]
+        u, at = np.unique(f, return_inverse=True)
+        composite = ctx.find(ctx.perms[u][:, ctx.keys[u]])
+        if not (f[mul] == composite[at[:, None], at[None, :]]).all():
             raise ValueError("f is not a homomorphism into the wreath elements")
         # [s, t]: g(s)·f(s)(g(t))
         if not (g[mul] == mul[g[:, None], ctx.perms[f[:, None], g[None, :]]]).all():

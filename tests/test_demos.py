@@ -12,7 +12,9 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 # Demos whose full stdout is pinned by a file in tests/data.
 GOLDEN = {
     name: ROOT / "tests" / "data" / name.replace(".py", ".txt")
-    for name in ("holomorph_tour.py", "orbit_engine.py", "pair_graph_gallery.py")
+    for name in (
+        "holomorph_tour.py", "orbit_engine.py", "pair_graph_gallery.py", "witness_hunt.py"
+    )
 }
 
 

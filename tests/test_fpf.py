@@ -173,8 +173,9 @@ def test_scan_store_lives_on_the_group_and_gives_cold_and_warm_verdicts_alike(tm
     pairs = list(itertools.product(endos, endos))
     assert ("agreement_bits", 2) not in T._memo
     cold = [is_fpf_bruteforce(f, g) for f, g in pairs]
-    R, store = T._memo["agreement_bits", 2]
+    R, store, auts = T._memo["agreement_bits", 2]
     assert (R, len(store)) == (13, 13 * 13)
+    assert auts is T.automorphisms()  # the scan's witness check reads them from the store
     # Every pair of distinct rows has been read, so those are all filled.
     assert all(store[a * R + b] is not None for a in range(R) for b in range(R) if a != b)
     assert [is_fpf_bruteforce(f, g) for f, g in pairs] == cold
@@ -185,7 +186,7 @@ def test_scan_store_lives_on_the_group_and_gives_cold_and_warm_verdicts_alike(tm
     i = pairs.index((StructuredEndo(T, 2, (1, 0), (1, None)), StructuredEndo(T, 2, (2, 0), (3, None))))
     f, g = (_over(U, e) for e in pairs[i])
     assert is_fpf_bruteforce(f, g) == cold[i]
-    _, fresh = U._memo["agreement_bits", 2]
+    _, fresh, _ = U._memo["agreement_bits", 2]
     a = f.rows[0]  # the second coordinate reads row 0 on both sides
     assert {k for k, bits in enumerate(fresh) if bits is not None} == (
         {a * R + b for b in range(R)} | {b * R + a for b in range(R)}
@@ -224,7 +225,7 @@ def test_fused_agreement_check_equals_apply_on_every_element():
         f, g = rng.choice(endos), rng.choice(endos)
         verdicts.add(is_fpf_bruteforce(f, g).is_fpf)
         for x in elements:
-            agree = _agree_at(f, g, x)
+            agree = _agree_at(S3.automorphisms(), f, g, x)
             assert agree == (f.apply(x) == g.apply(x)), (f, g, x)
             outcomes.add(agree)
     assert verdicts == outcomes == {True, False}
@@ -233,6 +234,13 @@ def test_fused_agreement_check_equals_apply_on_every_element():
 def test_verdict_rejects_contradictory_witness():
     with pytest.raises(ValueError):
         FpfVerdict(True, "bruteforce", (1, 0))
+
+
+def test_verdict_is_a_tuple_that_checks_every_construction():
+    v = FpfVerdict(False, "bruteforce", (1, 0))
+    assert v == (False, "bruteforce", (1, 0)) and (v.is_fpf, v.method, v.witness) == tuple(v)
+    with pytest.raises(ValueError, match="contradicts"):
+        v._replace(is_fpf=True)
 
 
 def test_tree_criterion_matches_bruteforce_exhaustively_n1():

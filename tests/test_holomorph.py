@@ -684,11 +684,13 @@ def test_fg_pair_validation():
     ids=["s3^2", "a5", "c2cube"],
 )
 def test_aut0_composition_table(ctx):
+    # the query FGPair makes, applied to every pair of ids at once
     perms, count = ctx.perms, len(ctx.aut0)
-    assert ctx.compose.shape == (count, count)
+    composite = ctx.find(perms[:, ctx.keys])
+    assert composite.shape == (count, count)
     # [a, b, x] = a(b(x))
     composed = perms[np.arange(count)[:, None, None], perms[None, :, :]]
-    assert (perms[ctx.compose] == composed).all()
+    assert (perms[composite] == composed).all()
 
 
 # ── Orbit decompositions ─────────────────────────────────────────────────

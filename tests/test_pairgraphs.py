@@ -7,7 +7,14 @@ import pytest
 
 from hopfgalois.endomorphisms import StructuredEndo, enumerate_end0
 from hopfgalois.fpf import is_fpf_by_tree
-from hopfgalois.groups import automorphism_table_group, compose_perm, invert_perm, load_group
+from hopfgalois.groups import (
+    aut_quotient_rows,
+    automorphism_table_group,
+    catalog_names,
+    compose_perm,
+    invert_perm,
+    load_group,
+)
 from hopfgalois import pairgraphs
 from hopfgalois.pairgraphs import (
     CONSTANT,
@@ -45,6 +52,18 @@ def test_build_undirected_validates():
         build_undirected((0, 1), (1,))
     with pytest.raises(ValueError, match="outside"):
         build_undirected((0, 5), (1, 2))
+
+
+def test_pair_graph_tuple_validates_on_every_construction():
+    g = build_undirected((0, 1), (1, 2))
+    assert g == (2, ((0, 1), (1, 2))) and isinstance(g, tuple)
+    # the first vertex out of range among the f-ends, then the g-ends
+    with pytest.raises(ValueError, match="vertex 5 is outside 0..2"):
+        build_undirected((0, 5), (7, 2))
+    with pytest.raises(ValueError, match="vertex -1 is outside 0..2"):
+        UndirectedPairGraph(2, ((0, 1), (1, -1)))
+    with pytest.raises(ValueError, match="vertex 2 is outside 0..1"):
+        g._replace(n=1)
 
 
 def test_is_tree_small_cases():
@@ -156,11 +175,23 @@ def by_tuples(head_phi, tail_phi):
 
 def arrows_of(f, g):
     """(tail, head, transport id) of every arrow of (f, g), by label."""
-    aut = automorphism_table_group(f.group)
+    quot = aut_quotient_rows(f.group)
     return {
-        f"{kind}{i + 1}": (tail, head, transport_id(aut, f, g, kind, i, tail))
+        f"{kind}{i + 1}": (tail, head, transport_id(quot, f, g, kind, i, tail))
         for kind, i, tail, head in arrow_shapes(tuple(zip(f.theta, g.theta)))
     }
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_quotient_rows_expand_to_inverse_then_compose(name):
+    T = load_group(name)
+    quot = aut_quotient_rows(T)
+    assert aut_quotient_rows(T) is quot  # built once, kept on T
+    auts = T.automorphisms()
+    assert len(quot) == len(auts) and all(len(row) == len(auts) for row in quot)
+    for a, row in zip(auts, quot):
+        undo = invert_perm(a)
+        assert [auts[t] for t in row] == [compose_perm(undo, b) for b in auts]
 
 
 def test_arrow_shapes_inventory():
@@ -198,8 +229,8 @@ def test_find_simple_cycle_on_a_unicyclic_component():
         # (head, tail) pairs chain from the base back to it
         assert steps[0][1] == base and steps[-1][0] == base
         assert all(a[0] == b[1] for a, b in zip(steps, steps[1:]))
-    aut = automorphism_table_group(S3)
-    fwd_id, rev_id = (path_transport(aut, f, g, steps) for steps in (fwd, rev))
+    quot, mul = aut_quotient_rows(S3), automorphism_table_group(S3).mul
+    fwd_id, rev_id = (path_transport(quot, mul, f, g, steps) for steps in (fwd, rev))
     assert compose_perm(expanded(fwd_id), expanded(rev_id)) == tuple(range(6))
     # The composed id expands to the composite of the per-arrow tuples.
     want = tuple(range(6))
