@@ -122,8 +122,7 @@ class FiniteGroup:
         self.mul = tuple(tuple(row.tolist()) for row in arr)
         self.np_mul = _read_only(arr)
         self._memo = {}
-        self._validate()
-        self.inv = tuple((arr == 0).argmax(axis=1).tolist()) if self.order else ()
+        self.inv = self._validate()
 
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -163,25 +162,28 @@ class FiniteGroup:
                 f"identity violated: mul[{x}][0] = {self.mul[x][0]}, expected {x}"
             )
         self._check_associativity(arr)
-        # Every element needs a two-sided inverse.
+        # Every element needs a two-sided inverse; validation returns them.
         inv = (arr == 0).argmax(axis=1)
-        bad = np.flatnonzero((arr[rng, inv] != 0) | (arr[inv, rng] != 0))
-        if bad.size:
+        bad = (arr[rng, inv] != 0) | (arr[inv, rng] != 0)
+        if bad.any():
             raise GroupValidationError(
-                f"inverses violated: element {int(bad[0])} has no two-sided inverse"
+                f"inverses violated: element {int(np.argwhere(bad)[0, 0])} has no two-sided inverse"
             )
+        return tuple(inv.tolist())
 
     def _check_associativity(self, arr):
         """Light's test (Clifford & Preston, The Algebraic Theory of
-        Semigroups, §1.2): the g with (x·g)·y = x·(g·y) for all x, y are
-        closed under products and include the identity, so checking the
-        closure sequence decides associativity exactly."""
+        Semigroups, §1.2): the g with (x·g)·y = x·(g·y) for all x, y include
+        the identity and are closed under products ((x·ab)·y = ((x·a)·b)·y =
+        (x·a)·(b·y) = x·(a·(b·y)) = x·((a·b)·y)), and every element is a
+        left-normed product of the closure sequence, so checking the
+        sequence decides associativity exactly."""
         for g in self._closure_sequence():
             left = arr[arr[:, g]]     # left[x, y] = (x·g)·y
             right = arr[:, arr[g]]    # right[x, y] = x·(g·y)
-            bad = np.argwhere(left != right)
-            if bad.size:
-                a, c = map(int, bad[0])
+            bad = left != right
+            if bad.any():
+                a, c = map(int, np.argwhere(bad)[0])
                 raise GroupValidationError(
                     f"associativity violated at ({a}, {g}, {c}): "
                     f"(ab)c = {int(left[a, c])} but a(bc) = {int(right[a, c])}"
@@ -210,9 +212,10 @@ class FiniteGroup:
     def generating_sequence(self):
         """The generating sequence every generator-image search runs on: the
         lowest-index element of order |G| when there is one, else the first
-        generating pair by index, else :meth:`_closure_sequence`.  Short
-        sequences give the shallowest search trees; built once and kept on
-        the group."""
+        generating pair by index, else :meth:`_closure_sequence`.  The pair
+        scan skips each j inside a proper subgroup already met with i, <i>
+        or a proper <i, j'>, as <i, j> is proper too.  Short sequences give
+        the shallowest search trees; built once and kept on the group."""
         return self.memo("gens", self._find_generators)
 
     def _find_generators(self):
@@ -221,27 +224,34 @@ class FiniteGroup:
         orders = self.element_orders()
         if self.order in orders:
             return (orders.index(self.order),)
-        for pair in itertools.combinations(range(1, self.order), 2):
-            if len(subgroup_closure(self, pair)) == self.order:
-                return pair
+        for i in range(1, self.order):
+            covered = set(subgroup_closure(self, (i,)))
+            for j in range(i + 1, self.order):
+                sub = () if j in covered else subgroup_closure(self, (i, j))
+                if len(sub) == self.order:
+                    return (i, j)
+                covered.update(sub)
         return self._closure_sequence()
 
     def _closure_sequence(self):
-        """Repeatedly append the lowest-index element outside the closure
-        under products of 0 and the elements so far (for a group, the
-        subgroup they generate).  It assumes no axiom beyond the identity
-        at 0, so validation can use it; the closure grows from the newest
-        elements only."""
-        arr, have, gens = self.np_mul, np.arange(self.order) == 0, []
-        while not have.all():
-            new = np.flatnonzero(~have)[:1]
-            gens.append(int(new[0]))
-            while new.size:
-                have[new] = True
-                members = np.flatnonzero(have)
-                reached = np.zeros_like(have)
-                reached[arr[new[:, None], members]] = reached[arr[members[:, None], new]] = True
-                new = np.flatnonzero(reached & ~have)
+        """Repeatedly append the lowest-index element not reached by right
+        products of 0 and the elements so far (for a group, the subgroup
+        they generate).  It assumes no axiom beyond the identity at 0, so
+        validation can use it: every element is a left-normed product of
+        the sequence.  Elements reached before a new generator meet only
+        it; the ones reached after meet every generator."""
+        mul, gens, elems, have = self.mul, [], [0], {0}
+        for gen in range(1, self.order):
+            if gen in have:
+                continue
+            gens.append(gen)
+            start = len(elems)
+            for i, x in enumerate(elems):  # runs over the elements appended below too
+                row = mul[x]
+                for g in gens[-1:] if i < start else gens:
+                    if row[g] not in have:
+                        have.add(row[g])
+                        elems.append(row[g])
         return tuple(gens)
 
     def _word_levels(self, gens):
@@ -710,7 +720,7 @@ def power_group(T, n):
     def build():
         cols = all_coords(T, n).T  # cols[i] holds coordinate i of every element
         mul = power_index(T, T.np_mul[cols[:, :, None], cols[:, None, :]])
-        G = FiniteGroup(mul.tolist(), name=f"{T.name}^{n}")
+        G = FiniteGroup(mul, name=f"{T.name}^{n}")
         G.memo("power_of", lambda: (T, n))
         return G
 

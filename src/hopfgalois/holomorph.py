@@ -66,8 +66,8 @@ __all__ = [
 ]
 
 HOL_BUDGET = 200_000
-# The oracle's walk takes 0.1 s on a4 (|Hol| 288) and 1.9 s on s4 (576) on a
-# 2-vCPU VM (Python 3.11); the next catalog holomorph, a5's, has 7200 elements.
+# The oracle's walk takes 0.18-0.26 s on a4 (|Hol| 288) and 2.1-3.1 s on s4 (576), three cold
+# runs on a 2-vCPU Intel Xeon VM (Python 3.11.7, numpy 2.4.6); a5's Hol has 7200 elements.
 ORACLE_HOL_LIMIT = 600
 
 
@@ -207,7 +207,7 @@ class Holomorph:
         sits at index 0 as required.
         """
         return self.group.memo("holomorph_table", lambda: FiniteGroup(
-            self._products(np.arange(self.order)).tolist(), name=f"Hol({self.group.name})"
+            self._products(np.arange(self.order)), name=f"Hol({self.group.name})"
         ))
 
     def element_of_index(self, k):
@@ -220,7 +220,7 @@ class Holomorph:
         """A subgroup of the holomorph as its own validated FiniteGroup,
         elements sorted so the identity is index 0."""
         pos = self._closed_positions(np.unique(self._indices(elements)))
-        return FiniteGroup(pos.tolist(), name=f"sub{pos.shape[0]}-of-Hol({self.group.name})")
+        return FiniteGroup(pos, name=f"sub{pos.shape[0]}-of-Hol({self.group.name})")
 
 
 def holomorph_of(N):
@@ -406,7 +406,7 @@ def regular_subgroups_oracle(N, iso_type=None, with_stats=False):
         if not regular:
             continue
         regular_count += 1
-        sub = FiniteGroup(pos.tolist(), name=f"sub{want}-of-Hol({N.name})")
+        sub = FiniteGroup(pos, name=f"sub{want}-of-Hol({N.name})")
         if find_isomorphism(sub, target) is not None:
             kept.append(cl)
     kept = [tuple(map(hol.element_of_index, cl)) for cl in sorted(kept)]

@@ -336,6 +336,15 @@ def test_table_entry_past_int64_is_exit_1(tmp_path, capsys):
     assert err == "error: closure violated: mul[1][1] = 99999999999999999999 is outside 0..1\n"
 
 
+def test_non_associative_table_is_exit_1(tmp_path, capsys):
+    # the quasigroup of test_groups.test_rejects_broken_associativity
+    path = tmp_path / "quasigroup.tbl"
+    path.write_text("5\n0 1 2 3 4\n1 0 3 4 2\n2 4 0 1 3\n3 2 4 0 1\n4 3 1 2 0\n")
+    rc, out, err = run(capsys, "hol", "regulars", "--group", str(path))
+    assert (rc, out) == (1, "")
+    assert err == "error: associativity violated at (1, 1, 2): (ab)c = 2 but a(bc) = 4\n"
+
+
 def test_usage_error_is_exit_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["census", "formula", "--n", "2"])  # missing --aut-order

@@ -84,6 +84,21 @@ def test_table_entries_are_plain_ints_from_any_container():
     assert all(type(v) is int for G in built for row in G.mul for v in row)
 
 
+def test_table_group_keeps_its_own_read_only_copy():
+    arr = np.array(S3.mul, dtype=np.int64)
+    G = FiniteGroup(arr)
+    arr[1] = arr[2]
+    assert G.mul == S3.mul and (G.np_mul == np.array(S3.mul)).all()
+    assert not G.np_mul.flags.writeable and not np.shares_memory(G.np_mul, arr)
+    # the builders that hand their int64 arrays straight in give the same groups
+    hol = holomorph.holomorph_of(FiniteGroup(S3.mul))
+    for H in (power_group(FiniteGroup(S3.mul), 2), hol.as_table_group(),
+              hol.subgroup_table_group(hol.lambda_image())):
+        ref = FiniteGroup(H.np_mul.tolist())
+        assert (H.mul, H.inv) == (ref.mul, ref.inv) and (H.np_mul == ref.np_mul).all()
+        assert all(type(v) is int for row in H.mul for v in row)
+
+
 def test_rejects_bad_identity():
     with pytest.raises(GroupValidationError, match="identity"):
         FiniteGroup([[1, 0], [0, 1]])
@@ -198,8 +213,41 @@ GENERATING_SEQUENCES = {
 def test_generating_sequences_are_pinned():
     pinned = {name: load_group(name).generating_sequence() for name in catalog_names()}
     assert pinned == GENERATING_SEQUENCES
-    assert power_group(S3, 2).generating_sequence() == (7, 15)
-    assert load_group(C2CUBE).generating_sequence() == (1, 2, 4)  # no generating pair
+    s3_cube = power_group(S3, 3)
+    more = {  # no generating pair in S3^3, D4^2, Q8^2 or C2^3: the closure sequence
+        power_group(S3, 2): (7, 15),
+        s3_cube: (1, 2, 6, 12, 36, 72),
+        power_group(load_group("a4"), 2): (13, 40),
+        power_group(load_group("d4"), 2): (1, 2, 8, 16),
+        power_group(Q8, 2): (1, 2, 4, 8, 16, 32),
+        groups.automorphism_table_group(load_group("a5")): (1, 21),
+        load_group(C2CUBE): (1, 2, 4),
+    }
+    assert {G.name: G.generating_sequence() for G in more} == {G.name: v for G, v in more.items()}
+    assert s3_cube._closure_sequence() == (1, 2, 6, 12, 36, 72)
+    # right products of the closure sequence (subgroup_closure's walk) reach every element
+    for G in [*map(load_group, catalog_names()), *more]:
+        assert len(subgroup_closure(G, G._closure_sequence())) == G.order
+
+
+def _first_generating_pair(G):
+    """Reference for the pruned pair scan: every pair in index order."""
+    for pair in itertools.combinations(range(1, G.order), 2):
+        if len(subgroup_closure(G, pair)) == G.order:
+            return pair
+    return None
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "s3^2", "a4^2", "c2cube"])
+def test_pair_scan_returns_the_first_generating_pair(name):
+    G = load_group(C2CUBE if name == "c2cube" else name.split("^")[0])
+    G = power_group(G, 2) if "^" in name else G
+    orders = G.element_orders()
+    want = (
+        (orders.index(G.order),) if G.order in orders
+        else _first_generating_pair(G) or G._closure_sequence()
+    )
+    assert G._find_generators() == want
 
 
 def test_center_and_abelian():
