@@ -18,11 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .groups import BudgetError, FiniteGroup, _read_only, all_coords, power_index
+from .groups import BudgetError, FiniteGroup, _read_only, all_coords
 
 __all__ = [
     "StructuredEndo",
@@ -54,6 +53,14 @@ class StructuredEndo:
     ``theta[i]`` is the 1-based input coordinate feeding output coordinate
     i+1, or 0 if that output coordinate is constantly the identity.
     ``phis[i]`` is a T-automorphism id, present exactly when theta[i] != 0.
+
+    ``rows`` holds, in coordinate order, the row of coordinate_images(group,
+    n) that each output coordinate reads: 1 + (t-1)|Aut T| + p, or 0 where
+    theta is 0.  It is set by the validation loop at construction, not a
+    field (eq, hash and repr ignore it) and not computed lazily: a value
+    written into the instance dict after construction slows every later
+    attribute read on the instance about 4x, and the fpf routes, the
+    census and the pair route read theta, phis and rows on every call.
     """
 
     group: FiniteGroup
@@ -62,19 +69,25 @@ class StructuredEndo:
     phis: tuple
 
     def __post_init__(self):
-        if self.n < 1:
+        n, theta, phis = self.n, self.theta, self.phis
+        if n < 1:
             raise ValueError("n must be at least 1")
-        if len(self.theta) != self.n or len(self.phis) != self.n:
+        if len(theta) != n or len(phis) != n:
             raise ValueError("theta and phis must both have length n")
         nauts = len(self.group.automorphisms())
-        for i, (t, p) in enumerate(zip(self.theta, self.phis)):
-            if not 0 <= t <= self.n:
-                raise ValueError(f"theta[{i}] = {t} is outside 0..{self.n}")
+        rows = [0] * n
+        for i, t in enumerate(theta):
+            p = phis[i]
+            if not 0 <= t <= n:
+                raise ValueError(f"theta[{i}] = {t} is outside 0..{n}")
             if t == 0:
                 if p is not None:
                     raise ValueError(f"phis[{i}] must be None when theta[{i}] = 0")
-            elif not (isinstance(p, int) and 0 <= p < nauts):
+            elif isinstance(p, int) and 0 <= p < nauts:
+                rows[i] = 1 + (t - 1) * nauts + p
+            else:
                 raise ValueError(f"phis[{i}] = {p!r} is not an automorphism id")
+        object.__setattr__(self, "rows", tuple(rows))
 
     def apply(self, x):
         """Image of the coordinate tuple ``x``."""
@@ -83,13 +96,6 @@ class StructuredEndo:
             0 if t == 0 else auts[p][x[t - 1]]
             for t, p in zip(self.theta, self.phis)
         ])
-
-    @cached_property
-    def rows(self):
-        """The rows of coordinate_images(group, n) that hold the output
-        coordinates, in coordinate order; computed on first use."""
-        A = len(self.group.automorphisms())
-        return tuple([1 + (t - 1) * A + p if t else 0 for t, p in zip(self.theta, self.phis)])
 
     def __str__(self):
         bits = ",".join(
@@ -194,7 +200,8 @@ def coordinate_images(T, n):
     1 + (t-1)|Aut T| + p is automorphism p applied to input coordinate t.
     Built once per n from T.aut_array() and all_coords alone and kept on
     T: 4.1 KB for S3^3, 7.3 KB for A5, 0.87 MB for A5^2.  Flat power
-    indices reach |T|^n - 1, so readers widen before power_index.
+    indices reach |T|^n - 1, so readers widen them (image_indices by its
+    int64 dot).
     """
 
     def build():
@@ -206,14 +213,35 @@ def coordinate_images(T, n):
     return T.memo(("coordinate_images", n), build)
 
 
-def image_indices(e):
+def _place_values(T, n):
+    """Read-only int64 array (|T|^(n-1), ..., |T|, 1): its dot with a
+    coordinate column is the flat power index; kept on T."""
+    return T.memo(
+        ("place_values", n),
+        lambda: _read_only(T.order ** np.arange(n - 1, -1, -1, dtype=np.int64)),
+    )
+
+
+def image_indices(e, *more):
     """Images of every element of T^n under ``e``, as an int64 array of
-    flat power indices, elements in all_coords order; gathered from
-    coordinate_images for the holomorph subgroup of a pair and the Aut0
-    permutations of the power-lemma suite.  The rows are widened to int64
-    first: a narrow dtype times |T| would wrap under numpy's promotion."""
-    rows = coordinate_images(e.group, e.n)[list(e.rows)].astype(np.int64)
-    return power_index(e.group, rows)
+    flat power indices, elements in all_coords order; for the holomorph
+    subgroup of a pair and the Aut0 permutations of the power-lemma suite.
+    With ``more`` endomorphisms of the same power, a (1 + len(more), |T|^n)
+    array, row k for the k-th endomorphism.
+
+    One gather of the endomorphisms' ``rows`` from coordinate_images and
+    one dot with T's place values, whatever the count: the dot's int64
+    operand widens the narrow table, so no flat index wraps."""
+    T, n = e.group, e.n
+    rows = list(e.rows)
+    for other in more:
+        if other.group is not T or other.n != n:
+            raise ValueError("endomorphisms live over different powers")
+        rows += other.rows
+    images = coordinate_images(T, n)[np.array(rows)]
+    if more:
+        images = images.reshape(1 + len(more), n, -1)
+    return _place_values(T, n) @ images
 
 
 # ── Pair files ─────────────────────────────────────────────────────

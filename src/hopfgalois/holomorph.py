@@ -25,7 +25,10 @@ subgroup scan of the full holomorph table serves as the oracle for it.
 A fixed point free pair (f, g) of structured endomorphisms gives a regular
 subgroup too, and many pairs give the same one; ``fpf_pair_to_subgroup``
 makes one set check per distinct subgroup, in a store private to the pair
-route, which neither the enumeration nor the oracle reads.
+route, which neither the enumeration nor the oracle reads.  Its key is the
+subgroup's aut parts indexed by translation part: for an fpf pair the
+translation parts exhaust N, so the flat indices come sorted by
+construction and no sort is needed.
 
 The structure lemmas on direct powers T^n live in :mod:`.powerlemmas`.
 """
@@ -50,7 +53,6 @@ from .groups import (
     power_base,
     power_group,
     row_finder,
-    subgroup_closure,
 )
 
 __all__ = [
@@ -66,7 +68,7 @@ __all__ = [
 ]
 
 HOL_BUDGET = 200_000
-# The oracle's walk takes 0.18-0.26 s on a4 (|Hol| 288) and 2.1-3.1 s on s4 (576), three cold
+# The oracle takes 0.055-0.070 s on a4 (|Hol| 288) and 0.35-0.36 s on s4 (576), three cold
 # runs on a 2-vCPU Intel Xeon VM (Python 3.11.7, numpy 2.4.6); a5's Hol has 7200 elements.
 ORACLE_HOL_LIMIT = 600
 
@@ -90,8 +92,8 @@ class Holomorph:
         self.order = N.order * self.aut_count
         self.inner_ids = frozenset(N.inner_automorphism_ids())
         self._inv = np.array(N.inv, dtype=np.int64)
-        # fpf_pair_to_subgroup's verified subgroups, by sorted flat indices
-        # as bytes; no other route reads them.
+        # fpf_pair_to_subgroup's verified subgroups, keyed by their aut parts
+        # indexed by translation part, as bytes; no other route reads them.
         self._pair_subgroups = {}
 
     # -- arithmetic -----------------------------------------------------
@@ -363,20 +365,84 @@ def enumerate_regular_subgroups(N):
     return subgroups
 
 
+def _greedy_extension(mul, sub, inside, gens, x, limit):
+    """<H, x> as a sorted tuple, for the subgroup H = ``sub`` (the set
+    ``inside``) generated by ``gens``, when x is the least element of it
+    outside H; else None, and None too once it passes ``limit`` elements.
+
+    Right products close it: H's elements meet only x, since H is closed
+    under its own generators, and each new element meets every generator.
+    The walk stops at the first new element below x."""
+    new, added, room = [], set(), limit - len(sub)
+    gens = (*gens, x)
+    for elems, meets in ((sub, (x,)), (new, gens)):
+        for y in elems:  # runs over the elements appended below too
+            row = mul[y]
+            for g in meets:
+                z = row[g]
+                if z not in inside and z not in added:
+                    if z < x or len(new) == room:
+                        return None
+                    added.add(z)
+                    new.append(z)
+    return tuple(sorted((*sub, *new)))
+
+
+def _subgroups_dividing(table, want):
+    """Every subgroup of the table group whose order divides ``want``, as
+    sorted tuples, each reached once.
+
+    Every subgroup K has one greedy chain: g1 the least element of K but
+    the identity, and g_{k+1} the least element of K outside <g1, ..., gk>;
+    the g_k increase, every member of the chain is a subgroup of K, so its
+    order divides |K|, and g_{k+1} is the least generator of <g_{k+1}>, as
+    each generator lies in K outside <g1, ..., gk> too.  A subgroup found
+    through g1 < ... < gk is extended only by such x > gk of order dividing
+    ``want``, and only when x is the least element of <H, x> outside H
+    (``_greedy_extension``), so the walk follows exactly the greedy chains
+    and reaches each K once; a subgroup reached twice raises RuntimeError."""
+    mul, orders = table.mul, table.element_orders()
+    seeds = []  # the x that can extend a greedy chain, ascending
+    for x in range(1, table.order):
+        if want % orders[x] == 0:
+            y, least = x, x
+            for k in range(2, orders[x]):
+                y = mul[y][x]
+                if y < least and math.gcd(k, orders[x]) == 1:
+                    least = y
+            if least == x:
+                seeds.append(x)
+    found, work = {(0,)}, [((0,), (), 0)]  # subgroups to extend, their seeds, the next seed
+    while work:
+        sub, gens, start = work.pop()
+        inside = set(sub)
+        for at in range(start, len(seeds)):
+            x = seeds[at]
+            if x in inside:
+                continue
+            cl = _greedy_extension(mul, sub, inside, gens, x, want)
+            if cl is None or want % len(cl):
+                continue
+            if cl in found:
+                raise RuntimeError(f"the subgroup walk reached a subgroup of order {len(cl)} twice")
+            found.add(cl)
+            if len(cl) < want:
+                work.append((cl, (*gens, x), at + 1))
+    return found
+
+
 def regular_subgroups_oracle(N, iso_type=None, with_stats=False):
     """Independent check: enumerate the subgroups of order |N| in the full
     holomorph table, then filter by regularity and isomorphism type.
 
-    The subgroups are found by a walk from {1}: each subgroup found is
-    extended by one element outside it through a closure, seeded with the
-    elements that generated the subgroup plus the new one, that is dropped
-    once it passes |N| elements.  Every subgroup H is the top of a chain
-    <h1> < <h1, h2> < ... whose members are subgroups of H, so the walk is
-    exact for any number of generators; it extends only subgroups whose
-    order divides |N| (by Lagrange no other lies in a subgroup of that
-    order), and only by one element per left coset, since <H, x> =
-    <H, x·h> for h in H.  Returns sorted element-key tuples; with_stats
-    adds a dict of counts.  Hol(N) over ORACLE_HOL_LIMIT is refused.
+    The subgroups are found by a walk from {1} along greedy chains
+    (``_subgroups_dividing``): each subgroup found is extended by a larger
+    element than the ones that generated it, through a closure by right
+    products that is dropped as soon as it holds a smaller element outside
+    the subgroup or passes |N| elements.  By Lagrange only subgroups and
+    elements whose orders divide |N| lie in a subgroup of that order.
+    Returns sorted element-key tuples; with_stats adds a dict of counts.
+    Hol(N) over ORACLE_HOL_LIMIT is refused.
     """
     target = iso_type if iso_type is not None else N
     hol = _priced_holomorph(
@@ -384,21 +450,8 @@ def regular_subgroups_oracle(N, iso_type=None, with_stats=False):
         f"is too large for the exhaustive subgroup walk (limit {ORACLE_HOL_LIMIT}); "
         f"for {N.name}'s own type use enumerate_regular_subgroups",
     )
-    table = hol.as_table_group()
     want = N.order
-    found, work = {(0,)}, [((0,), ())]  # subgroups to extend, with the seeds that built them
-    while work:
-        sub, gens = work.pop()
-        covered = set(sub)
-        for x in range(table.order):
-            if x in covered:
-                continue
-            covered.update(table.mul[x][h] for h in sub)
-            cl = subgroup_closure(table, gens + (x,), limit=want)
-            if cl is not None and want % len(cl) == 0 and cl not in found:
-                found.add(cl)
-                if len(cl) < want:
-                    work.append((cl, gens + (x,)))
+    found = _subgroups_dividing(hol.as_table_group(), want)
     subgroup_sets = [cl for cl in found if len(cl) == want]
     kept, regular_count = [], 0
     for cl in subgroup_sets:
@@ -429,13 +482,15 @@ def fpf_pair_to_subgroup(f, g, verdict=None):
     reports it.  Hol(T^n) over HOL_BUDGET is refused, on its floor before
     T^n is built.
 
-    One set check per distinct subgroup: many pairs give the same
-    subgroup, so a pair costs array work plus one lookup of its sorted
-    flat indices in a store on the holomorph, private to this route (the
-    enumeration and the oracle never read it).  Distinct translation parts
-    make the flat indices distinct, so a hit is the same element set.  On
-    a miss the set is asserted to be a regular subgroup (closure and both
-    regularity tests) with inner projection before it is stored.
+    The aut parts are scattered into an array indexed by translation part,
+    -1 where no element lands.  For an fpf pair the translation parts are
+    distinct and so exhaust G: no entry stays -1, and t·|Aut| + entry t
+    is the set's flat indices, sorted by construction.  That array is the
+    key of a store on the holomorph, private to this route (the
+    enumeration and the oracle never read it): many pairs give the same
+    subgroup, so a pair costs array work plus one lookup.  On a miss the
+    set is asserted to be a regular subgroup (closure and both regularity
+    tests) with inner projection before it is stored.
     """
     T, n = f.group, f.n
     hol = _priced_holomorph(
@@ -445,25 +500,26 @@ def fpf_pair_to_subgroup(f, g, verdict=None):
     N = hol.group
     if verdict is None:
         verdict = is_fpf_bruteforce(f, g)
-    fv, gv = image_indices(f), image_indices(g)
-    trans = N.np_mul[gv, hol._inv[fv]]
-    translations = np.count_nonzero(np.bincount(trans, minlength=N.order))
+    fv, gv = image_indices(f, g)
+    auts = np.full(N.order, -1, dtype=np.int64)  # aut part by translation part
+    auts[N.np_mul[gv, hol._inv[fv]]] = N.conjugation_aut_ids()[fv]
+    key = auts.tobytes()
+    elems = hol._pair_subgroups.get(key)
+    distinct = elems is not None or auts.min() >= 0  # no stored key holds a -1
     if not verdict.is_fpf:
         # s and s' with f(s)f(s')^-1 = g(s)g(s')^-1 share a translation
         # part, so the evaluation-at-identity map cannot be injective.
-        if translations == N.order:
+        if distinct:
             raise RuntimeError("non-fpf pair produced distinct translations")
         raise ValueError(
-            f"pair is not fixed point free: only {translations} of "
+            f"pair is not fixed point free: only {np.count_nonzero(auts >= 0)} of "
             f"{N.order} translation parts are distinct, the action cannot "
             "be regular"
         )
-    if translations != N.order:
+    if not distinct:
         raise RuntimeError("fpf pair produced colliding holomorph elements")
-    flat = np.sort(trans * hol.aut_count + N.conjugation_aut_ids()[fv])
-    key = flat.tobytes()
-    elems = hol._pair_subgroups.get(key)
     if elems is None:
+        flat = np.arange(N.order) * hol.aut_count + auts
         if not hol._regular(flat)[0]:
             raise RuntimeError("fpf pair produced a non-regular subgroup")
         elems = frozenset(map(hol.element_of_index, flat.tolist()))

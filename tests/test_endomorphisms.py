@@ -1,7 +1,9 @@
 """Structured endomorphisms of T^n and the pair file format."""
 
+import dataclasses
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -78,16 +80,36 @@ def test_identity_and_trivial():
 
 
 def test_validation_rejects_malformed_endos():
-    with pytest.raises(ValueError):
-        StructuredEndo(S3, 2, (1,), (0, 0))
-    with pytest.raises(ValueError):
-        StructuredEndo(S3, 2, (3, 1), (0, 0))  # theta out of range
-    with pytest.raises(ValueError):
-        StructuredEndo(S3, 2, (0, 1), (0, 0))  # phi must be None on a 0
-    with pytest.raises(ValueError):
-        StructuredEndo(S3, 2, (1, 1), (None, 0))  # and an id otherwise
-    with pytest.raises(ValueError):
-        StructuredEndo(S3, 2, (1, 1), (99, 0))
+    for n, theta, phis, message in [
+        (0, (), (), "n must be at least 1"),
+        (2, (1,), (0, 0), "theta and phis must both have length n"),
+        (2, (3, 1), (0, 0), "theta[0] = 3 is outside 0..2"),
+        (2, (0, 1), (0, 0), "phis[0] must be None when theta[0] = 0"),
+        (2, (1, 1), (None, 0), "phis[0] = None is not an automorphism id"),
+        (2, (1, 1), (0, 99), "phis[1] = 99 is not an automorphism id"),
+        (2, (1, 2), (0, "1"), "phis[1] = '1' is not an automorphism id"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            StructuredEndo(S3, n, theta, phis)
+
+
+@pytest.mark.parametrize("T, n", [(S3, 3), (A5, 1)])
+def test_rows_are_set_at_construction(T, n):
+    # rows is an instance value written by __post_init__, not a lazily
+    # cached property: no descriptor on the class, and no field either
+    assert not hasattr(StructuredEndo, "rows")
+    assert "rows" not in {f.name for f in dataclasses.fields(StructuredEndo)}
+    A = len(T.automorphisms())
+    count = 0
+    for e in enumerate_end0(T, n):
+        assert vars(e)["rows"] == tuple(
+            1 + (t - 1) * A + p if t else 0 for t, p in zip(e.theta, e.phis)
+        )
+        count += 1
+    assert count == count_end0(T, n)
+    e = StructuredEndo(T, n, (0,) * n, (None,) * n)
+    assert e == trivial_endo(T, n) and hash(e) == hash(trivial_endo(T, n))
+    assert "rows" not in repr(e)
 
 
 def test_compose_agrees_with_pointwise_composition():

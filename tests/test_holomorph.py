@@ -7,6 +7,7 @@ import random
 import re
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,9 +26,12 @@ from hopfgalois.groups import (
     load_group,
     power_coords,
     power_group,
+    power_index,
+    subgroup_closure,
 )
 from hopfgalois.holomorph import (
     HolElement,
+    _subgroups_dividing,
     byott_translate,
     classify_inn_out,
     enumerate_regular_subgroups,
@@ -435,6 +439,57 @@ def test_oracle_reaches_targets_that_need_three_generators():
     assert all(len(key) == 8 and classify_inn_out(holomorph_of(d4), key) == "inn" for key in kept)
 
 
+def _reference_walk(table, want):
+    """The oracle's subgroup walk before it followed greedy chains: extend
+    each subgroup found by one element per left coset through a closure
+    from its seeds."""
+    found, work = {(0,)}, [((0,), ())]  # subgroups to extend, with the seeds that built them
+    while work:
+        sub, gens = work.pop()
+        covered = set(sub)
+        for x in range(table.order):
+            if x in covered:
+                continue
+            covered.update(table.mul[x][h] for h in sub)
+            cl = subgroup_closure(table, gens + (x,), limit=want)
+            if cl is not None and want % len(cl) == 0 and cl not in found:
+                found.add(cl)
+                if len(cl) < want:
+                    work.append((cl, gens + (x,)))
+    return found
+
+
+ORACLE_QUERIES = [
+    ("s3", None), ("s3", "c6"), ("c6", None), ("c6", "s3"), ("d4", None),
+    ("d4", "c2cube"), ("d4", "q8"), ("q8", None), ("q8", "d4"), ("a4", None),
+]
+
+
+def test_greedy_walk_finds_what_the_coset_walk_found(monkeypatch):
+    for name in ("s3", "c6", "d4", "q8", "a4"):
+        N = load_group(name)
+        table = holomorph_of(N).as_table_group()
+        assert _subgroups_dividing(table, N.order) == _reference_walk(table, N.order)
+    c2cube = load_group(GOLDEN.parent / "c2cube.txt")
+    iso = {None: None, "c2cube": c2cube} | {k: load_group(k) for k in ("s3", "c6", "d4", "q8")}
+    got = {q: regular_subgroups_oracle(load_group(q[0]), iso[q[1]], True) for q in ORACLE_QUERIES}
+    monkeypatch.setattr("hopfgalois.holomorph._subgroups_dividing", _reference_walk)
+    for (name, target), answer in got.items():
+        assert answer == regular_subgroups_oracle(load_group(name), iso[target], True), (name, target)
+    assert got["d4", "c2cube"][1]["regular"] == 20 and len(got["d4", "c2cube"][0]) == 2
+
+
+def test_walk_that_leaves_the_greedy_chains_is_caught(monkeypatch):
+    # closing <H, x> without asking that x be its least element outside H
+    # reaches a subgroup once per chain of seeds that generates it
+    def closure(mul, sub, inside, gens, x, limit):
+        return subgroup_closure(SimpleNamespace(mul=mul, order=len(mul)), (*gens, x), limit)
+
+    monkeypatch.setattr("hopfgalois.holomorph._greedy_extension", closure)
+    with pytest.raises(RuntimeError, match=r"the subgroup walk reached a subgroup of order \d+ twice"):
+        regular_subgroups_oracle(load_group("c6"))
+
+
 def test_oracle_refuses_a_large_holomorph_before_searching_aut():
     a5 = FiniteGroup(load_group("a5").mul, name="a5")  # fresh, so nothing is kept on it yet
     with pytest.raises(BudgetError, match="too large.*limit 600.*enumerate_regular_subgroups"):
@@ -481,8 +536,37 @@ def test_trivial_identity_pair_gives_right_translations():
 
 def test_non_fpf_pair_is_rejected_with_translation_counts():
     f = identity_endo(S3, 1)
-    with pytest.raises(ValueError, match="translation parts"):
+    with pytest.raises(ValueError) as refusal:
         fpf_pair_to_subgroup(f, f)
+    assert str(refusal.value) == (
+        "pair is not fixed point free: only 1 of 6 translation parts are "
+        "distinct, the action cannot be regular"
+    )
+
+
+def _pair_subgroup_reference(f, g):
+    """{(g(s)·f(s)⁻¹, conjugation id of f(s))} over every s, from apply and
+    N's scalar tables."""
+    N = power_group(f.group, f.n)
+    out = set()
+    for k in range(N.order):
+        s = power_coords(f.group, f.n, k)
+        fs, gs = power_index(f.group, f.apply(s)), power_index(f.group, g.apply(s))
+        out.add(HolElement(N.mul[gs][N.inv[fs]], N.conjugation_aut_id(fs)))
+    return out
+
+
+def test_pair_route_matches_the_scalar_reference():
+    rng = random.Random(0x5A1125)
+    T = FiniteGroup(S3.mul, name="s3")  # fresh, so the stores start empty
+    for n, sample in ((1, None), (2, 150)):
+        endos = list(enumerate_end0(T, n))
+        pairs = [(f, g, v) for f in endos for g in endos if (v := is_fpf_by_tree(f, g)).is_fpf]
+        assert len(pairs) == {1: 12, 2: 3744}[n]
+        for f, g, v in pairs if sample is None else rng.sample(pairs, sample):
+            want = _pair_subgroup_reference(f, g)
+            assert fpf_pair_to_subgroup(f, g) == want
+            assert fpf_pair_to_subgroup(f, g, v) == want
 
 
 def test_non_fpf_refusal_leaves_the_aut_table_unbuilt():
