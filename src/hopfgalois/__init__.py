@@ -9,7 +9,15 @@ closed-form versus brute-force censuses that tie everything together
 (:mod:`.census`).  The structure lemmas on direct powers are checked by
 :mod:`.powerlemmas`, which builds on the pipeline.  The ``hopfgalois``
 CLI exposes the same operations.
+
+``import hopfgalois`` loads the counting pipeline: groups,
+endomorphisms, pair graphs, fpf verdicts and the census.  The holomorph
+names and ``run_power_lemma_suite`` are resolved on first access, which
+imports :mod:`.holomorph` or :mod:`.powerlemmas` then and binds the name
+here, so a run that never reads them never loads either module.
 """
+
+import importlib
 
 from .census import (
     brute_F,
@@ -42,20 +50,11 @@ from .groups import (
     load_group,
     power_group,
 )
-from .holomorph import (
-    Holomorph,
-    byott_translate,
-    enumerate_regular_subgroups,
-    fpf_pair_to_subgroup,
-    holomorph_of,
-    regular_subgroups_oracle,
-)
 from .pairgraphs import (
     build_undirected,
     enumerate_labelled_trees,
     is_tree,
 )
-from .powerlemmas import run_power_lemma_suite
 
 __all__ = [
     "BudgetError",
@@ -94,3 +93,25 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# Read on first access, by ``__getattr__`` below: name -> submodule.
+_DEFERRED = {
+    **dict.fromkeys(
+        ("Holomorph", "byott_translate", "enumerate_regular_subgroups",
+         "fpf_pair_to_subgroup", "holomorph_of", "regular_subgroups_oracle"),
+        "holomorph",
+    ),
+    "run_power_lemma_suite": "powerlemmas",
+}
+
+
+def __getattr__(name):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_DEFERRED[name]}", __name__), name)
+    globals()[name] = value  # later reads are plain namespace hits
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

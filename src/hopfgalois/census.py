@@ -27,7 +27,8 @@ three ways that share no code path:
 
 ``run_verification`` lists the cross-checks (including holomorph
 regular-subgroup counts for small targets) as the rows that
-``hopfgalois verify`` prints.
+``hopfgalois verify`` prints; it is the one user of :mod:`.holomorph`
+here and imports it when called, so the counting routes load without it.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import numpy as np
 from .endomorphisms import ENDO_BUDGET, count_end0, enumerate_end0
 from .fpf import TreeCriterionError
 from .groups import BudgetError, _is_prime, all_coords, has_fpf_automorphism, load_group
-from .holomorph import enumerate_regular_subgroups, regular_subgroups_oracle
 from .pairgraphs import build_undirected, count_trees_root_degree, is_tree, tree_degree_census
 
 DEFAULT_BRUTE_BUDGET = 2 * 10**9
@@ -374,6 +374,8 @@ def run_verification(level="quick"):
     """
     if level not in ("quick", "full"):
         raise ValueError(f"unknown level {level!r}: expected 'quick' or 'full'")
+    from .holomorph import enumerate_regular_subgroups, regular_subgroups_oracle
+
     s3 = load_group("s3")
     s3_regulars = enumerate_regular_subgroups(s3)
     oracle = regular_subgroups_oracle(s3, iso_type=s3)

@@ -3,6 +3,8 @@
 Output is tab-separated key/value or table rows so it pipes cleanly.
 Exit codes: 0 on success (and on every check passing), 2 when a
 verification or cross-check fails, 1 on usage or input errors.
+The ``hol`` commands import the holomorph and power-lemma modules when
+they run, so the other commands start without them.
 """
 
 from __future__ import annotations
@@ -22,19 +24,12 @@ from .census import (
 from .endomorphisms import parse_pair_file
 from .fpf import decide_fpf
 from .groups import BudgetError, find_isomorphism, has_fpf_automorphism, load_group
-from .holomorph import (
-    classify_inn_out,
-    enumerate_regular_subgroups,
-    holomorph_of,
-    regular_subgroups_oracle,
-)
 from .pairgraphs import (
     build_undirected,
     count_trees_root_degree,
     dump_lines,
     enumerate_labelled_trees,
 )
-from .powerlemmas import run_power_lemma_suite
 
 USAGE_ERROR = 1
 CHECK_FAILED = 2
@@ -138,6 +133,13 @@ def _cmd_fpf_check(args):
 
 
 def _cmd_hol_regulars(args):
+    from .holomorph import (
+        classify_inn_out,
+        enumerate_regular_subgroups,
+        holomorph_of,
+        regular_subgroups_oracle,
+    )
+
     G = load_group(args.group)
     iso = load_group(args.iso) if args.iso else None
     if iso is None or find_isomorphism(iso, G) is not None:
@@ -155,6 +157,8 @@ def _cmd_hol_regulars(args):
 
 
 def _cmd_hol_verify_s3_lemmas(args):
+    from .powerlemmas import run_power_lemma_suite
+
     T = load_group("s3")
     results = run_power_lemma_suite(T, n=2)
     failed = 0

@@ -349,9 +349,11 @@ class FiniteGroup:
 
 
 def _table_from_perms(perms, name):
-    perms = sorted(perms)
-    index = {p: i for i, p in enumerate(perms)}
-    mul = [[index[compose_perm(a, b)] for b in perms] for a in perms]
+    """The group of the permutation tuples ``perms``, element i the i-th
+    in sorted order, product i·j the composite applying j first: one
+    gather composes every pair and one ``row_finder`` query names them."""
+    perms = np.array(sorted(perms), dtype=np.int64)
+    mul = row_finder(perms, perms.shape[1])(perms[:, perms])  # [i, j, x]: perms[i][perms[j][x]]
     return FiniteGroup(mul, name=name)
 
 

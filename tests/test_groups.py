@@ -14,6 +14,7 @@ from hopfgalois.groups import (
     GroupValidationError,
     all_coords,
     catalog_names,
+    compose_perm,
     enumerate_homomorphisms,
     find_isomorphism,
     has_fpf_automorphism,
@@ -62,6 +63,30 @@ def test_catalog_basics():
     assert "s3" in catalog_names()
     # catalog loads are cached by name
     assert load_group("s3") is S3
+
+
+def _is_even(p):
+    return sum(p[i] > p[j] for i, j in itertools.combinations(range(len(p)), 2)) % 2 == 0
+
+
+# The permutations each permutation catalog group is built from.
+CATALOG_PERMS = {
+    **{f"s{k}": list(itertools.permutations(range(k))) for k in (3, 4, 5)},
+    **{f"a{k}": [p for p in itertools.permutations(range(k)) if _is_even(p)] for k in (4, 5)},
+    **{
+        f"d{k}": {tuple((s + e * i) % k for i in range(k)) for s in range(k) for e in (1, -1)}
+        for k in (4, 5)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_PERMS))
+def test_permutation_catalog_tables_match_a_per_pair_composition(name):
+    # element i is the i-th permutation in sorted order, and i·j applies j first
+    perms = sorted(CATALOG_PERMS[name])
+    index = {p: i for i, p in enumerate(perms)}
+    want = [[index[compose_perm(a, b)] for b in perms] for a in perms]
+    assert load_group(name).mul == tuple(map(tuple, want))
 
 
 def test_identity_and_inverses():
