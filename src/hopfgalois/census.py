@@ -189,20 +189,12 @@ def prime_columns(T, n):
     the one whose coordinate there is the least of those.
     """
     orders, primes = T.element_orders(), _prime_orders(T)
-    canonical = np.zeros(T.order, dtype=bool)
-    for x in range(1, T.order):
-        if orders[x] in primes:
-            y, least = x, x
-            for _ in range(orders[x] - 2):
-                y = T.mul[y][x]
-                least = min(least, y)
-            canonical[x] = least == x
     coords = all_coords(T, n)
     coord_orders = np.array(orders)[coords]
     p = coord_orders.max(axis=1)
     single = ((coord_orders == p[:, None]) | (coord_orders == 1)).all(axis=1)
     first = coords[np.arange(len(coords)), (coords != 0).argmax(axis=1)]
-    columns = np.flatnonzero(np.isin(p, primes) & single & canonical[first])
+    columns = np.flatnonzero(np.isin(p, primes) & single & T.least_generators()[first])
     if len(columns) != prime_column_count(T, n):
         raise RuntimeError(
             f"found {len(columns)} prime-order cyclic subgroups of {T.name}^{n}, "

@@ -149,13 +149,6 @@ def count_aut0(T, n):
     return len(T.automorphisms()) ** n * math.factorial(n)
 
 
-def _phi_products(T, theta):
-    nauts = len(T.automorphisms())
-    slots = [range(nauts) if t != 0 else (None,) for t in theta]
-    for combo in itertools.product(*slots):
-        yield combo
-
-
 def enumerate_end0(T, n):
     """Stream all structured endomorphisms of T^n.
 
@@ -169,8 +162,9 @@ def enumerate_end0(T, n):
             f"End0({T.name}^{n}) has {total} elements, over the budget of {ENDO_BUDGET}; "
             "count_end0 counts them and census.formula_F the fixed point free pairs"
         )
+    ids = range(len(T.automorphisms()))
     for theta in itertools.product(range(n + 1), repeat=n):
-        for phis in _phi_products(T, theta):
+        for phis in itertools.product(*[ids if t else (None,) for t in theta]):
             yield StructuredEndo(T, n, theta, phis)
 
 
@@ -182,8 +176,9 @@ def enumerate_aut0(T, n):
             f"Aut0({T.name}^{n}) has {total} elements, over the budget of {ENDO_BUDGET}; "
             "count_aut0 counts them and census.formula_F the fixed point free pairs"
         )
+    ids = range(len(T.automorphisms()))
     for theta in itertools.permutations(range(1, n + 1)):
-        for phis in _phi_products(T, theta):
+        for phis in itertools.product(ids, repeat=n):
             yield StructuredEndo(T, n, theta, phis)
 
 
@@ -299,7 +294,10 @@ def parse_pair_file(text, T):
         if "=" not in line:
             raise PairFileError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise PairFileError(f"line {lineno}: key {key} is given a second time")
+        fields[key] = value.strip()
     for key in ("n", "theta_f", "phi_f", "theta_g", "phi_g"):
         if key not in fields:
             raise PairFileError(f"missing field {key}")

@@ -111,7 +111,7 @@ class _AutTables(NamedTuple):
 
     auts: tuple  # T.automorphisms()
     quot: tuple  # aut_quotient_rows(T)
-    mul: tuple  # automorphism_table_group(T).mul
+    mul: tuple  # automorphism_table_group(T)'s table as rows of ints, for scalar reads
     lowest: tuple  # lowest_fixed_points(T)
     has_fpf: bool  # has_fpf_automorphism(T)
 
@@ -119,7 +119,8 @@ class _AutTables(NamedTuple):
 def _tables(T):
     """T's _AutTables, built on first use: one memo read per route."""
     return T.memo("fpf_tables", lambda: _AutTables(
-        T.automorphisms(), aut_quotient_rows(T), automorphism_table_group(T).mul,
+        T.automorphisms(), aut_quotient_rows(T),
+        tuple(map(tuple, automorphism_table_group(T).np_mul.tolist())),
         lowest_fixed_points(T), has_fpf_automorphism(T),
     ))
 

@@ -10,14 +10,16 @@ action) on each group's one generating sequence, direct powers T^n and
 their coordinate arrays, and the closure of a set of elements to the
 subgroup it generates.
 
-Tables are kept both as nested tuples (hashable, cheap scalar access) and
-as a read-only int64 numpy array for vectorised validation of tables and
-of crossed-map actions.  Everything computed from a table (the generating
-sequence, automorphisms, their array, Aut as a table group and its
-quotient rows, element orders, each automorphism's least non-identity
-fixed point and so whether one is fixed point free, the powers T^n and
-their coordinate arrays, the holomorph) lives in one memo on the group
-itself, exactly as long as the group does.
+A table is kept once, as a read-only int64 numpy array, ``np_mul``, which
+every reader gathers from.  Walks by right products, which visit one
+element at a time, read each generator's column x ↦ x·g as a Python list
+gathered from it on first use.  Everything computed from a table (those
+columns, the generating sequence, automorphisms, their array, Aut as a
+table group and its quotient rows, element orders and least generators
+of cyclic subgroups, each automorphism's least non-identity fixed point
+and so whether one is fixed point free, the powers T^n and their
+coordinate arrays, the holomorph) lives in one memo on the group itself,
+exactly as long as the group does.
 """
 
 from __future__ import annotations
@@ -84,15 +86,14 @@ def invert_perm(a):
 # ── The table type ──────────────────────────────────────────────────────
 
 
-def _check_closure(arr, mul):
-    """Refuse the first entry of the square table ``arr`` (a numpy view of
-    ``mul``) outside 0..order-1."""
-    m = len(mul)
+def _check_closure(arr):
+    """Refuse the first entry of the square table ``arr`` outside 0..order-1."""
+    m = len(arr)
     outside = (arr < 0) | (arr >= m)
     if outside.any():
         x, y = map(int, np.argwhere(outside)[0])
         raise GroupValidationError(
-            f"closure violated: mul[{x}][{y}] = {mul[x][y]} is outside 0..{m - 1}"
+            f"closure violated: mul[{x}][{y}] = {arr[x, y]} is outside 0..{m - 1}"
         )
 
 
@@ -113,19 +114,23 @@ class FiniteGroup:
                     f"table is not square: row {x} has {len(row)} entries, "
                     f"expected {self.order}"
                 )
-        # one conversion of the whole table; .tolist() gives plain ints
         try:
             arr = np.array(mul, dtype=np.int64).reshape(self.order, self.order)
         except OverflowError:  # an entry past int64 is outside 0..order-1 as well
-            _check_closure(np.array(mul, dtype=object).reshape(self.order, self.order), mul)
+            _check_closure(np.array(mul, dtype=object).reshape(self.order, self.order))
             raise
-        self.mul = tuple(tuple(row.tolist()) for row in arr)
         self.np_mul = _read_only(arr)
         self._memo = {}
         self.inv = self._validate()
 
     def __repr__(self):
         return f"FiniteGroup({self.name!r}, order={self.order})"
+
+    @property
+    def mul(self):
+        """The table as a tuple of tuples of ints, built from ``np_mul`` on
+        first read and kept in the memo; the package itself never reads it."""
+        return self.memo("mul", lambda: tuple(map(tuple, self.np_mul.tolist())))
 
     def memo(self, key, build):
         """The derived value stored under ``key``, from ``build()`` on first use.
@@ -148,18 +153,18 @@ class FiniteGroup:
         arr = self.np_mul
         if m == 0:
             raise GroupValidationError("empty multiplication table")
-        _check_closure(arr, self.mul)
+        _check_closure(arr)
         # Identity must be index 0, acting trivially on both sides.
         rng = np.arange(m)
         if (arr[0] != rng).any():
             y = int(np.argwhere(arr[0] != rng)[0, 0])
             raise GroupValidationError(
-                f"identity violated: mul[0][{y}] = {self.mul[0][y]}, expected {y}"
+                f"identity violated: mul[0][{y}] = {arr[0, y]}, expected {y}"
             )
         if (arr[:, 0] != rng).any():
             x = int(np.argwhere(arr[:, 0] != rng)[0, 0])
             raise GroupValidationError(
-                f"identity violated: mul[{x}][0] = {self.mul[x][0]}, expected {x}"
+                f"identity violated: mul[{x}][0] = {arr[x, 0]}, expected {x}"
             )
         self._check_associativity(arr)
         # Every element needs a two-sided inverse; validation returns them.
@@ -191,18 +196,41 @@ class FiniteGroup:
 
     # -- basic element arithmetic -----------------------------------------
 
-    def element_orders(self):
-        def build():
-            orders = [1] * self.order
-            for x in range(1, self.order):
-                y, k = x, 1
-                while y != 0:
-                    y = self.mul[y][x]
-                    k += 1
-                orders[x] = k
-            return tuple(orders)
+    def right_products(self, gens):
+        """For each g in ``gens`` the column x ↦ x·g, a list indexed by x,
+        read from ``np_mul`` on first use and kept on the group.  Walks by
+        right products read these."""
+        columns = self.memo("columns", dict)
+        try:
+            return [columns[g] for g in gens]
+        except KeyError:
+            for g in gens:
+                if g not in columns:
+                    columns[g] = self.np_mul[:, g].tolist()
+            return [columns[g] for g in gens]
 
-        return self.memo("orders", build)
+    def element_orders(self):
+        return self.memo("powers", self._power_walk)[0]
+
+    def least_generators(self):
+        """Read-only bool array: entry x says x is the least generator of <x>."""
+        return self.memo("powers", self._power_walk)[1]
+
+    def _power_walk(self):
+        """(element orders, least-generator flags) from one walk over the
+        powers x, x^2, ..., x^J of every x at once, J doubling (x^(j+i) =
+        x^j·x^i) until each x has met the identity.  The order of x is its
+        first power that is 0; the generators of <x> are its powers of the
+        same order."""
+        mul = self.np_mul
+        x = mul[0]  # every x, as 1·x
+        powers = np.array((x, mul.diagonal()))  # row k holds every x^(k+1)
+        while powers.all(axis=0).any():  # some x has no power 0 yet
+            powers = np.concatenate((powers, mul[powers[-1], powers]))
+        orders = powers.argmin(axis=0) + 1
+        same = orders[powers] == orders
+        least = np.minimum.reduce(powers, initial=self.order, where=same)
+        return tuple(orders.tolist()), _read_only(least == x)
 
     def is_abelian(self):
         return bool((self.np_mul == self.np_mul.T).all())
@@ -235,23 +263,15 @@ class FiniteGroup:
 
     def _closure_sequence(self):
         """Repeatedly append the lowest-index element not reached by right
-        products of 0 and the elements so far (for a group, the subgroup
-        they generate).  It assumes no axiom beyond the identity at 0, so
-        validation can use it: every element is a left-normed product of
-        the sequence.  Elements reached before a new generator meet only
-        it; the ones reached after meet every generator."""
-        mul, gens, elems, have = self.mul, [], [0], {0}
+        products of 0 and the elements so far (``subgroup_closure``; for a
+        group, the subgroup they generate).  It assumes no axiom beyond the
+        identity at 0, so validation can use it: every element is a
+        left-normed product of the sequence."""
+        gens, have = [], {0}
         for gen in range(1, self.order):
-            if gen in have:
-                continue
-            gens.append(gen)
-            start = len(elems)
-            for i, x in enumerate(elems):  # runs over the elements appended below too
-                row = mul[x]
-                for g in gens[-1:] if i < start else gens:
-                    if row[g] not in have:
-                        have.add(row[g])
-                        elems.append(row[g])
+            if gen not in have:
+                gens.append(gen)
+                have = set(subgroup_closure(self, gens))
         return tuple(gens)
 
     def _word_levels(self, gens):
@@ -269,6 +289,7 @@ class FiniteGroup:
 
     def _build_levels(self, gens):
         levels, elems, known = [], [0], {0}
+        columns = list(zip(gens, self.right_products(gens)))
         for k, gen in enumerate(gens):
             start = len(elems)  # pairs of these with gens[:k] closed at earlier levels
             known.add(gen)
@@ -276,8 +297,8 @@ class FiniteGroup:
             depth = dict.fromkeys(elems, 0)
             steps, closing, ends = [], [], []
             for i, x in enumerate(elems):  # runs over the elements appended below too
-                for g in gens[k : k + 1] if i < start else gens[: k + 1]:
-                    y = self.mul[x][g]
+                for g, col in columns[k : k + 1] if i < start else columns[: k + 1]:
+                    y = col[x]
                     if y not in known:
                         known.add(y)
                         elems.append(y)
@@ -324,9 +345,7 @@ class FiniteGroup:
             raise ValueError("images tuple is not an automorphism of this group") from None
 
     def conjugation_images(self, g):
-        mul, inv = self.mul, self.inv
-        gi = inv[g]
-        return tuple(mul[mul[g][x]][gi] for x in range(self.order))
+        return tuple(self.np_mul[self.np_mul[g], self.inv[g]].tolist())
 
     def conjugation_aut_ids(self):
         """Read-only int64 array whose entry g is the aut id of conjugation
@@ -617,13 +636,13 @@ def automorphism_table_group(N):
 
 
 def aut_quotient_rows(N):
-    """Row a is ``aut.mul[aut.inv[a]]`` for aut = automorphism_table_group(N),
-    so entry [a][b] is the id of inverse(a)∘b, b applied first; the rows are
-    aut's own, shared, and the tuple of them is kept on N."""
+    """Row a is row ``aut.inv[a]`` of ``aut.np_mul`` for aut =
+    automorphism_table_group(N), so entry [a][b] is the id of inverse(a)∘b,
+    b applied first; gathered in one step as tuples of ints, kept on N."""
 
     def build():
         aut = automorphism_table_group(N)
-        return tuple(aut.mul[a] for a in aut.inv)
+        return tuple(map(tuple, aut.np_mul[list(aut.inv)].tolist()))
 
     return N.memo("aut_quotient_rows", build)
 
@@ -746,12 +765,11 @@ def subgroup_closure(G, seed, limit=None):
     multiplication (in a finite group the inverses are positive powers),
     |H|·|seed| products for a subgroup H."""
     limit = G.order if limit is None else limit
-    mul, gens = G.mul, set(seed) - {0}
+    columns = G.right_products(set(seed) - {0})
     have, work = {0}, [0]
     for x in work:
-        row = mul[x]
-        for g in gens:
-            y = row[g]
+        for col in columns:
+            y = col[x]
             if y not in have:
                 have.add(y)
                 work.append(y)

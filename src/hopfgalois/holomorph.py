@@ -105,8 +105,8 @@ class Holomorph:
     def compose(self, e1, e2):
         N = self.group
         return HolElement(
-            N.mul[e1.trans][self.auts[e1.aut][e2.trans]],
-            automorphism_table_group(N).mul[e1.aut][e2.aut],
+            int(N.np_mul[e1.trans, self.auts[e1.aut][e2.trans]]),
+            int(automorphism_table_group(N).np_mul[e1.aut, e2.aut]),
         )
 
     def inverse(self, e):
@@ -117,7 +117,7 @@ class Holomorph:
     def action(self, e, x):
         """The permutation of N that ``e`` stands for: x ↦ aut(x)·trans⁻¹."""
         N = self.group
-        return N.mul[self.auts[e.aut][x]][N.inv[e.trans]]
+        return int(N.np_mul[self.auts[e.aut][x], N.inv[e.trans]])
 
     def xi(self, e):
         """Evaluation of the permutation at the identity."""
@@ -365,21 +365,21 @@ def enumerate_regular_subgroups(N):
     return subgroups
 
 
-def _greedy_extension(mul, sub, inside, gens, x, limit):
+def _greedy_extension(table, sub, inside, gens, x, limit):
     """<H, x> as a sorted tuple, for the subgroup H = ``sub`` (the set
-    ``inside``) generated by ``gens``, when x is the least element of it
-    outside H; else None, and None too once it passes ``limit`` elements.
+    ``inside``) of the table group generated by ``gens``, when x is the
+    least element of it outside H; else None, and None too once it passes
+    ``limit`` elements.
 
     Right products close it: H's elements meet only x, since H is closed
     under its own generators, and each new element meets every generator.
     The walk stops at the first new element below x."""
     new, added, room = [], set(), limit - len(sub)
-    gens = (*gens, x)
-    for elems, meets in ((sub, (x,)), (new, gens)):
+    columns = table.right_products((*gens, x))
+    for elems, meets in ((sub, columns[-1:]), (new, columns)):
         for y in elems:  # runs over the elements appended below too
-            row = mul[y]
-            for g in meets:
-                z = row[g]
+            for col in meets:
+                z = col[y]
                 if z not in inside and z not in added:
                     if z < x or len(new) == room:
                         return None
@@ -404,18 +404,9 @@ def _subgroups_dividing(table, want):
     The first thing that closure checks, that no element of the coset H·x
     lies below x, is run for all later seeds at once before it: one gather
     of H's rows and a column minimum."""
-    mul, orders = table.mul, table.element_orders()
-    seeds = []  # the x that can extend a greedy chain, ascending
-    for x in range(1, table.order):
-        if want % orders[x] == 0:
-            y, least = x, x
-            for k in range(2, orders[x]):
-                y = mul[y][x]
-                if y < least and math.gcd(k, orders[x]) == 1:
-                    least = y
-            if least == x:
-                seeds.append(x)
-    seed_ids = np.array(seeds, dtype=np.int64)
+    dividing = want % np.array(table.element_orders()) == 0
+    seed_ids = np.flatnonzero(dividing & table.least_generators())[1:]  # not the identity
+    seeds = seed_ids.tolist()  # the x that can extend a greedy chain, ascending
     found, work = {(0,)}, [((0,), (), 0)]  # subgroups to extend, their seeds, the next seed
     while work:
         sub, gens, start = work.pop()
@@ -424,7 +415,7 @@ def _subgroups_dividing(table, want):
         least = table.np_mul[list(sub)][:, later].min(axis=0)  # of each coset H·x; x itself is in it
         for at in (start + np.flatnonzero(least == later)).tolist():
             x = seeds[at]
-            cl = _greedy_extension(mul, sub, inside, gens, x, want)
+            cl = _greedy_extension(table, sub, inside, gens, x, want)
             if cl is None or want % len(cl):
                 continue
             if cl in found:

@@ -47,7 +47,6 @@ __all__ = [
     "orbit_decompose_from_thetas",
     "check_rank_bounds",
     "check_relations_lemma",
-    "f_kernel_inner",
     "g_bound_report",
     "audit_prime_bound",
     "commutator_closure",
@@ -391,7 +390,7 @@ def check_relations_lemma(pair, sigma, tau):
     """
     ctx = pair.ctx
     G = ctx.group
-    if G.mul[sigma][tau] != G.mul[tau][sigma]:
+    if G.np_mul[sigma, tau] != G.np_mul[tau, sigma]:
         raise ValueError(
             f"elements {sigma} and {tau} do not commute; the relation "
             "assumes sigma·tau = tau·sigma"
@@ -402,12 +401,6 @@ def check_relations_lemma(pair, sigma, tau):
             "kernel of the coordinate action"
         )
     return bool(_relation_by_coordinate(pair, sigma, tau).all())
-
-
-def f_kernel_inner(pair):
-    """Whether f sends the whole coordinate-action kernel into inner
-    automorphisms of the power; decided once per pair."""
-    return pair.kernel_inner
 
 
 def g_bound_report(pair, decomp):
@@ -433,7 +426,7 @@ def g_bound_report(pair, decomp):
     T = pair.ctx.T
     kernel = pair.kernel_fsn
     trans = dict(decomp.transporters)
-    kernel_inner = f_kernel_inner(pair)
+    kernel_inner = pair.kernel_inner
     containment_ok = all(
         _relation_by_coordinate(pair, trans[i], np.array(kernel))[:, rep - 1].all()
         for orbit, rep in zip(decomp.orbits, decomp.reps)
@@ -545,7 +538,7 @@ def check_out_prop1(pair):
         return CheckResult(
             "inner-image criterion", "skipped", "; ".join(missing)
         )
-    conclusion = f_kernel_inner(pair)
+    conclusion = pair.kernel_inner
     return CheckResult(
         "inner-image criterion",
         "pass" if conclusion else "fail",

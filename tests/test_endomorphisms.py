@@ -208,6 +208,11 @@ def test_parse_pair_file():
         ("n=2\ntheta_f=0,1\nphi_f=-,-\ntheta_g=1,1\nphi_g=0,0", 'is "-" but'),
         ("n=2\ntheta_f=0,9\nphi_f=-,0\ntheta_g=1,1\nphi_g=0,0", "invalid endomorphism f"),
         ("just some text", "expected key=value"),
+        # a repeated key is refused, not read as its last value
+        (
+            "n=2\ntheta_f=1,2\nphi_f=0,0\ntheta_g=0,0\nphi_g=-,-\ntheta_f=0,0\nphi_f=-,-",
+            "line 6: key theta_f is given a second time",
+        ),
     ],
 )
 def test_pair_file_errors(mutation, complaint):

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 from pathlib import Path
 
@@ -218,10 +219,33 @@ def test_unknown_source_is_an_error():
 # ── Element structure ────────────────────────────────────────────────────
 
 
+def _powers_reference(G):
+    """Each x's order, and whether x is the least generator of <x>, from
+    the scalar powers x, x^2, ..., 1: x^k generates <x> when gcd(k, order)
+    is 1."""
+    orders, least = [], []
+    for x in range(G.order):
+        powers = [x]
+        while powers[-1]:
+            powers.append(G.mul[powers[-1]][x])
+        k = len(powers)
+        orders.append(k)
+        least.append(all(y >= x for i, y in enumerate(powers, 1) if math.gcd(i, k) == 1))
+    return tuple(orders), least
+
+
 def test_element_orders():
     assert sorted(S3.element_orders()) == [1, 2, 2, 2, 3, 3]
     assert sorted(C6.element_orders()) == [1, 2, 3, 3, 6, 6]
     assert sorted(Q8.element_orders()) == [1, 2, 4, 4, 4, 4, 4, 4]
+    # every catalog group (c2-c12 give every cyclic order), a power and a holomorph table
+    hol_s4 = holomorph.holomorph_of(load_group("s4")).as_table_group()
+    for G in (*map(load_group, catalog_names()), power_group(S3, 3), hol_s4):
+        orders, least = _powers_reference(G)
+        assert G.element_orders() == orders, G.name
+        assert all(type(k) is int for k in G.element_orders())
+        assert G.least_generators().tolist() == least, G.name
+    assert sum(load_group("c12").least_generators()) == 6  # one per divisor of 12
 
 
 # Every search yields its maps in the order of the generating sequence, and

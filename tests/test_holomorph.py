@@ -7,14 +7,13 @@ import random
 import re
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from hopfgalois.census import formula_Einn
+from hopfgalois.census import brute_F, formula_Einn
 from hopfgalois.endomorphisms import enumerate_end0, identity_endo, trivial_endo
-from hopfgalois.fpf import FpfVerdict, is_fpf_by_tree
+from hopfgalois.fpf import FpfVerdict, construct_witness, decide_fpf, is_fpf_by_tree
 from hopfgalois.groups import (
     BudgetError,
     FiniteGroup,
@@ -47,7 +46,6 @@ from hopfgalois.powerlemmas import (
     check_out_prop1,
     check_rank_bounds,
     check_relations_lemma,
-    f_kernel_inner,
     lambda_pair,
     orbit_decompose,
     orbit_decompose_from_thetas,
@@ -482,8 +480,8 @@ def test_greedy_walk_finds_what_the_coset_walk_found(monkeypatch):
 def test_walk_that_leaves_the_greedy_chains_is_caught(monkeypatch):
     # closing <H, x> without asking that x be its least element outside H
     # reaches a subgroup once per chain of seeds that generates it
-    def closure(mul, sub, inside, gens, x, limit):
-        return subgroup_closure(SimpleNamespace(mul=mul, order=len(mul)), (*gens, x), limit)
+    def closure(table, sub, inside, gens, x, limit):
+        return subgroup_closure(table, (*gens, x), limit)
 
     monkeypatch.setattr("hopfgalois.holomorph._greedy_extension", closure)
     with pytest.raises(RuntimeError, match=r"the subgroup walk reached a subgroup of order \d+ twice"):
@@ -699,6 +697,43 @@ def test_a5_lambda_image_passes_both_regularity_tests():
     assert by_xi and by_orbit
 
 
+def _kept_groups(G, kept):
+    """G and every table group kept in its memo, recursively, by id."""
+    if id(G) not in kept:
+        kept[id(G)] = G
+        for value in G._memo.values():
+            if isinstance(value, FiniteGroup):
+                _kept_groups(value, kept)
+    return kept
+
+
+def test_no_route_reads_the_tuple_table():
+    # every route reads np_mul and the columns gathered from it; the tuple
+    # view `mul` is built, and kept in the memo, only when something asks
+    s3, c3 = (FiniteGroup(load_group(k).np_mul, name=k) for k in ("s3", "c3"))
+    s3.automorphisms()
+    enumerate_regular_subgroups(s3)
+    enumerate_regular_subgroups(power_group(s3, 2))
+    regular_subgroups_oracle(s3)
+    for T, n in ((s3, 2), (c3, 1)):
+        brute_F(T, n, "fpf")
+    brute_F(s3, 2, "tree")
+    rng = random.Random(27)
+    for T, n in ((s3, 1), (s3, 2), (c3, 1)):
+        endos = list(enumerate_end0(T, n))
+        for f, g in (rng.sample(endos, 2) for _ in range(60)):
+            if decide_fpf(f, g).is_fpf:
+                fpf_pair_to_subgroup(f, g)
+            elif T is s3:
+                construct_witness(f, g)
+    run_power_lemma_suite(s3, 2)
+    kept = _kept_groups(c3, _kept_groups(s3, {}))
+    named = {G.name for G in kept.values()}
+    assert {"s3", "s3^2", "Aut(s3)", "Aut(s3^2)", "Hol(s3)", "c3", "Aut(c3)"} <= named
+    assert [G.name for G in kept.values() if "mul" in G._memo] == []
+    assert s3.mul == load_group("s3").mul and "mul" in s3._memo  # the key checked above
+
+
 # ── FGPair and the power toolkit ─────────────────────────────────────────
 
 
@@ -732,7 +767,7 @@ def test_rho_pair_shape():
     assert pair.g_is_bijective()
     assert len(pair.kernel_fsn) == 36  # f is constant: everything acts trivially
     assert len(pair.fsn_image()) == 1
-    assert f_kernel_inner(pair)
+    assert pair.kernel_inner
 
 
 def test_lambda_pair_shape():
@@ -740,7 +775,7 @@ def test_lambda_pair_shape():
     assert pair.g_is_bijective()
     assert len(pair.kernel_fsn) == 36  # conjugations never permute coordinates
     assert len(pair.fsn_image()) == 1
-    assert f_kernel_inner(pair)  # all conjugation parts are inner
+    assert pair.kernel_inner  # all conjugation parts are inner
 
 
 def test_fg_pair_validation():
