@@ -15,15 +15,9 @@ three ways that share no code path:
     vertices grouped by the degree d of vertex 0, with the degree
     census taken from actual Pruefer decoding when n is small;
   * ``brute_F`` counts over the real endomorphisms of an actual group,
-    either weighting the tree verdict of every source-map pair by how
-    many endomorphisms carry each source map, or comparing images: f
-    and g agree on a subgroup (their equalizer), so a pair is fpf
-    exactly when it differs on one generator of every cyclic subgroup
-    of prime order of T^n.  Those generators are the columns of an
-    image matrix with a row per endomorphism, built one source map at
-    a time; since composing with Aut0 permutes End0, one row per source
-    map, with identity twists, stands for all A^k rows of that source
-    map.  This route uses no pair graph.
+    by the tree verdict of every source-map pair or, using no pair
+    graph, by comparing images on the prime-order columns of T^n; its
+    docstring gives the argument for each mode.
 
 ``run_verification`` lists the cross-checks (including holomorph
 regular-subgroup counts for small targets) as the rows that
@@ -294,9 +288,8 @@ def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
         )
         return int(c @ _tree_matrix(n) @ c)
     if mode == "fpf":
-        thetas = list(itertools.product(range(n + 1), repeat=n))
         width = prime_column_count(T, n)
-        cost = len(thetas) * total_endos * width
+        cost = (n + 1) ** n * total_endos * width
         if cost > budget:
             if has_fpf_automorphism(T):
                 others = (
@@ -308,12 +301,13 @@ def brute_F(T, n, mode="tree", budget=DEFAULT_BRUTE_BUDGET):
             else:
                 others = f"other routes: mode='tree' (cost {tree_cost}) or formula_F (closed form)"
             raise BudgetError(
-                f"comparing {len(thetas)} rows with {total_endos} endomorphisms "
+                f"comparing {(n + 1) ** n} rows with {total_endos} endomorphisms "
                 f"over {width} columns costs {cost}, over the budget of {budget}; {others}"
             )
+        thetas = list(itertools.product(range(n + 1), repeat=n))  # only past the budget check
         columns = prime_columns(T, n)
-        identity = T.aut_index(tuple(range(T.order)))
-        rows = np.concatenate([image_block(T, th, columns, [identity]) for th in thetas])
+        # automorphisms() sorts its image tuples, so the identity is id 0
+        rows = np.concatenate([image_block(T, th, columns, [0]) for th in thetas])
         fpf_per_row = sum(_rows_differing(image_block(T, th, columns), rows) for th in thetas)
         A = len(T.automorphisms())
         return sum(

@@ -161,20 +161,16 @@ def _cmd_hol_verify_s3_lemmas(args):
 
     T = load_group("s3")
     results = run_power_lemma_suite(T, n=2)
-    failed = 0
+    counts = {"pass": 0, "fail": 0, "skipped": 0}
     for res in results:
         line = f"{res.name}\t{res.status}"
         if res.detail:
             line += f"\t{res.detail}"
         print(line)
-        if res.status == "fail":
-            failed += 1
-    counts = {"pass": 0, "fail": 0, "skipped": 0}
-    for res in results:
         counts[res.status] += 1
     print(f"total\t{len(results)}\tpass={counts['pass']}"
           f"\tfail={counts['fail']}\tskipped={counts['skipped']}")
-    return CHECK_FAILED if failed else 0
+    return CHECK_FAILED if counts["fail"] else 0
 
 
 # ── verify ───────────────────────────────────────────────────────────────

@@ -149,6 +149,16 @@ def count_aut0(T, n):
     return len(T.automorphisms()) ** n * math.factorial(n)
 
 
+def _check_budget(T, n, kind, total):
+    """Refuse up front to enumerate ``total`` elements of ``kind`` ("End0"
+    or "Aut0") when they exceed ENDO_BUDGET."""
+    if total > ENDO_BUDGET:
+        raise BudgetError(
+            f"{kind}({T.name}^{n}) has {total} elements, over the budget of {ENDO_BUDGET}; "
+            f"count_{kind.lower()} counts them and census.formula_F the fixed point free pairs"
+        )
+
+
 def enumerate_end0(T, n):
     """Stream all structured endomorphisms of T^n.
 
@@ -156,12 +166,7 @@ def enumerate_end0(T, n):
     coordinate.  Raises BudgetError up front when the count (1+n|Aut T|)^n
     exceeds ENDO_BUDGET, so callers can switch to formula-only paths.
     """
-    total = count_end0(T, n)
-    if total > ENDO_BUDGET:
-        raise BudgetError(
-            f"End0({T.name}^{n}) has {total} elements, over the budget of {ENDO_BUDGET}; "
-            "count_end0 counts them and census.formula_F the fixed point free pairs"
-        )
+    _check_budget(T, n, "End0", count_end0(T, n))
     ids = range(len(T.automorphisms()))
     for theta in itertools.product(range(n + 1), repeat=n):
         for phis in itertools.product(*[ids if t else (None,) for t in theta]):
@@ -170,12 +175,7 @@ def enumerate_end0(T, n):
 
 def enumerate_aut0(T, n):
     """Stream the invertible structured endomorphisms (theta permutations)."""
-    total = count_aut0(T, n)
-    if total > ENDO_BUDGET:
-        raise BudgetError(
-            f"Aut0({T.name}^{n}) has {total} elements, over the budget of {ENDO_BUDGET}; "
-            "count_aut0 counts them and census.formula_F the fixed point free pairs"
-        )
+    _check_budget(T, n, "Aut0", count_aut0(T, n))
     ids = range(len(T.automorphisms()))
     for theta in itertools.permutations(range(1, n + 1)):
         for phis in itertools.product(ids, repeat=n):
@@ -250,10 +250,15 @@ def image_indices(e, *more):
 #     phi_g=...
 
 
-def _parse_int_list(value, what, n):
+def _split_list(value, what, n):
     parts = [p.strip() for p in value.split(",")]
     if len(parts) != n:
         raise PairFileError(f"{what} must have {n} entries, found {len(parts)}")
+    return parts
+
+
+def _parse_int_list(value, what, n):
+    parts = _split_list(value, what, n)  # a PairFileError is a ValueError: split outside the try
     try:
         return [int(p) for p in parts]
     except ValueError:
@@ -261,11 +266,8 @@ def _parse_int_list(value, what, n):
 
 
 def _parse_phi_list(value, what, theta, n):
-    parts = [p.strip() for p in value.split(",")]
-    if len(parts) != n:
-        raise PairFileError(f"{what} must have {n} entries, found {len(parts)}")
     out = []
-    for i, p in enumerate(parts):
+    for i, p in enumerate(_split_list(value, what, n)):
         if p == "-":
             if theta[i] != 0:
                 raise PairFileError(

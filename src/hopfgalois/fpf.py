@@ -1,45 +1,24 @@
 """Fixed-point-freeness of endomorphism pairs.
 
 A pair (f, g) over G = T^n is fixed point free when f and g agree only on
-the identity.  Two routes decide this:
+the identity.  Where each route and its argument live:
 
-* a brute-force scan of all |T|^n elements (always available at desk
-  scale, and the oracle everything else is judged against).  Coordinate
-  i of f(x) and of g(x), for every x at once, is a row of one table of
-  coordinate images per (T, n), built from the automorphism array and
-  the coordinate list alone in the smallest unsigned dtype that holds
-  |T| - 1 (uint8 for every catalog T).  Where two such rows agree is kept on T as
-  a bitset, one Python int per pair of rows in a flat list of R^2
-  entries (R = 1 + n|Aut T| rows), filled from one numpy comparison on
-  first use; a pair's scan ANDs n of them and takes the lowest set bit
-  past the identity as its witness.  Filled completely that is
-  R^2·|T|^n/8 bytes of bits, about 26 MB at A5^2;
-* the tree criterion: when T admits no fixed-point-free automorphism,
-  (f, g) is fixed point free exactly when its undirected pair graph is a
-  tree.  A non-tree graph then always yields an explicit non-identity
-  element on which f and g agree, built by seeding a coordinate inside a
-  suitable component and transporting it along arrows, so the negative
-  verdict certifies itself.
+* is_fpf_bruteforce scans all |T|^n elements: always available at desk
+  scale, it is the oracle everything else is judged against, and reads
+  no pair graph and no quotient rows.  Its docstring gives the agreement
+  store it keeps on T and that store's sizes.
+* is_fpf_by_tree applies the tree criterion, valid only when T admits no
+  fixed-point-free automorphism; construct_witness turns a non-tree graph
+  into an explicit agreement, so the negative verdict certifies itself.
+* check_path_conditions evaluates the arrow constraints on a coordinate
+  tuple; its docstring gives the two evaluations that check each answer.
+* _agree_at checks every witness and every direct f(x) = g(x)
+  comparison, independently of the scan.
 
-check_path_conditions evaluates the arrow constraints that a coordinate
-tuple must satisfy for f and g to agree on it; the conjunction over single
-arrows is provably the same condition as f(x) = g(x), and the composed
-path/cycle constraint set is asserted consistent with it on every call.
-
-Every witness and every direct f(x) = g(x) comparison is checked by
-_agree_at, which reads theta, phis and Aut(T) coordinate by coordinate
-and neither the scan's rows nor its table.
-
-The tree verdict, the witness and the path constraints read the graph's
-shape from pairgraphs.pair_plan, built once per (theta_f, theta_g).  Per
-pair each route makes one memo read on T: the graph routes read
-_AutTables (automorphisms, quotient rows, Aut(T) rows, lowest fixed
-points, fpf flag), the scan its agreement store, and _agree_at gets the
-automorphisms from its caller.  An arrow transport is one lookup in the
-quotient rows.  The tree verdict hands its plan and tables to the
-witness builder.  The brute-force scan uses no pair graph and no
-quotient rows.  A verdict is a tuple that refuses a witness on a
-positive answer.
+The graph routes read the graph's shape from pairgraphs.pair_plan, built
+once per (theta_f, theta_g), and T's _AutTables in one memo read per pair;
+an arrow transport is one lookup in its quotient rows.  A verdict is a
+tuple that refuses a witness on a positive answer.
 """
 
 from __future__ import annotations
@@ -51,7 +30,6 @@ import numpy as np
 from .endomorphisms import coordinate_images
 from .groups import (
     BudgetError,
-    aut_quotient_rows,
     automorphism_table_group,
     has_fpf_automorphism,
     lowest_fixed_points,
@@ -110,7 +88,7 @@ class _AutTables(NamedTuple):
     """What the graph routes read of T, kept on T as one memo entry."""
 
     auts: tuple  # T.automorphisms()
-    quot: tuple  # aut_quotient_rows(T)
+    quot: tuple  # row a is mul[inv a], so quot[a][b] is the id of inverse(a)∘b
     mul: tuple  # automorphism_table_group(T)'s table as rows of ints, for scalar reads
     lowest: tuple  # lowest_fixed_points(T)
     has_fpf: bool  # has_fpf_automorphism(T)
@@ -118,11 +96,15 @@ class _AutTables(NamedTuple):
 
 def _tables(T):
     """T's _AutTables, built on first use: one memo read per route."""
-    return T.memo("fpf_tables", lambda: _AutTables(
-        T.automorphisms(), aut_quotient_rows(T),
-        tuple(map(tuple, automorphism_table_group(T).np_mul.tolist())),
-        lowest_fixed_points(T), has_fpf_automorphism(T),
-    ))
+
+    def build():
+        aut = automorphism_table_group(T)
+        mul = tuple(map(tuple, aut.np_mul.tolist()))
+        quot = tuple(mul[i] for i in aut.inv)  # Aut(T)'s own rows, not a copy
+        lowest = lowest_fixed_points(T)
+        return _AutTables(T.automorphisms(), quot, mul, lowest, has_fpf_automorphism(T))
+
+    return T.memo("fpf_tables", build)
 
 
 def _agree_at(auts, f, g, x):
@@ -176,22 +158,19 @@ def is_fpf_bruteforce(f, g):
     """Scan all of T^n; the first non-identity agreement is the witness.
 
     Coordinate i of f and of g reads rows ``f.rows[i]`` and ``g.rows[i]``
-    of the coordinate-image table of (T, n).  For each pair of rows (a, b)
-    an agreement bitset is kept on T, in a flat list indexed by a*R + b
-    with R = 1 + n|Aut T| rows: a Python int whose bit k says that rows a
-    and b agree on element k, built from one numpy comparison on the first
-    lookup of any pair in row a, for the whole row (see
-    _fill_agreement_bits).  A scan ANDs its n bitsets, drops the
-    identity's bit 0 and decodes the lowest set bit, the first agreeing
-    index, with power_coords; it builds nothing else per pair and shares
-    no code with the pair graph.  Filled completely, the store holds R^2
-    bitsets, R^2·|T|^n/8 bytes of bits: 10 KB for S3^3, 0.1 MB for A5,
-    4.8 MB for Q8^4, 8.2 MB for D5^4 and about 26 MB for A5^2, beside
-    the uint8 table's 0.87 MB.  A row fill costs about 0.6 ms on A5^2
-    (241 rows of 3,600 elements, one uint8 comparison and packbits), so
-    a few thousand pairs there scan slower cold than a per-pair
-    comparison would and faster once the rows are filled.  The
-    budget is checked before anything is built.
+    of the coordinate-image table of (T, n), and each pair of rows its
+    agreement bitset in the store kept on T (_agreement_store), filled a
+    whole row at a time on a miss (_fill_agreement_bits).  A scan ANDs
+    its n bitsets, drops the identity's bit 0 and decodes the lowest set
+    bit, the first agreeing index, with power_coords; it builds nothing
+    else per pair and shares no code with the pair graph.  Filled
+    completely, the store holds R^2 bitsets, R^2·|T|^n/8 bytes of bits:
+    10 KB for S3^3, 0.1 MB for A5, 4.8 MB for Q8^4, 8.2 MB for D5^4 and
+    about 26 MB for A5^2, beside the uint8 table's 0.87 MB.  A row fill
+    costs about 0.6 ms on A5^2 (241 rows of 3,600 elements, one uint8
+    comparison and packbits), so a few thousand pairs there scan slower
+    cold than a per-pair comparison would and faster once the rows are
+    filled.  The budget is checked before anything is built.
     """
     T, n = f.group, f.n
     if g.group is not T or g.n != n:
@@ -264,7 +243,7 @@ def construct_witness(f, g):
 def is_fpf_by_tree(f, g):
     """Tree criterion, valid only when T has no fixed-point-free
     automorphism: fpf iff the pair graph is a tree, with an explicit
-    witness constructed in the negative case."""
+    witness built in the negative case from the same plan and tables."""
     T = f.group
     tables = _tables(T)
     if tables.has_fpf:
@@ -331,9 +310,14 @@ def check_path_conditions(f, g, sigma):
     f(sigma) = g(sigma); both the direct equality and the composed
     path/cycle constraint set are evaluated alongside it and any
     disagreement raises, so a True/False answer is triple-checked.
+    ``sigma`` must hold exactly n entries in 0..|T|-1; anything else is a
+    ValueError.
     """
     plan = plan_for(f, g)  # also checks that f and g share T^n
-    auts, quot, mul, _, _ = _tables(f.group)
+    T, n = f.group, f.n
+    if len(sigma) != n or min(sigma) < 0 or max(sigma) >= T.order:
+        raise ValueError(f"sigma={sigma} must hold n = {n} entries in 0..|T|-1 = 0..{T.order - 1}")
+    auts, quot, mul, _, _ = _tables(T)
     verdict = _single_arrow_conditions(quot, auts, plan, f, g, sigma)
     direct = _agree_at(auts, f, g, sigma)
     if verdict != direct:

@@ -15,7 +15,7 @@ every reader gathers from.  Walks by right products, which visit one
 element at a time, read each generator's column x ↦ x·g as a Python list
 gathered from it on first use.  Everything computed from a table (those
 columns, the generating sequence, automorphisms, their array, Aut as a
-table group and its quotient rows, element orders and least generators
+table group and the fpf routes' rows, element orders and least generators
 of cyclic subgroups, each automorphism's least non-identity fixed point
 and so whether one is fixed point free, the powers T^n and their
 coordinate arrays, the holomorph) lives in one memo on the group itself,
@@ -40,7 +40,6 @@ __all__ = [
     "enumerate_homomorphisms",
     "crossed_homomorphisms",
     "automorphism_table_group",
-    "aut_quotient_rows",
     "find_isomorphism",
     "has_fpf_automorphism",
     "lowest_fixed_points",
@@ -633,18 +632,6 @@ def automorphism_table_group(N):
         return FiniteGroup(mul, name=f"Aut({N.name})")
 
     return N.memo("aut_group", build)
-
-
-def aut_quotient_rows(N):
-    """Row a is row ``aut.inv[a]`` of ``aut.np_mul`` for aut =
-    automorphism_table_group(N), so entry [a][b] is the id of inverse(a)∘b,
-    b applied first; gathered in one step as tuples of ints, kept on N."""
-
-    def build():
-        aut = automorphism_table_group(N)
-        return tuple(map(tuple, aut.np_mul[list(aut.inv)].tolist()))
-
-    return N.memo("aut_quotient_rows", build)
 
 
 def row_finder(keys, radix):

@@ -6,29 +6,20 @@ is aut-free, the composition law is (a, i)·(b, j) = (a·aut_i(b), i∘j), and
 a subgroup is regular exactly when its translation parts exhaust N; the
 translation-exhaustion test and the honest transitive-plus-free orbit test
 are both run and must agree.  The product i∘j of automorphism ids is read
-from Aut(N) as a table group, which is built once and kept on N.  Checks
-on element sets (closure, regularity, the subgroup and holomorph tables)
-take the set as an array of flat indices trans·|Aut| + aut and gather all
-products at once; the scalar compose and action are their reference.
+from Aut(N) as a table group, which is built once and kept on N.
 
-Regular subgroups isomorphic to N arise in parametrized form: a
-homomorphism f from N into Aut(N) plus a crossed map g (g(st) =
-g(s)·f(s)(g(t))) give the subgroup {(g(s), f(s))}, regular precisely when
-g is bijective.  Both f and g come from the generator-image backtracker
-of :mod:`.groups`.  Enumerating all (f, g) pairs and deduplicating element
-sets therefore enumerates the regular subgroups isomorphic to N.  The
-crossed maps are searched once per Aut(N)-orbit of image classes of f,
-since conjugation by Aut(N) acts on Hol(N) and its regular subgroups; the
-rest of an orbit is a gather of index arrays.  An independent brute-force
-subgroup scan of the full holomorph table serves as the oracle for it.
+Three routes find regular subgroups:
 
-A fixed point free pair (f, g) of structured endomorphisms gives a regular
-subgroup too, and many pairs give the same one; ``fpf_pair_to_subgroup``
-makes one set check per distinct subgroup, in a store private to the pair
-route, which neither the enumeration nor the oracle reads.  Its key is the
-subgroup's aut parts indexed by translation part: for an fpf pair the
-translation parts exhaust N, so the flat indices come sorted by
-construction and no sort is needed.
+* enumerate_regular_subgroups finds those isomorphic to N in parametrized
+  form: f in Hom(N, Aut(N)) and a crossed map g (g(st) = g(s)·f(s)(g(t)))
+  give {(g(s), f(s))}, regular precisely when g is bijective, both from
+  the generator-image backtracker of :mod:`.groups`; its docstring gives
+  the Aut(N)-orbit argument that cuts the crossed-map searches;
+* regular_subgroups_oracle, an independent walk over the subgroups of the
+  full holomorph table, is the oracle the enumeration is judged against;
+* fpf_pair_to_subgroup gives the subgroup of a fixed point free pair of
+  structured endomorphisms through a store no other route reads; its
+  docstring gives the store and why its key needs no sort.
 
 The structure lemmas on direct powers T^n live in :mod:`.powerlemmas`.
 """
@@ -37,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -83,7 +73,10 @@ class Holomorph:
     """Hol(N) for a table group N, with composition and regularity tests.
 
     compose, inverse, action and xi work on single elements and are the
-    definitional reference; the set-level checks run on index arrays."""
+    definitional reference.  The checks on element sets (closure,
+    regularity, the subgroup and holomorph tables) take the set as an
+    array of flat indices trans·|Aut| + aut and gather all products at
+    once."""
 
     def __init__(self, N):
         self.group = N
@@ -459,15 +452,11 @@ def regular_subgroups_oracle(N, iso_type=None, with_stats=False):
             kept.append(cl)
     kept = [tuple(map(hol.element_of_index, cl)) for cl in sorted(kept)]
     if with_stats:
-        return kept, {
-            "subgroups_of_order": len(subgroup_sets),
-            "regular": regular_count,
-            "tests_compared": len(subgroup_sets),
-        }
+        return kept, {"subgroups_of_order": len(subgroup_sets), "regular": regular_count}
     return kept
 
 
-def fpf_pair_to_subgroup(f, g, verdict=None):
+def fpf_pair_to_subgroup(f, g):
     """The regular subgroup {x ↦ f(s)·x·g(s)⁻¹ : s in G} of Hol(G) attached
     to a fixed point free pair, as holomorph elements.
 
@@ -493,8 +482,7 @@ def fpf_pair_to_subgroup(f, g, verdict=None):
         f"exceeds the budget {HOL_BUDGET}; fpf.decide_fpf decides the pair without Hol(N)",
     )
     N = hol.group
-    if verdict is None:
-        verdict = is_fpf_bruteforce(f, g)
+    verdict = is_fpf_bruteforce(f, g)
     fv, gv = image_indices(f, g)
     auts = np.full(N.order, -1, dtype=np.int64)  # aut part by translation part
     auts[N.np_mul[gv, hol._inv[fv]]] = N.conjugation_aut_ids()[fv]
@@ -528,9 +516,9 @@ def byott_translate(count_e_prime, aut_g_order, aut_n_order):
     """Structure count from the regular-subgroup count: multiply by
     |Aut(G)|/|Aut(N)| in exact arithmetic; a non-integer result means the
     inputs are inconsistent."""
-    value = Fraction(count_e_prime * aut_g_order, aut_n_order)
-    if value.denominator != 1:
+    value, rest = divmod(count_e_prime * aut_g_order, aut_n_order)
+    if rest:
         raise ValueError(
             f"{count_e_prime}·{aut_g_order}/{aut_n_order} is not an integer"
         )
-    return int(value)
+    return value

@@ -23,12 +23,12 @@ theta_g(i) whenever the g-side map can be inverted (theta_g(i) != 0), and
 a reverse arrow ("b", i) whenever the f-side can; arrow_shapes lists them.
 An arrow's transport (transport_id) is an automorphism id of T, the
 inverse of the head-side automorphism after the tail-side one: one lookup
-in T's quotient rows (groups.aut_quotient_rows), row a holding the
-products inverse(a)∘b in Aut(T); paths compose the ids through Aut(T)'s
-table.  With both arrows present the two ids are mutually inverse.  An
-arrow whose tail is vertex 0 carries the marker CONSTANT instead, the
-constant map onto the identity, because the coordinate it constrains
-must be the identity.  No arrow ever has head 0.
+in T's quotient rows (built with Aut(T)'s rows by fpf._tables), row a
+holding the products inverse(a)∘b in Aut(T); paths compose the ids
+through Aut(T)'s table.  With both arrows present the two ids are
+mutually inverse.  An arrow whose tail is vertex 0 carries the marker
+CONSTANT instead, the constant map onto the identity, because the
+coordinate it constrains must be the identity.  No arrow ever has head 0.
 
 An UndirectedPairGraph is a plain (n, edges) tuple that refuses a vertex
 outside 0..n when it is built.
@@ -146,8 +146,8 @@ def arrow_shapes(edges):
 def transport_id(quot, f, g, kind, i, tail):
     """Transport of arrow (kind, i) of the pair (f, g): the head-side
     automorphism inverted after the tail-side one, one lookup
-    ``quot[head phi][tail phi]`` in quot = aut_quotient_rows(T), or CONSTANT
-    for a 0 tail."""
+    ``quot[head phi][tail phi]`` in T's quotient rows (row a is Aut(T)'s
+    product row of inverse(a)), or CONSTANT for a 0 tail."""
     if tail == 0:
         return CONSTANT
     if kind == "a":

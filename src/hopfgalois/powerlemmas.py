@@ -75,7 +75,7 @@ class PowerContext:
         self.group = power_group(T, n)
         self.aut0 = tuple(enumerate_aut0(T, n))
         self._index = {(e.theta, e.phis): i for i, e in enumerate(self.aut0)}
-        self.perms = _read_only(np.array([image_indices(e) for e in self.aut0], dtype=np.int64))
+        self.perms = _read_only(image_indices(*self.aut0).reshape(len(self.aut0), -1))
         # an automorphism is its images of a generating sequence, so a∘b is
         # found among the rows by the images a(b(x)) of the generators x
         self.keys = _read_only(self.perms[:, list(self.group.generating_sequence())])

@@ -109,6 +109,12 @@ def test_brute_refuses_tree_mode_past_the_end0_limit_up_front():
     assert "mode='tree'" not in str(err.value)
 
 
+def test_brute_fpf_mode_refuses_before_listing_its_source_maps():
+    # 10^9 source maps of S3^9 would not fit in memory as a list
+    with pytest.raises(BudgetError, match="comparing 1000000000 rows with"):
+        brute_F(S3, 9, mode="fpf")
+
+
 @pytest.mark.parametrize("mode", ["tree", "fpf"])
 def test_brute_refuses_a_non_positive_power(mode):
     for n in (0, -1):

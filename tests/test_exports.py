@@ -30,16 +30,20 @@ DEFERRED = {
 }
 # Imported by neither ``import hopfgalois`` nor the counting commands.
 UNLOADED = ("fractions", *DEFERRED)
-# Imports the package, runs the command line in argv (if any) with its
-# output dropped, and prints the modules of UNLOADED it left loaded.
-PROBE = f"""
-import contextlib, io, sys
+# Imports the package and the modules named in argv[2], runs the command
+# line in argv[3:] (if any) with its output dropped, and prints the modules
+# named in argv[1] it left loaded.
+PROBE = """
+import contextlib, importlib, io, sys
 import hopfgalois
-if sys.argv[1:]:
+watched, imported, argv = sys.argv[1].split(","), sys.argv[2].split(","), sys.argv[3:]
+for module in filter(None, imported):
+    importlib.import_module(module)
+if argv:
     from hopfgalois.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(sys.argv[1:]) == 0
-print(*sorted(set({UNLOADED!r}) & set(sys.modules)))
+        assert main(argv) == 0
+print(*sorted(set(watched) & set(sys.modules)))
 """
 S3_CUBE_PAIR = "n=3\ntheta_f=0,1,2\nphi_f=-,0,3\ntheta_g=1,3,0\nphi_g=2,0,-\n"
 
@@ -77,16 +81,26 @@ def test_deferred_names_are_the_submodule_objects_and_stay_bound():
 def test_counting_runs_leave_the_holomorph_modules_unloaded(argv, tmp_path):
     pair = tmp_path / "pair.txt"
     pair.write_text(S3_CUBE_PAIR)
+    assert _probe(UNLOADED, (), [arg.format(pair=pair) for arg in argv]) == []
+
+
+def test_holomorph_runs_leave_fractions_unloaded():
+    argv = ["hol", "regulars", "--group", "s3"]
+    assert _probe(["fractions"], ["hopfgalois.holomorph"], argv) == []
+
+
+def _probe(watched, imported, argv):
+    """The modules of ``watched`` that a fresh process running PROBE left loaded."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *(arg.format(pair=pair) for arg in argv)],
+        [sys.executable, "-c", PROBE, ",".join(watched), ",".join(imported), *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == []
+    return proc.stdout.split()

@@ -419,6 +419,15 @@ def test_path_conditions_exhaustive_small_pair():
     assert hits == direct
 
 
+@pytest.mark.parametrize("sigma", [(1, 1, 1), (1,), (-1, -1), (6, 6), (0, 6)])
+def test_path_conditions_refuse_a_malformed_sigma(sigma):
+    f = StructuredEndo(S3, 2, (1, 2), (0, 0))
+    g = StructuredEndo(S3, 2, (2, 1), (0, 0))
+    assert check_path_conditions(f, g, (1, 1))
+    with pytest.raises(ValueError, match=r"sigma=.* n = 2 entries in 0\.\.\|T\|-1 = 0\.\.5"):
+        check_path_conditions(f, g, sigma)
+
+
 def test_tree_criterion_matches_bruteforce_on_sampled_a5_squares():
     # The A5^2 counterpart of the A5 randomized cross-check: each scan
     # visits all 3600 elements, inside the default scan budget of 10k.

@@ -507,6 +507,10 @@ def test_byott_translate_arithmetic():
     assert byott_translate(3, 24, 6) == 12
     with pytest.raises(ValueError, match="not an integer"):
         byott_translate(5, 2, 6)
+    # past 2**64 the quotient stays exact, where a float would round it
+    assert byott_translate(3**45 + 3, 2**70, 3) == (3**44 + 1) * 2**70
+    with pytest.raises(ValueError, match="not an integer"):
+        byott_translate(2**70 + 1, 1, 2)
 
 
 def test_c4_has_one_structure_of_its_own_type():
@@ -559,12 +563,10 @@ def test_pair_route_matches_the_scalar_reference():
     T = FiniteGroup(S3.mul, name="s3")  # fresh, so the stores start empty
     for n, sample in ((1, None), (2, 150)):
         endos = list(enumerate_end0(T, n))
-        pairs = [(f, g, v) for f in endos for g in endos if (v := is_fpf_by_tree(f, g)).is_fpf]
+        pairs = [(f, g) for f in endos for g in endos if is_fpf_by_tree(f, g).is_fpf]
         assert len(pairs) == {1: 12, 2: 3744}[n]
-        for f, g, v in pairs if sample is None else rng.sample(pairs, sample):
-            want = _pair_subgroup_reference(f, g)
-            assert fpf_pair_to_subgroup(f, g) == want
-            assert fpf_pair_to_subgroup(f, g, v) == want
+        for f, g in pairs if sample is None else rng.sample(pairs, sample):
+            assert fpf_pair_to_subgroup(f, g) == _pair_subgroup_reference(f, g)
 
 
 def test_non_fpf_refusal_leaves_the_aut_table_unbuilt():
@@ -655,7 +657,7 @@ def _sets_digest(sets):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def test_pair_store_keeps_one_checked_set_per_subgroup():
+def test_pair_store_keeps_one_checked_set_per_subgroup(monkeypatch):
     a5 = FiniteGroup(load_group("a5").mul, name="a5")  # fresh, so its store is empty
     endos = list(enumerate_end0(a5, 1))
     pairs = [(f, g) for f in endos for g in endos if is_fpf_by_tree(f, g).is_fpf]
@@ -667,8 +669,12 @@ def test_pair_store_keeps_one_checked_set_per_subgroup():
     f = identity_endo(a5, 1)
     with pytest.raises(ValueError, match="translation parts"):
         fpf_pair_to_subgroup(f, f)
+    # a scan that wrongly said fpf would be caught by the collision check
+    wrong = FpfVerdict(True, "bruteforce", None)
+    monkeypatch.setattr("hopfgalois.holomorph.is_fpf_bruteforce", lambda f, g: wrong)
     with pytest.raises(RuntimeError, match="colliding"):
-        fpf_pair_to_subgroup(f, f, FpfVerdict(True, "tree-criterion", None))
+        fpf_pair_to_subgroup(f, f)
+    monkeypatch.undo()
     # and the enumeration, which never reads the store, gives what it gave
     assert _regulars_digest(enumerate_regular_subgroups(a5)) == REGULAR_DIGESTS["a5"]
     assert len(hol._pair_subgroups) == 2
@@ -679,7 +685,7 @@ def test_s3_square_pairs_build_52_of_its_328_regular_subgroups():
     # that structured fpf pairs build; Hol(S3^2) has many more of its type.
     endos = list(enumerate_end0(S3, 2))
     verdicts = [(f, g, is_fpf_by_tree(f, g)) for f in endos for g in endos]
-    built = {fpf_pair_to_subgroup(f, g, v) for f, g, v in verdicts if v.is_fpf}
+    built = {fpf_pair_to_subgroup(f, g) for f, g, v in verdicts if v.is_fpf}
     assert sum(v.is_fpf for *_, v in verdicts) == 3744
     assert len(built) == formula_Einn(6, 2) == 52
     assert _sets_digest(built) == S3_SQUARE_PAIR_SETS_DIGEST

@@ -6,9 +6,8 @@ import random
 import pytest
 
 from hopfgalois.endomorphisms import StructuredEndo, enumerate_end0
-from hopfgalois.fpf import is_fpf_by_tree
+from hopfgalois.fpf import _tables, is_fpf_by_tree
 from hopfgalois.groups import (
-    aut_quotient_rows,
     automorphism_table_group,
     catalog_names,
     compose_perm,
@@ -175,7 +174,7 @@ def by_tuples(head_phi, tail_phi):
 
 def arrows_of(f, g):
     """(tail, head, transport id) of every arrow of (f, g), by label."""
-    quot = aut_quotient_rows(f.group)
+    quot = _tables(f.group).quot
     return {
         f"{kind}{i + 1}": (tail, head, transport_id(quot, f, g, kind, i, tail))
         for kind, i, tail, head in arrow_shapes(tuple(zip(f.theta, g.theta)))
@@ -185,8 +184,12 @@ def arrows_of(f, g):
 @pytest.mark.parametrize("name", catalog_names())
 def test_quotient_rows_expand_to_inverse_then_compose(name):
     T = load_group(name)
-    quot = aut_quotient_rows(T)
-    assert aut_quotient_rows(T) is quot  # built once, kept on T
+    assert _tables(T) is _tables(T)  # built once, kept on T
+    quot, mul = _tables(T).quot, _tables(T).mul
+    aut = automorphism_table_group(T)
+    # each row is Aut(T)'s own row of the inverse, the very same tuple
+    assert all(quot[a] is mul[aut.inv[a]] for a in range(aut.order))
+    assert mul == aut.mul
     auts = T.automorphisms()
     assert len(quot) == len(auts) and all(len(row) == len(auts) for row in quot)
     for a, row in zip(auts, quot):
@@ -229,7 +232,7 @@ def test_find_simple_cycle_on_a_unicyclic_component():
         # (head, tail) pairs chain from the base back to it
         assert steps[0][1] == base and steps[-1][0] == base
         assert all(a[0] == b[1] for a, b in zip(steps, steps[1:]))
-    quot, mul = aut_quotient_rows(S3), automorphism_table_group(S3).mul
+    quot, mul = _tables(S3).quot, _tables(S3).mul
     fwd_id, rev_id = (path_transport(quot, mul, f, g, steps) for steps in (fwd, rev))
     assert compose_perm(expanded(fwd_id), expanded(rev_id)) == tuple(range(6))
     # The composed id expands to the composite of the per-arrow tuples.
