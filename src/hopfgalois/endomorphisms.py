@@ -53,6 +53,8 @@ class StructuredEndo:
     ``theta[i]`` is the 1-based input coordinate feeding output coordinate
     i+1, or 0 if that output coordinate is constantly the identity.
     ``phis[i]`` is a T-automorphism id, present exactly when theta[i] != 0.
+    Entries of both are ints proper: a bool is refused, though Python
+    counts it as an int.
 
     ``rows`` holds, in coordinate order, the row of coordinate_images(group,
     n) that each output coordinate reads: 1 + (t-1)|Aut T| + p, or 0 where
@@ -78,12 +80,12 @@ class StructuredEndo:
         rows = [0] * n
         for i, t in enumerate(theta):
             p = phis[i]
-            if not 0 <= t <= n:
-                raise ValueError(f"theta[{i}] = {t} is outside 0..{n}")
+            if type(t) is not int or not 0 <= t <= n:
+                raise ValueError(f"theta[{i}] = {t!r} is outside 0..{n}")
             if t == 0:
                 if p is not None:
                     raise ValueError(f"phis[{i}] must be None when theta[{i}] = 0")
-            elif isinstance(p, int) and 0 <= p < nauts:
+            elif type(p) is int and 0 <= p < nauts:
                 rows[i] = 1 + (t - 1) * nauts + p
             else:
                 raise ValueError(f"phis[{i}] = {p!r} is not an automorphism id")
@@ -224,19 +226,28 @@ def image_indices(e, *more):
     With ``more`` endomorphisms of the same power, a (1 + len(more), |T|^n)
     array, row k for the k-th endomorphism.
 
-    One gather of the endomorphisms' ``rows`` from coordinate_images and
-    one dot with T's place values, whatever the count: the dot's int64
-    operand widens the narrow table, so no flat index wraps."""
+    One gather of the endomorphisms' ``rows`` from coordinate_images,
+    whatever the count, then one dot with T's place values: the dot's int64
+    operand widens the narrow table, so no flat index wraps.  For n = 1 the
+    gathered rows are the flat indices already and one cast widens them.
+    Both arrays are read from T's memo directly once built, so a call
+    builds nothing but the row index and its results."""
     T, n = e.group, e.n
-    rows = list(e.rows)
+    rows = e.rows
     for other in more:
         if other.group is not T or other.n != n:
             raise ValueError("endomorphisms live over different powers")
         rows += other.rows
-    images = coordinate_images(T, n)[np.array(rows)]
+    table, places = T._memo.get(("coordinate_images", n)), T._memo.get(("place_values", n))
+    if table is None or places is None:
+        table, places = coordinate_images(T, n), _place_values(T, n)
+    images = table[np.array(rows)]
+    if n == 1:  # the place value is 1: the rows hold the flat indices, only widened
+        images = images.astype(np.int64)
+        return images if more else images[0]
     if more:
         images = images.reshape(1 + len(more), n, -1)
-    return _place_values(T, n) @ images
+    return places @ images
 
 
 # ── Pair files ─────────────────────────────────────────────────────

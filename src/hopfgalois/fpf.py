@@ -94,17 +94,19 @@ class _AutTables(NamedTuple):
     has_fpf: bool  # has_fpf_automorphism(T)
 
 
+def _build_tables(T):
+    aut = automorphism_table_group(T)
+    mul = tuple(map(tuple, aut.np_mul.tolist()))
+    quot = tuple(mul[i] for i in aut.inv)  # Aut(T)'s own rows, not a copy
+    lowest = lowest_fixed_points(T)
+    return _AutTables(T.automorphisms(), quot, mul, lowest, has_fpf_automorphism(T))
+
+
 def _tables(T):
-    """T's _AutTables, built on first use: one memo read per route."""
-
-    def build():
-        aut = automorphism_table_group(T)
-        mul = tuple(map(tuple, aut.np_mul.tolist()))
-        quot = tuple(mul[i] for i in aut.inv)  # Aut(T)'s own rows, not a copy
-        lowest = lowest_fixed_points(T)
-        return _AutTables(T.automorphisms(), quot, mul, lowest, has_fpf_automorphism(T))
-
-    return T.memo("fpf_tables", build)
+    """T's _AutTables, built on first use: one memo read per route, which
+    builds no closure once they are kept."""
+    tables = T._memo.get("fpf_tables")
+    return tables if tables is not None else T.memo("fpf_tables", lambda: _build_tables(T))
 
 
 def _agree_at(auts, f, g, x):
@@ -131,14 +133,14 @@ def _agreement_store(T, n):
     """(R, store, auts) for T^n, kept on T: R = 1 + n|Aut T| is the row
     count of coordinate_images(T, n), store[a*R + b] is None until rows a
     and b have been compared, then the int whose bit k says that they agree
-    on element k, and auts is T's automorphisms, which check a witness."""
-
-    def build():
+    on element k, and auts is T's automorphisms, which check a witness.  A
+    kept store is read with no closure built."""
+    store = T._memo.get(("agreement_bits", n))
+    if store is None:
         auts = T.automorphisms()
         R = 1 + n * len(auts)
-        return R, [None] * R**2, auts
-
-    return T.memo(("agreement_bits", n), build)
+        store = T.memo(("agreement_bits", n), lambda: (R, [None] * R**2, auts))
+    return store
 
 
 def _fill_agreement_bits(T, n, R, store, a):

@@ -137,7 +137,8 @@ class FiniteGroup:
         This is the one store for data computed from the table, here and in
         the modules built on top (powers, coordinate arrays, Aut as a table
         group, holomorph); it lives and dies with the group.  A hit is
-        one dict lookup.
+        one dict lookup; readers on a per-pair path read ``_memo`` with
+        ``get`` first, so that a hit builds no ``build`` closure either.
         """
         try:
             return self._memo[key]
@@ -321,9 +322,12 @@ class FiniteGroup:
 
         The position in this list is the automorphism id used everywhere
         else (file formats, wreath coordinates, holomorph elements); the
-        identity automorphism always lands at id 0.
+        identity automorphism always lands at id 0.  A kept list is read
+        from the memo directly, building no closure: every structured
+        endomorphism reads it once.
         """
-        return self.memo(
+        auts = self._memo.get("auts")
+        return auts if auts is not None else self.memo(
             "auts", lambda: tuple(sorted(enumerate_homomorphisms(self, self, bijective=True)))
         )
 

@@ -36,6 +36,7 @@ from .fpf import is_fpf_bruteforce
 from .groups import (
     BudgetError,
     FiniteGroup,
+    _read_only,
     automorphism_table_group,
     crossed_homomorphisms,
     enumerate_homomorphisms,
@@ -85,8 +86,12 @@ class Holomorph:
         self.order = N.order * self.aut_count
         self.inner_ids = frozenset(N.inner_automorphism_ids())
         self._inv = np.array(N.inv, dtype=np.int64)
-        # fpf_pair_to_subgroup's verified subgroups, keyed by their aut parts
-        # indexed by translation part, as bytes; no other route reads them.
+        # fpf_pair_to_subgroup's reads: its key template (no aut part placed
+        # yet), the aut id of conjugation by each element, and its verified
+        # subgroups, keyed by their aut parts indexed by translation part, as
+        # bytes; no other route reads the store.
+        self._unplaced = _read_only(np.full(N.order, -1, dtype=np.int64))
+        self._conj_ids = N.conjugation_aut_ids()
         self._pair_subgroups = {}
 
     # -- arithmetic -----------------------------------------------------
@@ -235,16 +240,16 @@ def _hol_order_floor(T, n):
 
 
 def _priced_holomorph(T, n, limit, refusal):
-    """Hol(T^n), or a BudgetError ending in ``refusal`` when it has more than
-    ``limit`` elements, raised on the floor before T^n is built or Aut(T^n)
-    searched, and on the exact order after."""
-    name = T.name if n == 1 else f"{T.name}^{n}"
+    """Hol(T^n), or a BudgetError when it has more than ``limit`` elements,
+    raised on the floor before T^n is built or Aut(T^n) searched, and on the
+    exact order after.  The message ends in ``refusal``, formatted with the
+    limit and the name of T^n only when refusing."""
     bound = _hol_order_floor(T, n)
-    if bound > limit:
-        raise BudgetError(f"|Hol({name})| >= {bound} {refusal}")
-    hol = holomorph_of(power_group(T, n))
-    if hol.order > limit:
-        raise BudgetError(f"|Hol({name})| = {hol.order} {refusal}")
+    hol = holomorph_of(power_group(T, n)) if bound <= limit else None
+    if hol is None or hol.order > limit:
+        name = T.name if n == 1 else f"{T.name}^{n}"
+        size = f">= {bound}" if hol is None else f"= {hol.order}"
+        raise BudgetError(f"|Hol({name})| {size} " + refusal.format(limit=limit, name=name))
     return hol
 
 
@@ -294,7 +299,7 @@ def enumerate_regular_subgroups(N):
     """
     hol = _priced_holomorph(
         *power_base(N), HOL_BUDGET,
-        f"exceeds the budget {HOL_BUDGET}; census.formula_Einn gives the structure "
+        "exceeds the budget {limit}; census.formula_Einn gives the structure "
         "count without Hol(N), but only for N = T^n with T non-abelian simple",
     )
     m, K, auts_arr = N.order, hol.aut_count, N.aut_array()
@@ -429,24 +434,31 @@ def regular_subgroups_oracle(N, iso_type=None, with_stats=False):
     products that is dropped as soon as it holds a smaller element outside
     the subgroup or passes |N| elements.  By Lagrange only subgroups and
     elements whose orders divide |N| lie in a subgroup of that order.
+    A regular subgroup whose element orders, read from the holomorph's
+    table, differ from the target's is dropped before it is built as a
+    group, by the same necessary test find_isomorphism makes first.
     Returns sorted element-key tuples; with_stats adds a dict of counts.
     Hol(N) over ORACLE_HOL_LIMIT is refused.
     """
     target = iso_type if iso_type is not None else N
     hol = _priced_holomorph(
         *power_base(N), ORACLE_HOL_LIMIT,
-        f"is too large for the exhaustive subgroup walk (limit {ORACLE_HOL_LIMIT}); "
-        f"for {N.name}'s own type use enumerate_regular_subgroups",
+        "is too large for the exhaustive subgroup walk (limit {limit}); "
+        "for {name}'s own type use enumerate_regular_subgroups",
     )
-    want = N.order
-    found = _subgroups_dividing(hol.as_table_group(), want)
+    want, table = N.order, hol.as_table_group()
+    found = _subgroups_dividing(table, want)
     subgroup_sets = [cl for cl in found if len(cl) == want]
+    orders, target_orders = table.element_orders(), sorted(target.element_orders())
     kept, regular_count = [], 0
     for cl in subgroup_sets:
         regular, pos = hol._regular(np.array(cl), closed=True)
         if not regular:
             continue
         regular_count += 1
+        # find_isomorphism's element-order test, made before the subgroup is built
+        if sorted(map(orders.__getitem__, cl)) != target_orders:
+            continue
         sub = FiniteGroup(pos, name=f"sub{want}-of-Hol({N.name})")
         if find_isomorphism(sub, target) is not None:
             kept.append(cl)
@@ -464,7 +476,8 @@ def fpf_pair_to_subgroup(f, g):
     (g(s)·f(s)⁻¹, conjugation by f(s)).  The pair must be fixed point
     free; otherwise the map s ↦ element is not injective and a ValueError
     reports it.  Hol(T^n) over HOL_BUDGET is refused, on its floor before
-    T^n is built.
+    T^n is built, on every call; a Hol(T^n) within it is priced once and
+    kept on T, so later pairs over T^n read it with one memo lookup.
 
     The aut parts are scattered into an array indexed by translation part,
     -1 where no element lands.  For an fpf pair the translation parts are
@@ -472,20 +485,24 @@ def fpf_pair_to_subgroup(f, g):
     is the set's flat indices, sorted by construction.  That array is the
     key of a store on the holomorph, private to this route (the
     enumeration and the oracle never read it): many pairs give the same
-    subgroup, so a pair costs array work plus one lookup.  On a miss the
+    subgroup, so a pair costs the element scan, image_indices, a copy of
+    the holomorph's -1 template, three gathers and a scatter, and one
+    lookup, and a hit returns the stored frozenset itself.  On a miss the
     set is asserted to be a regular subgroup (closure and both regularity
     tests) with inner projection before it is stored.
     """
     T, n = f.group, f.n
-    hol = _priced_holomorph(
-        T, n, HOL_BUDGET,
-        f"exceeds the budget {HOL_BUDGET}; fpf.decide_fpf decides the pair without Hol(N)",
-    )
+    hol = T._memo.get(("pair_holomorph", n))
+    if hol is None:
+        hol = T.memo(("pair_holomorph", n), lambda: _priced_holomorph(
+            T, n, HOL_BUDGET,
+            "exceeds the budget {limit}; fpf.decide_fpf decides the pair without Hol(N)",
+        ))
     N = hol.group
     verdict = is_fpf_bruteforce(f, g)
     fv, gv = image_indices(f, g)
-    auts = np.full(N.order, -1, dtype=np.int64)  # aut part by translation part
-    auts[N.np_mul[gv, hol._inv[fv]]] = N.conjugation_aut_ids()[fv]
+    auts = hol._unplaced.copy()  # aut part by translation part
+    auts[N.np_mul[gv, hol._inv[fv]]] = hol._conj_ids[fv]
     key = auts.tobytes()
     elems = hol._pair_subgroups.get(key)
     distinct = elems is not None or auts.min() >= 0  # no stored key holds a -1

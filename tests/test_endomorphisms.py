@@ -88,6 +88,11 @@ def test_validation_rejects_malformed_endos():
         (2, (1, 1), (None, 0), "phis[0] = None is not an automorphism id"),
         (2, (1, 1), (0, 99), "phis[1] = 99 is not an automorphism id"),
         (2, (1, 2), (0, "1"), "phis[1] = '1' is not an automorphism id"),
+        # bools count as ints in Python, but are neither coordinates nor ids
+        (2, (True, 2), (0, 0), "theta[0] = True is outside 0..2"),
+        (2, (1, False), (0, None), "theta[1] = False is outside 0..2"),
+        (1, (1,), (True,), "phis[0] = True is not an automorphism id"),
+        (2, (2, 1), (0, False), "phis[1] = False is not an automorphism id"),
     ]:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             StructuredEndo(S3, n, theta, phis)

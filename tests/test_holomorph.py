@@ -361,6 +361,22 @@ def test_golden_file_is_reproduced_by_the_oracle():
     assert got == golden["regular_iso_s3"]
 
 
+@pytest.mark.parametrize("name, built, regular", [("d4", 6, 20), ("s3", 2, 8), ("c6", 1, 2)])
+def test_oracle_builds_only_subgroups_with_the_targets_element_orders(monkeypatch, name, built, regular):
+    N = FiniteGroup(load_group(name).mul, name=name)  # fresh, so Hol(N)'s table is built here
+    enumerated = [s.elements for s in enumerate_regular_subgroups(N)]
+    names = []
+
+    def counting(mul, name="?"):
+        names.append(name)
+        return FiniteGroup(mul, name)
+
+    monkeypatch.setattr("hopfgalois.holomorph.FiniteGroup", counting)
+    kept, stats = regular_subgroups_oracle(N, with_stats=True)
+    assert kept == enumerated and stats["regular"] == regular
+    assert names == [f"Hol({name})"] + [f"sub{N.order}-of-Hol({name})"] * built
+
+
 def test_enumeration_agrees_with_the_oracle_live():
     subs = enumerate_regular_subgroups(S3)
     oracle = regular_subgroups_oracle(S3)
@@ -560,13 +576,33 @@ def _pair_subgroup_reference(f, g):
 
 def test_pair_route_matches_the_scalar_reference():
     rng = random.Random(0x5A1125)
-    T = FiniteGroup(S3.mul, name="s3")  # fresh, so the stores start empty
-    for n, sample in ((1, None), (2, 150)):
+    # fresh, so the stores start empty
+    s3, a5 = (FiniteGroup(load_group(k).mul, name=k) for k in ("s3", "a5"))
+    for T, n, sample, count in ((s3, 1, None, 12), (s3, 2, 150, 3744), (a5, 1, None, 240)):
         endos = list(enumerate_end0(T, n))
         pairs = [(f, g) for f in endos for g in endos if is_fpf_by_tree(f, g).is_fpf]
-        assert len(pairs) == {1: 12, 2: 3744}[n]
+        assert len(pairs) == count
         for f, g in pairs if sample is None else rng.sample(pairs, sample):
             assert fpf_pair_to_subgroup(f, g) == _pair_subgroup_reference(f, g)
+
+
+def test_pair_route_keeps_its_priced_holomorph_but_never_a_refusal():
+    T = FiniteGroup(S3.mul, name="s3")  # fresh, so nothing is kept on it yet
+    elems = fpf_pair_to_subgroup(identity_endo(T, 1), trivial_endo(T, 1))
+    assert elems == holomorph_of(T).lambda_image()
+    assert T._memo["pair_holomorph", 1] is holomorph_of(T)
+    messages = []
+    for _ in range(2):  # priced afresh, and refused before S3^3 is built, each time
+        with pytest.raises(BudgetError) as refusal:
+            fpf_pair_to_subgroup(identity_endo(T, 3), trivial_endo(T, 3))
+        assert ("power", 3) not in T._memo
+        messages.append(str(refusal.value))
+    assert messages[0] == messages[1] == (
+        "|Hol(s3^3)| >= 279936 exceeds the budget 200000; "
+        "fpf.decide_fpf decides the pair without Hol(N)"
+    )
+    assert ("pair_holomorph", 3) not in T._memo
+    assert "auts" not in power_group(T, 3)._memo
 
 
 def test_non_fpf_refusal_leaves_the_aut_table_unbuilt():
@@ -663,8 +699,12 @@ def test_pair_store_keeps_one_checked_set_per_subgroup(monkeypatch):
     pairs = [(f, g) for f in endos for g in endos if is_fpf_by_tree(f, g).is_fpf]
     hol = holomorph_of(a5)
     assert len(pairs) == 240
-    assert {fpf_pair_to_subgroup(f, g) for f, g in pairs} == {hol.lambda_image(), hol.rho_image()}
+    built = [fpf_pair_to_subgroup(f, g) for f, g in pairs]
+    assert set(built) == {hol.lambda_image(), hol.rho_image()}
     assert len(hol._pair_subgroups) == 2
+    # every pair of one subgroup gets back the one stored set itself
+    stored = {id(s) for s in hol._pair_subgroups.values()}
+    assert {id(s) for s in built} == stored and len(stored) == 2
     # a warm store changes no refusal: the verdict is checked before the lookup
     f = identity_endo(a5, 1)
     with pytest.raises(ValueError, match="translation parts"):
