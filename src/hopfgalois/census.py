@@ -114,8 +114,10 @@ def tree_degree_counts(n, method="auto"):
     return counts
 
 
-def _tree_weighted_sum(A, n, method="auto"):
-    counts = tree_degree_counts(n, method=method)
+def _tree_weighted_sum(A, counts):
+    """Sum A^(2n-d) * 2^n * n! over the degree census ``counts`` of the
+    trees on n+1 vertices, unchecked."""
+    n = len(counts)
     return sum(
         count * 2**n * math.factorial(n) * A ** (2 * n - d)
         for d, count in counts.items()
@@ -129,13 +131,15 @@ def tree_weighted_F(aut_order, n, method="auto"):
     agree; a mismatch is raised rather than returned because it means
     one of the two routes is miscoded, not that the input is bad.
     """
-    A = aut_order
-    total = _tree_weighted_sum(A, n, method)
-    closed = formula_F(A, n)
+    return _checked_weighted_sum(aut_order, tree_degree_counts(n, method=method))
+
+
+def _checked_weighted_sum(A, counts):
+    total, closed = _tree_weighted_sum(A, counts), formula_F(A, len(counts))
     if total != closed:
         raise RuntimeError(
             f"tree-weighted count {total} disagrees with the closed form {closed} "
-            f"at A = {A}, n = {n}"
+            f"at A = {A}, n = {len(counts)}"
         )
     return total
 
@@ -328,7 +332,7 @@ def _count_rows(T, n, *modes):
     target, A = (f"(A={T})", T) if isinstance(T, int) else (T.name, len(T.automorphisms()))
     F = formula_F(A, n)
     return [
-        (target, n, "formula == tree-weighted", _tree_weighted_sum(A, n) == F),
+        (target, n, "formula == tree-weighted", _tree_weighted_sum(A, tree_degree_counts(n)) == F),
         *((target, n, f"brute ({m} mode) == formula", brute_F(T, n, mode=m) == F) for m in modes),
         (target, n, "structure count divides out",
          _structure_count(A, n) * A**n * math.factorial(n) == F),

@@ -14,12 +14,12 @@ import sys
 from pathlib import Path
 
 from .census import (
+    _checked_weighted_sum,
     brute_F,
     formula_Einn,
     formula_F,
     run_verification,
     tree_degree_counts,
-    tree_weighted_F,
 )
 from .endomorphisms import parse_pair_file
 from .fpf import decide_fpf
@@ -65,8 +65,8 @@ def _cmd_census_formula(args):
 
 
 def _cmd_census_weighted(args):
-    total = tree_weighted_F(args.aut_order, args.n, method=args.method)
     counts = tree_degree_counts(args.n, method=args.method)
+    total = _checked_weighted_sum(args.aut_order, counts)
     rows = [("aut_order", args.aut_order), ("n", args.n)]
     for d in sorted(counts):
         rows.append((f"trees_degree_{d}", counts[d]))

@@ -25,10 +25,7 @@ from .groups import BudgetError, FiniteGroup, _read_only, all_coords
 
 __all__ = [
     "StructuredEndo",
-    "identity_endo",
-    "trivial_endo",
     "compose",
-    "is_automorphism",
     "count_end0",
     "count_aut0",
     "enumerate_end0",
@@ -104,19 +101,6 @@ class StructuredEndo:
             f"{t}:{'-' if p is None else p}" for t, p in zip(self.theta, self.phis)
         )
         return f"<endo {self.group.name}^{self.n} {bits}>"
-
-
-def identity_endo(T, n):
-    return StructuredEndo(T, n, tuple(range(1, n + 1)), (0,) * n)
-
-
-def trivial_endo(T, n):
-    return StructuredEndo(T, n, (0,) * n, (None,) * n)
-
-
-def is_automorphism(e):
-    """True iff theta avoids 0 and permutes the coordinates."""
-    return 0 not in e.theta and len(set(e.theta)) == e.n
 
 
 def compose(e1, e2):
@@ -200,23 +184,20 @@ def coordinate_images(T, n):
     indices reach |T|^n - 1, so readers widen them (image_indices by its
     int64 dot).
     """
+    return T.memo(("coordinate_images", n), _build_coordinate_images, T, n)
 
-    def build():
-        dtype = np.min_scalar_type(T.order - 1)
-        auts, cols = T.aut_array().astype(dtype), all_coords(T, n).T
-        images = auts[:, cols].swapaxes(0, 1).reshape(-1, T.order**n)
-        return _read_only(np.concatenate([np.zeros((1, T.order**n), dtype), images]))
 
-    return T.memo(("coordinate_images", n), build)
+def _build_coordinate_images(T, n):
+    dtype = np.min_scalar_type(T.order - 1)
+    auts, cols = T.aut_array().astype(dtype), all_coords(T, n).T
+    images = auts[:, cols].swapaxes(0, 1).reshape(-1, T.order**n)
+    return _read_only(np.concatenate([np.zeros((1, T.order**n), dtype), images]))
 
 
 def _place_values(T, n):
     """Read-only int64 array (|T|^(n-1), ..., |T|, 1): its dot with a
-    coordinate column is the flat power index; kept on T."""
-    return T.memo(
-        ("place_values", n),
-        lambda: _read_only(T.order ** np.arange(n - 1, -1, -1, dtype=np.int64)),
-    )
+    coordinate column is the flat power index."""
+    return _read_only(T.order ** np.arange(n - 1, -1, -1, dtype=np.int64))
 
 
 def image_indices(e, *more):
@@ -229,25 +210,20 @@ def image_indices(e, *more):
     One gather of the endomorphisms' ``rows`` from coordinate_images,
     whatever the count, then one dot with T's place values: the dot's int64
     operand widens the narrow table, so no flat index wraps.  For n = 1 the
-    gathered rows are the flat indices already and one cast widens them.
-    Both arrays are read from T's memo directly once built, so a call
-    builds nothing but the row index and its results."""
+    gathered rows are the flat indices already and one cast widens them."""
     T, n = e.group, e.n
     rows = e.rows
     for other in more:
         if other.group is not T or other.n != n:
             raise ValueError("endomorphisms live over different powers")
         rows += other.rows
-    table, places = T._memo.get(("coordinate_images", n)), T._memo.get(("place_values", n))
-    if table is None or places is None:
-        table, places = coordinate_images(T, n), _place_values(T, n)
-    images = table[np.array(rows)]
+    images = coordinate_images(T, n)[np.array(rows)]
     if n == 1:  # the place value is 1: the rows hold the flat indices, only widened
         images = images.astype(np.int64)
         return images if more else images[0]
     if more:
         images = images.reshape(1 + len(more), n, -1)
-    return places @ images
+    return T.memo(("place_values", n), _place_values, T, n) @ images
 
 
 # ── Pair files ─────────────────────────────────────────────────────

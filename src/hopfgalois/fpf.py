@@ -103,10 +103,8 @@ def _build_tables(T):
 
 
 def _tables(T):
-    """T's _AutTables, built on first use: one memo read per route, which
-    builds no closure once they are kept."""
-    tables = T._memo.get("fpf_tables")
-    return tables if tables is not None else T.memo("fpf_tables", lambda: _build_tables(T))
+    """T's _AutTables, built on first use: one memo read per route."""
+    return T.memo("fpf_tables", _build_tables, T)
 
 
 def _agree_at(auts, f, g, x):
@@ -133,14 +131,10 @@ def _agreement_store(T, n):
     """(R, store, auts) for T^n, kept on T: R = 1 + n|Aut T| is the row
     count of coordinate_images(T, n), store[a*R + b] is None until rows a
     and b have been compared, then the int whose bit k says that they agree
-    on element k, and auts is T's automorphisms, which check a witness.  A
-    kept store is read with no closure built."""
-    store = T._memo.get(("agreement_bits", n))
-    if store is None:
-        auts = T.automorphisms()
-        R = 1 + n * len(auts)
-        store = T.memo(("agreement_bits", n), lambda: (R, [None] * R**2, auts))
-    return store
+    on element k, and auts is T's automorphisms, which check a witness."""
+    auts = T.automorphisms()
+    R = 1 + n * len(auts)
+    return R, [None] * R**2, auts
 
 
 def _fill_agreement_bits(T, n, R, store, a):
@@ -189,7 +183,7 @@ def is_fpf_bruteforce(f, g):
         raise BudgetError(
             f"|{T.name}|^{n} = {size} elements exceed the scan budget {SCAN_BUDGET}; {others}"
         )
-    R, store, auts = _agreement_store(T, n)
+    R, store, auts = T.memo(("agreement_bits", n), _agreement_store, T, n)
     agree = (1 << size) - 2  # every element but the identity, which never counts
     for a, b in zip(f.rows, g.rows):
         if a != b:  # a coordinate both read through the same row agrees everywhere

@@ -131,19 +131,20 @@ class FiniteGroup:
         first read and kept in the memo; the package itself never reads it."""
         return self.memo("mul", lambda: tuple(map(tuple, self.np_mul.tolist())))
 
-    def memo(self, key, build):
-        """The derived value stored under ``key``, from ``build()`` on first use.
+    def memo(self, key, build, *args):
+        """The derived value stored under ``key``, from ``build(*args)`` on
+        first use; a build that raises stores nothing.
 
         This is the one store for data computed from the table, here and in
         the modules built on top (powers, coordinate arrays, Aut as a table
-        group, holomorph); it lives and dies with the group.  A hit is
-        one dict lookup; readers on a per-pair path read ``_memo`` with
-        ``get`` first, so that a hit builds no ``build`` closure either.
+        group, holomorph); it lives and dies with the group.  A hit is one
+        dict subscript and calls nothing, so a reader on a per-pair path
+        passes a callable and values it already holds, not a new closure.
         """
         try:
             return self._memo[key]
         except KeyError:
-            value = self._memo[key] = build()
+            value = self._memo[key] = build(*args)
             return value
 
     # -- validation ------------------------------------------------------
@@ -285,7 +286,7 @@ class FiniteGroup:
         (new, [parents, gens]) and the closing triples are the index rows
         [x·g, x, g].  Each pair of an element x ≠ 1 and a generator is a
         step or a closing triple at exactly one level."""
-        return self.memo(("levels", gens), lambda: self._build_levels(gens))
+        return self.memo(("levels", gens), self._build_levels, gens)
 
     def _build_levels(self, gens):
         levels, elems, known = [], [0], {0}
@@ -322,14 +323,9 @@ class FiniteGroup:
 
         The position in this list is the automorphism id used everywhere
         else (file formats, wreath coordinates, holomorph elements); the
-        identity automorphism always lands at id 0.  A kept list is read
-        from the memo directly, building no closure: every structured
-        endomorphism reads it once.
+        identity automorphism always lands at id 0.
         """
-        auts = self._memo.get("auts")
-        return auts if auts is not None else self.memo(
-            "auts", lambda: tuple(sorted(enumerate_homomorphisms(self, self, bijective=True)))
-        )
+        return self.memo("auts", _sorted_automorphisms, self)
 
     def aut_array(self):
         """The automorphisms as a read-only (|Aut|, order) int64 array, row i
@@ -596,6 +592,10 @@ def enumerate_homomorphisms(src, dst, bijective=False):
     yield from _backtrack_images(src, dst, gens, candidates, injective=bijective)
 
 
+def _sorted_automorphisms(G):
+    return tuple(sorted(enumerate_homomorphisms(G, G, bijective=True)))
+
+
 def crossed_homomorphisms(N, f_perm_rows, bijective=False):
     """All crossed maps g: N -> N relative to a homomorphism f into Aut(N),
     i.e. g(st) = g(s)·f(s)(g(t)) with g(identity) = 1, as image tuples
@@ -748,14 +748,12 @@ def power_base(N):
 # ── Subgroup closure ────────────────────────────────────────────────────
 
 
-def subgroup_closure(G, seed, limit=None):
-    """Sorted tuple of the subgroup generated by ``seed`` (indices), or None
-    as soon as it has more than ``limit`` elements.
+def subgroup_closure(G, seed):
+    """Sorted tuple of the subgroup generated by ``seed`` (indices).
 
     The words in the seed are walked from the identity by right
     multiplication (in a finite group the inverses are positive powers),
     |H|·|seed| products for a subgroup H."""
-    limit = G.order if limit is None else limit
     columns = G.right_products(set(seed) - {0})
     have, work = {0}, [0]
     for x in work:
@@ -764,6 +762,4 @@ def subgroup_closure(G, seed, limit=None):
             if y not in have:
                 have.add(y)
                 work.append(y)
-                if len(have) > limit:
-                    return None
-    return tuple(sorted(have)) if len(have) <= limit else None
+    return tuple(sorted(have))

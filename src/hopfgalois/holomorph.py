@@ -86,13 +86,6 @@ class Holomorph:
         self.order = N.order * self.aut_count
         self.inner_ids = frozenset(N.inner_automorphism_ids())
         self._inv = np.array(N.inv, dtype=np.int64)
-        # fpf_pair_to_subgroup's reads: its key template (no aut part placed
-        # yet), the aut id of conjugation by each element, and its verified
-        # subgroups, keyed by their aut parts indexed by translation part, as
-        # bytes; no other route reads the store.
-        self._unplaced = _read_only(np.full(N.order, -1, dtype=np.int64))
-        self._conj_ids = N.conjugation_aut_ids()
-        self._pair_subgroups = {}
 
     # -- arithmetic -----------------------------------------------------
 
@@ -138,17 +131,6 @@ class Holomorph:
 
     # -- regularity -------------------------------------------------------
 
-    def regularity_tests(self, elements):
-        """(translation-exhaustion verdict, transitive-and-free verdict),
-        equivalent on a subgroup and computed independently, from the xi
-        values and from every element's action on N; repeats count."""
-        return self._regularity(self._indices(elements))
-
-    def is_regular(self, elements):
-        """Regularity with the closure precondition enforced and the two
-        independent tests cross-asserted."""
-        return self._regular(self._indices(elements))[0]
-
     def _indices(self, elements):
         """Flat indices of ``elements`` in the given order, repeats kept."""
         return np.fromiter(map(self.index_of_element, elements), dtype=np.int64)
@@ -175,6 +157,10 @@ class Holomorph:
         return pos
 
     def _regularity(self, flat):
+        """(translation-exhaustion verdict, transitive-and-free verdict) of
+        the flat indices ``flat``, equivalent on a subgroup and computed
+        independently, from the xi values and from every element's action
+        on N; repeats count."""
         N, m = self.group, self.group.order
         t, a = np.divmod(flat, self.aut_count)
         xi = self._inv[t]
@@ -225,7 +211,7 @@ class Holomorph:
 
 def holomorph_of(N):
     """Hol(N), built once and kept on N."""
-    return N.memo("holomorph", lambda: Holomorph(N))
+    return N.memo("holomorph", Holomorph, N)
 
 
 def _hol_order_floor(T, n):
@@ -468,6 +454,19 @@ def regular_subgroups_oracle(N, iso_type=None, with_stats=False):
     return kept
 
 
+def _pair_route(T, n):
+    """What fpf_pair_to_subgroup keeps on T per n, priced first: Hol(T^n),
+    its key template (no aut part placed yet), the aut id of conjugation
+    by each element of T^n, and the verified subgroups, keyed by their aut
+    parts indexed by translation part, as bytes."""
+    hol = _priced_holomorph(
+        T, n, HOL_BUDGET,
+        "exceeds the budget {limit}; fpf.decide_fpf decides the pair without Hol(N)",
+    )
+    N = hol.group
+    return hol, _read_only(np.full(N.order, -1, dtype=np.int64)), N.conjugation_aut_ids(), {}
+
+
 def fpf_pair_to_subgroup(f, g):
     """The regular subgroup {x ↦ f(s)·x·g(s)⁻¹ : s in G} of Hol(G) attached
     to a fixed point free pair, as holomorph elements.
@@ -476,35 +475,31 @@ def fpf_pair_to_subgroup(f, g):
     (g(s)·f(s)⁻¹, conjugation by f(s)).  The pair must be fixed point
     free; otherwise the map s ↦ element is not injective and a ValueError
     reports it.  Hol(T^n) over HOL_BUDGET is refused, on its floor before
-    T^n is built, on every call; a Hol(T^n) within it is priced once and
-    kept on T, so later pairs over T^n read it with one memo lookup.
+    T^n is built, on every call; within it, the route's state
+    (``_pair_route``) is built once and kept on T, so later pairs over T^n
+    read it with one memo lookup.
 
     The aut parts are scattered into an array indexed by translation part,
     -1 where no element lands.  For an fpf pair the translation parts are
     distinct and so exhaust G: no entry stays -1, and t·|Aut| + entry t
     is the set's flat indices, sorted by construction.  That array is the
-    key of a store on the holomorph, private to this route (the
-    enumeration and the oracle never read it): many pairs give the same
-    subgroup, so a pair costs the element scan, image_indices, a copy of
-    the holomorph's -1 template, three gathers and a scatter, and one
-    lookup, and a hit returns the stored frozenset itself.  On a miss the
-    set is asserted to be a regular subgroup (closure and both regularity
-    tests) with inner projection before it is stored.
+    key of a store private to this route (the enumeration and the oracle
+    never read it): many pairs give the same subgroup, so a pair costs the
+    element scan, image_indices, a copy of the -1 template, three gathers
+    and a scatter, and one lookup, and a hit returns the stored frozenset
+    itself.  On a miss the set is asserted to be a regular subgroup
+    (closure and both regularity tests) with inner projection before it
+    is stored.
     """
     T, n = f.group, f.n
-    hol = T._memo.get(("pair_holomorph", n))
-    if hol is None:
-        hol = T.memo(("pair_holomorph", n), lambda: _priced_holomorph(
-            T, n, HOL_BUDGET,
-            "exceeds the budget {limit}; fpf.decide_fpf decides the pair without Hol(N)",
-        ))
+    hol, unplaced, conj_ids, stored = T.memo(("pair_route", n), _pair_route, T, n)
     N = hol.group
     verdict = is_fpf_bruteforce(f, g)
     fv, gv = image_indices(f, g)
-    auts = hol._unplaced.copy()  # aut part by translation part
-    auts[N.np_mul[gv, hol._inv[fv]]] = hol._conj_ids[fv]
+    auts = unplaced.copy()  # aut part by translation part
+    auts[N.np_mul[gv, hol._inv[fv]]] = conj_ids[fv]
     key = auts.tobytes()
-    elems = hol._pair_subgroups.get(key)
+    elems = stored.get(key)
     distinct = elems is not None or auts.min() >= 0  # no stored key holds a -1
     if not verdict.is_fpf:
         # s and s' with f(s)f(s')^-1 = g(s)g(s')^-1 share a translation
@@ -525,7 +520,7 @@ def fpf_pair_to_subgroup(f, g):
         elems = frozenset(map(hol.element_of_index, flat.tolist()))
         if classify_inn_out(hol, elems) != "inn":
             raise RuntimeError("fpf pair produced a subgroup with outer projection")
-        hol._pair_subgroups[key] = elems
+        stored[key] = elems
     return elems
 
 

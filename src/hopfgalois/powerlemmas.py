@@ -46,7 +46,6 @@ __all__ = [
     "orbit_decompose",
     "orbit_decompose_from_thetas",
     "check_rank_bounds",
-    "check_relations_lemma",
     "g_bound_report",
     "audit_prime_bound",
     "commutator_closure",
@@ -377,30 +376,6 @@ def _relation_by_coordinate(pair, sigma, tau):
     a_s, a_t = a[sigma], a[tau]
     lhs = auts[phis[sigma], a[np.asarray(tau)[..., None], theta[sigma]]]
     return lhs == mul[mul[inv[a_s], a_t], auts[phis[tau], a_s]]
-
-
-def check_relations_lemma(pair, sigma, tau):
-    """Componentwise relation tying g(sigma) and g(tau) for commuting
-    sigma, tau with tau acting trivially on coordinates:
-
-        phi_{sigma,i}(a_tau at theta_sigma(i))
-            = (a_sigma at i)^-1 · (a_tau at i) · phi_{tau,i}(a_sigma at i)
-
-    Preconditions are errors, not silent skips.
-    """
-    ctx = pair.ctx
-    G = ctx.group
-    if G.np_mul[sigma, tau] != G.np_mul[tau, sigma]:
-        raise ValueError(
-            f"elements {sigma} and {tau} do not commute; the relation "
-            "assumes sigma·tau = tau·sigma"
-        )
-    if pair.theta_of(tau) != ctx.identity_theta:
-        raise ValueError(
-            f"element {tau} permutes coordinates; it must lie in the "
-            "kernel of the coordinate action"
-        )
-    return bool(_relation_by_coordinate(pair, sigma, tau).all())
 
 
 def g_bound_report(pair, decomp):

@@ -6,12 +6,7 @@ import random
 
 import pytest
 
-from hopfgalois.endomorphisms import (
-    StructuredEndo,
-    enumerate_end0,
-    identity_endo,
-    trivial_endo,
-)
+from hopfgalois.endomorphisms import StructuredEndo, enumerate_end0
 from hopfgalois.fpf import (
     FpfVerdict,
     TreeCriterionError,
@@ -35,6 +30,14 @@ from hopfgalois.pairgraphs import build_undirected, is_tree
 
 S3 = load_group("s3")
 C5 = load_group("c5")
+
+
+def identity_endo(T, n):
+    return StructuredEndo(T, n, tuple(range(1, n + 1)), (0,) * n)
+
+
+def trivial_endo(T, n):
+    return StructuredEndo(T, n, (0,) * n, (None,) * n)
 
 
 def test_identity_trivial_pair_is_fpf():

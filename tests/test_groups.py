@@ -125,6 +125,26 @@ def test_table_group_keeps_its_own_read_only_copy():
         assert all(type(v) is int for row in H.mul for v in row)
 
 
+def test_memo_builds_once_from_the_given_arguments_and_keeps_no_failed_build():
+    G, calls = FiniteGroup(S3.mul), []
+
+    def build(*args):
+        calls.append(args)
+        return object()
+
+    value = G.memo("probe", build, G, 3)
+    assert calls == [(G, 3)]  # the arguments reach build on a miss
+    assert G.memo("probe", build, G, 4) is value and len(calls) == 1
+
+    def refuse(n):
+        raise ValueError(f"refused {n}")
+
+    with pytest.raises(ValueError, match="refused 5"):
+        G.memo("refused", refuse, 5)
+    assert "refused" not in G._memo
+    assert G.memo("refused", build) is not value and calls[-1] == ()
+
+
 def test_rejects_bad_identity():
     with pytest.raises(GroupValidationError, match="identity"):
         FiniteGroup([[1, 0], [0, 1]])
@@ -500,10 +520,6 @@ def test_subgroup_closure():
     rot = next(x for x in range(6) if S3.element_orders()[x] == 3)
     assert len(subgroup_closure(S3, [rot])) == 3
     assert len(subgroup_closure(S3, [0])) == 1
-    # a limit drops a closure once it has more elements than the limit
-    assert subgroup_closure(S3, [rot], limit=3) == subgroup_closure(S3, [rot])
-    assert subgroup_closure(S3, [rot], limit=2) is None
-    assert subgroup_closure(S3, [1, 2], limit=5) is None
 
 
 def _two_sided_closure(G, seed):
@@ -524,11 +540,6 @@ def test_subgroup_closure_walk_equals_the_two_sided_closure(name):
         seed = rng.sample(range(G.order), rng.randint(0, 3))
         want = _two_sided_closure(G, seed)
         assert subgroup_closure(G, seed) == want
-        # the limit boundary: exactly limit elements pass, limit + 1 do not
-        assert subgroup_closure(G, seed, limit=len(want)) == want
-        assert subgroup_closure(G, seed, limit=len(want) - 1) is None
-        limit = rng.randrange(G.order + 1)
-        assert subgroup_closure(G, seed, limit=limit) == (want if len(want) <= limit else None)
 
 
 def test_commutator_and_quotient():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hopfgalois.census import brute_F, formula_Einn
-from hopfgalois.endomorphisms import enumerate_end0, identity_endo, trivial_endo
+from hopfgalois.endomorphisms import StructuredEndo, enumerate_end0
 from hopfgalois.fpf import FpfVerdict, construct_witness, decide_fpf, is_fpf_by_tree
 from hopfgalois.groups import (
     BudgetError,
@@ -45,7 +45,6 @@ from hopfgalois.powerlemmas import (
     _suite_pairs,
     check_out_prop1,
     check_rank_bounds,
-    check_relations_lemma,
     lambda_pair,
     orbit_decompose,
     orbit_decompose_from_thetas,
@@ -56,6 +55,24 @@ from hopfgalois.powerlemmas import (
 S3 = load_group("s3")
 C4 = load_group("c4")
 GOLDEN = Path(__file__).parent / "data" / "hol_s3_regulars.json"
+
+
+def identity_endo(T, n):
+    return StructuredEndo(T, n, tuple(range(1, n + 1)), (0,) * n)
+
+
+def trivial_endo(T, n):
+    return StructuredEndo(T, n, (0,) * n, (None,) * n)
+
+
+def _is_regular(hol, elements):
+    """Regularity with closure enforced and both tests cross-asserted."""
+    return hol._regular(hol._indices(elements))[0]
+
+
+def _regularity_tests(hol, elements):
+    """(translation-exhaustion verdict, transitive-and-free verdict)."""
+    return hol._regularity(hol._indices(elements))
 
 
 # ── Holomorph group structure ────────────────────────────────────────────
@@ -122,23 +139,23 @@ def test_lambda_rho_coincide_exactly_for_abelian():
 def test_lambda_and_rho_images_are_regular():
     for G in (S3, C4):
         hol = holomorph_of(G)
-        assert hol.is_regular(hol.lambda_image())
-        assert hol.is_regular(hol.rho_image())
+        assert _is_regular(hol, hol.lambda_image())
+        assert _is_regular(hol, hol.rho_image())
 
 
 def test_non_regular_subgroup_is_rejected_by_both_tests():
     hol = holomorph_of(S3)
     # The automorphism-part subgroup {(0, phi)} fixes the identity of S3.
     stab = frozenset(HolElement(0, a) for a in range(6))
-    by_xi, by_orbit = hol.regularity_tests(stab)
+    by_xi, by_orbit = _regularity_tests(hol, stab)
     assert by_xi == by_orbit == False  # noqa: E712
-    assert not hol.is_regular(stab)
+    assert not _is_regular(hol, stab)
 
 
 def test_closure_checks_reject_non_subgroups():
     hol = holomorph_of(S3)
     broken = {hol.element_of_index(1), hol.element_of_index(7)}
-    for check in (hol.is_regular, hol.subgroup_table_group):
+    for check in (lambda e: _is_regular(hol, e), hol.subgroup_table_group):
         with pytest.raises(ValueError):
             check(broken)
 
@@ -209,9 +226,9 @@ def test_set_checks_agree_with_the_scalar_reference(name):
     hol = holomorph_of(load_group(name))
     rng = random.Random(f"set-checks-{name}")
     for elements in _candidate_sets(hol, rng):
-        assert hol.regularity_tests(elements) == _reference_regularity(hol, elements)
+        assert _regularity_tests(hol, elements) == _reference_regularity(hol, elements)
         escapes = _reference_escapes(hol, elements)
-        closure_checks = (hol.is_regular, hol.subgroup_table_group)
+        closure_checks = (lambda e: _is_regular(hol, e), hol.subgroup_table_group)
         if hol.identity not in elements:
             for check in closure_checks:
                 with pytest.raises(ValueError, match="identity"):
@@ -224,7 +241,7 @@ def test_set_checks_agree_with_the_scalar_reference(name):
                 e1, e2 = (HolElement(int(t), int(a)) for t, a in named)
                 assert (e1, e2) in escapes
         else:
-            assert hol.is_regular(elements) == _reference_regularity(hol, elements)[0]
+            assert _is_regular(hol, elements) == _reference_regularity(hol, elements)[0]
             table = hol.subgroup_table_group(elements)
             ordered = sorted(set(elements))
             for i, e1 in enumerate(ordered):
@@ -423,7 +440,7 @@ def test_regular_iff_g_bijective_over_every_crossed_map(name):
         for g in crossed_homomorphisms(N, N.aut_array()[list(f)]):
             bijective = len(set(g)) == N.order
             elems = [HolElement(g[s], f[s]) for s in range(N.order)]
-            assert hol.regularity_tests(elems) == (bijective, bijective), (f, g)
+            assert _regularity_tests(hol, elems) == (bijective, bijective), (f, g)
             maps += 1
             regular += bijective
     assert maps > regular > 0
@@ -465,8 +482,8 @@ def _reference_walk(table, want):
             if x in covered:
                 continue
             covered.update(table.mul[x][h] for h in sub)
-            cl = subgroup_closure(table, gens + (x,), limit=want)
-            if cl is not None and want % len(cl) == 0 and cl not in found:
+            cl = subgroup_closure(table, gens + (x,))
+            if want % len(cl) == 0 and cl not in found:
                 found.add(cl)
                 if len(cl) < want:
                     work.append((cl, gens + (x,)))
@@ -497,7 +514,7 @@ def test_walk_that_leaves_the_greedy_chains_is_caught(monkeypatch):
     # closing <H, x> without asking that x be its least element outside H
     # reaches a subgroup once per chain of seeds that generates it
     def closure(table, sub, inside, gens, x, limit):
-        return subgroup_closure(table, (*gens, x), limit)
+        return subgroup_closure(table, (*gens, x))
 
     monkeypatch.setattr("hopfgalois.holomorph._greedy_extension", closure)
     with pytest.raises(RuntimeError, match=r"the subgroup walk reached a subgroup of order \d+ twice"):
@@ -590,7 +607,7 @@ def test_pair_route_keeps_its_priced_holomorph_but_never_a_refusal():
     T = FiniteGroup(S3.mul, name="s3")  # fresh, so nothing is kept on it yet
     elems = fpf_pair_to_subgroup(identity_endo(T, 1), trivial_endo(T, 1))
     assert elems == holomorph_of(T).lambda_image()
-    assert T._memo["pair_holomorph", 1] is holomorph_of(T)
+    assert T._memo["pair_route", 1][0] is holomorph_of(T)
     messages = []
     for _ in range(2):  # priced afresh, and refused before S3^3 is built, each time
         with pytest.raises(BudgetError) as refusal:
@@ -601,7 +618,7 @@ def test_pair_route_keeps_its_priced_holomorph_but_never_a_refusal():
         "|Hol(s3^3)| >= 279936 exceeds the budget 200000; "
         "fpf.decide_fpf decides the pair without Hol(N)"
     )
-    assert ("pair_holomorph", 3) not in T._memo
+    assert ("pair_route", 3) not in T._memo
     assert "auts" not in power_group(T, 3)._memo
 
 
@@ -680,7 +697,7 @@ def test_pair_to_subgroup_over_a_power():
     hol = holomorph_of(G)
     elems = fpf_pair_to_subgroup(identity_endo(S3, 2), trivial_endo(S3, 2))
     assert elems == hol.lambda_image()
-    assert hol.is_regular(elems)
+    assert _is_regular(hol, elems)
 
 
 # The 52 subgroups that fpf_pair_to_subgroup built from S3^2's fpf pairs
@@ -701,9 +718,10 @@ def test_pair_store_keeps_one_checked_set_per_subgroup(monkeypatch):
     assert len(pairs) == 240
     built = [fpf_pair_to_subgroup(f, g) for f, g in pairs]
     assert set(built) == {hol.lambda_image(), hol.rho_image()}
-    assert len(hol._pair_subgroups) == 2
+    store = a5._memo["pair_route", 1][-1]
+    assert len(store) == 2
     # every pair of one subgroup gets back the one stored set itself
-    stored = {id(s) for s in hol._pair_subgroups.values()}
+    stored = {id(s) for s in store.values()}
     assert {id(s) for s in built} == stored and len(stored) == 2
     # a warm store changes no refusal: the verdict is checked before the lookup
     f = identity_endo(a5, 1)
@@ -717,7 +735,7 @@ def test_pair_store_keeps_one_checked_set_per_subgroup(monkeypatch):
     monkeypatch.undo()
     # and the enumeration, which never reads the store, gives what it gave
     assert _regulars_digest(enumerate_regular_subgroups(a5)) == REGULAR_DIGESTS["a5"]
-    assert len(hol._pair_subgroups) == 2
+    assert len(store) == 2
 
 
 def test_s3_square_pairs_build_52_of_its_328_regular_subgroups():
@@ -739,7 +757,7 @@ def test_s3_square_pairs_build_52_of_its_328_regular_subgroups():
 def test_a5_lambda_image_passes_both_regularity_tests():
     a5 = load_group("a5")
     hol = holomorph_of(a5)
-    by_xi, by_orbit = hol.regularity_tests(hol.lambda_image())
+    by_xi, by_orbit = _regularity_tests(hol, hol.lambda_image())
     assert by_xi and by_orbit
 
 
@@ -935,39 +953,6 @@ def test_orbit_decompose_from_a_pair():
 # ── Structure lemmas ─────────────────────────────────────────────────────
 
 
-def test_relations_lemma_preconditions():
-    pair = lambda_pair(CTX2)
-    G = CTX2.group
-    # find a non-commuting pair of group elements
-    sigma, tau = next(
-        (s, t)
-        for s in range(G.order)
-        for t in range(G.order)
-        if G.mul[s][t] != G.mul[t][s]
-    )
-    with pytest.raises(ValueError, match="commute"):
-        check_relations_lemma(pair, sigma, tau)
-
-
-def test_relations_lemma_requires_kernel_membership():
-    # f swaps the two coordinates according to the parity of the first
-    # one; the constant-identity g satisfies the crossed law under any f.
-    from hopfgalois.groups import power_coords
-
-    ctx = CTX2
-    swap_id = next(
-        i for i, e in enumerate(ctx.aut0) if e.theta == (2, 1) and e.phis == (0, 0)
-    )
-    f_ids = []
-    for s in range(ctx.group.order):
-        first = power_coords(S3, 2, s)[0]
-        f_ids.append(swap_id if S3.element_orders()[first] == 2 else 0)
-    pair = FGPair(ctx, tuple(f_ids), (0,) * ctx.group.order)
-    tau = next(s for s in range(ctx.group.order) if pair.theta_of(s) != ctx.identity_theta)
-    with pytest.raises(ValueError, match="kernel"):
-        check_relations_lemma(pair, tau, tau)
-
-
 def _relation_scalar(pair, sigma, tau):
     """The relation transcribed coordinate by coordinate from theta, phis,
     T's automorphisms and power_coords, with no precondition:
@@ -997,10 +982,6 @@ def test_relation_helper_matches_scalar_transcription():
         want = [_relation_scalar(pair, s, t) for s, t in zip(sigma.tolist(), tau.tolist())]
         assert got.tolist() == want, name
         seen.update(want)
-        kernel = set(pair.kernel_fsn)
-        for s, t in zip(sigma.tolist(), tau.tolist()):
-            if t in kernel and G.mul[s][t] == G.mul[t][s]:
-                assert check_relations_lemma(pair, s, t) == _relation_scalar(pair, s, t)
     assert seen == {True, False}
 
 
@@ -1013,7 +994,7 @@ def test_relations_lemma_holds_on_canonical_pairs():
         s, t = rng.randrange(G.order), rng.randrange(G.order)
         if G.mul[s][t] != G.mul[t][s]:
             continue
-        assert check_relations_lemma(pair, s, t)
+        assert _relation_by_coordinate(pair, s, t).all() and _relation_scalar(pair, s, t)
         checked += 1
 
 
