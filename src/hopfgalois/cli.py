@@ -2,7 +2,9 @@
 
 Output is tab-separated key/value or table rows so it pipes cleanly.
 Exit codes: 0 on success (and on every check passing), 2 when a
-verification or cross-check fails, 1 on usage or input errors.
+verification or cross-check fails, also an internal one that stops the
+run with ``error: <message>``, 1 on usage or input errors and refused
+budgets.
 The ``hol`` commands import the holomorph and power-lemma modules when
 they run, so the other commands start without them.
 """
@@ -263,6 +265,11 @@ def main(argv=None):
     except (BudgetError, ValueError, OSError) as exc:  # table and pair-file errors are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except (RecursionError, NotImplementedError):  # program faults, not failed checks
+        raise
+    except RuntimeError as exc:  # a failed internal cross-check
+        print(f"error: {exc}", file=sys.stderr)
+        return CHECK_FAILED
 
 
 def entry():

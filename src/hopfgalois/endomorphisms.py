@@ -25,7 +25,6 @@ from .groups import BudgetError, FiniteGroup, _read_only, all_coords
 
 __all__ = [
     "StructuredEndo",
-    "compose",
     "count_end0",
     "count_aut0",
     "enumerate_end0",
@@ -101,30 +100,6 @@ class StructuredEndo:
             f"{t}:{'-' if p is None else p}" for t, p in zip(self.theta, self.phis)
         )
         return f"<endo {self.group.name}^{self.n} {bits}>"
-
-
-def compose(e1, e2):
-    """The endomorphism applying e2 first, then e1."""
-    if e1.group is not e2.group or e1.n != e2.n:
-        raise ValueError("endomorphisms live over different powers")
-    T, n = e1.group, e1.n
-    auts = T.automorphisms()
-    theta, phis = [], []
-    for i in range(n):
-        t1 = e1.theta[i]
-        if t1 == 0:
-            theta.append(0)
-            phis.append(None)
-            continue
-        t2 = e2.theta[t1 - 1]
-        if t2 == 0:
-            theta.append(0)
-            phis.append(None)
-            continue
-        theta.append(t2)
-        composed = tuple(auts[e1.phis[i]][v] for v in auts[e2.phis[t1 - 1]])
-        phis.append(T.aut_index(composed))
-    return StructuredEndo(T, n, tuple(theta), tuple(phis))
 
 
 def count_end0(T, n):
@@ -273,6 +248,9 @@ def _parse_phi_list(value, what, theta, n):
     return out
 
 
+_PAIR_KEYS = ("n", "theta_f", "phi_f", "theta_g", "phi_g")
+
+
 def parse_pair_file(text, T):
     """Parse pair-file text into two StructuredEndos over T."""
     fields = {}
@@ -284,10 +262,14 @@ def parse_pair_file(text, T):
             raise PairFileError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
+        if key not in _PAIR_KEYS:
+            raise PairFileError(
+                f"line {lineno}: unknown key {key}, expected one of {', '.join(_PAIR_KEYS)}"
+            )
         if key in fields:
             raise PairFileError(f"line {lineno}: key {key} is given a second time")
         fields[key] = value.strip()
-    for key in ("n", "theta_f", "phi_f", "theta_g", "phi_g"):
+    for key in _PAIR_KEYS:
         if key not in fields:
             raise PairFileError(f"missing field {key}")
     try:

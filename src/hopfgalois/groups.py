@@ -33,8 +33,6 @@ __all__ = [
     "GroupValidationError",
     "BudgetError",
     "FiniteGroup",
-    "compose_perm",
-    "invert_perm",
     "load_group",
     "catalog_names",
     "enumerate_homomorphisms",
@@ -45,7 +43,6 @@ __all__ = [
     "lowest_fixed_points",
     "power_group",
     "power_base",
-    "power_identity",
     "power_index",
     "power_coords",
     "all_coords",
@@ -61,11 +58,6 @@ class BudgetError(RuntimeError):
     """An enumeration would exceed its configured work budget."""
 
 
-def compose_perm(a, b):
-    """Composite of permutation tuples, applying ``b`` first, then ``a``."""
-    return tuple(a[x] for x in b)
-
-
 def _read_only(arr):
     arr.setflags(write=False)
     return arr
@@ -73,13 +65,6 @@ def _read_only(arr):
 
 def _is_prime(k):
     return k >= 2 and all(k % d for d in range(2, int(k**0.5) + 1))
-
-
-def invert_perm(a):
-    inv = [0] * len(a)
-    for i, x in enumerate(a):
-        inv[x] = i
-    return tuple(inv)
 
 
 # ── The table type ──────────────────────────────────────────────────────
@@ -133,14 +118,9 @@ class FiniteGroup:
 
     def memo(self, key, build, *args):
         """The derived value stored under ``key``, from ``build(*args)`` on
-        first use; a build that raises stores nothing.
-
-        This is the one store for data computed from the table, here and in
-        the modules built on top (powers, coordinate arrays, Aut as a table
-        group, holomorph); it lives and dies with the group.  A hit is one
-        dict subscript and calls nothing, so a reader on a per-pair path
-        passes a callable and values it already holds, not a new closure.
-        """
+        first use; a build that raises stores nothing.  A hit is one dict
+        subscript and calls nothing, so a reader on a per-pair path passes
+        a callable and values it already holds, not a new closure."""
         try:
             return self._memo[key]
         except KeyError:
@@ -692,9 +672,6 @@ def has_fpf_automorphism(G):
 # row-major order, so tuple arithmetic and table arithmetic interconvert
 # through power_index / power_coords, and all_coords lists every tuple.
 
-
-def power_identity(n):
-    return (0,) * n
 
 def power_index(T, coords):
     """Row-major index of a coordinate tuple.  ``coords`` may also be an

@@ -71,63 +71,18 @@ class HolElement:
 
 
 class Holomorph:
-    """Hol(N) for a table group N, with composition and regularity tests.
+    """Hol(N) for a table group N, with its regularity tests and tables.
 
-    compose, inverse, action and xi work on single elements and are the
-    definitional reference.  The checks on element sets (closure,
-    regularity, the subgroup and holomorph tables) take the set as an
-    array of flat indices trans·|Aut| + aut and gather all products at
-    once."""
+    The checks on element sets (closure, regularity, the subgroup and
+    holomorph tables) take the set as an array of flat indices
+    trans·|Aut| + aut and gather all products at once."""
 
     def __init__(self, N):
         self.group = N
-        self.auts = N.automorphisms()
-        self.aut_count = len(self.auts)
+        self.aut_count = len(N.automorphisms())
         self.order = N.order * self.aut_count
         self.inner_ids = frozenset(N.inner_automorphism_ids())
         self._inv = np.array(N.inv, dtype=np.int64)
-
-    # -- arithmetic -----------------------------------------------------
-
-    @property
-    def identity(self):
-        return HolElement(0, 0)
-
-    def compose(self, e1, e2):
-        N = self.group
-        return HolElement(
-            int(N.np_mul[e1.trans, self.auts[e1.aut][e2.trans]]),
-            int(automorphism_table_group(N).np_mul[e1.aut, e2.aut]),
-        )
-
-    def inverse(self, e):
-        N = self.group
-        j = automorphism_table_group(N).inv[e.aut]
-        return HolElement(self.auts[j][N.inv[e.trans]], j)
-
-    def action(self, e, x):
-        """The permutation of N that ``e`` stands for: x ↦ aut(x)·trans⁻¹."""
-        N = self.group
-        return int(N.np_mul[self.auts[e.aut][x], N.inv[e.trans]])
-
-    def xi(self, e):
-        """Evaluation of the permutation at the identity."""
-        return self.group.inv[e.trans]
-
-    def lambda_embed(self, s):
-        """Left translation by s, as a holomorph element."""
-        N = self.group
-        return HolElement(N.inv[s], N.conjugation_aut_id(s))
-
-    def rho_embed(self, s):
-        """Right translation by s⁻¹, aut-free in these coordinates."""
-        return HolElement(s, 0)
-
-    def lambda_image(self):
-        return frozenset(self.lambda_embed(s) for s in range(self.group.order))
-
-    def rho_image(self):
-        return frozenset(self.rho_embed(s) for s in range(self.group.order))
 
     # -- regularity -------------------------------------------------------
 
@@ -187,11 +142,8 @@ class Holomorph:
     # -- table form -------------------------------------------------------
 
     def as_table_group(self):
-        """The full holomorph as a validated FiniteGroup.
-
-        Element index is trans·(aut count) + aut, so the identity (0, 0)
-        sits at index 0 as required.
-        """
+        """The full holomorph as a validated FiniteGroup on the flat
+        indices, so the identity (0, 0) sits at index 0 as required."""
         return self.group.memo("holomorph_table", lambda: FiniteGroup(
             self._products(np.arange(self.order)), name=f"Hol({self.group.name})"
         ))
@@ -474,10 +426,8 @@ def fpf_pair_to_subgroup(f, g):
     In (trans, aut) coordinates the element for s is
     (g(s)·f(s)⁻¹, conjugation by f(s)).  The pair must be fixed point
     free; otherwise the map s ↦ element is not injective and a ValueError
-    reports it.  Hol(T^n) over HOL_BUDGET is refused, on its floor before
-    T^n is built, on every call; within it, the route's state
-    (``_pair_route``) is built once and kept on T, so later pairs over T^n
-    read it with one memo lookup.
+    reports it.  Hol(T^n) over HOL_BUDGET is refused on every call; the
+    route's state is built once by ``_pair_route`` and kept on T.
 
     The aut parts are scattered into an array indexed by translation part,
     -1 where no element lands.  For an fpf pair the translation parts are

@@ -198,11 +198,11 @@ class OrbitDecomposition:
     rank-n elementary abelian p-subgroup.
 
     ``fixed`` collects the coordinates every realized permutation leaves
-    alone; ``orbits`` are the nontrivial orbits with ``reps`` their least
-    members.  ``transporters`` maps each non-fixed coordinate i to a label
-    (a group element) whose permutation carries the orbit representative
-    to i.  ``m`` is the p-rank of the realized permutation group and
-    ``orbit_ranks`` the exponents of the orbit sizes.
+    alone; ``orbits`` are the nontrivial orbits, each led by its least
+    member, the representative.  ``transporters`` maps each non-fixed
+    coordinate i to a label (a group element) whose permutation carries
+    the orbit representative to i.  ``m`` is the p-rank of the realized
+    permutation group and ``orbit_ranks`` the exponents of the orbit sizes.
     ``transporters_commute`` records whether every chosen transporter
     commutes with the whole kernel of the coordinate action; None means
     no commuting information was requested.
@@ -212,7 +212,6 @@ class OrbitDecomposition:
     n: int
     fixed: tuple
     orbits: tuple
-    reps: tuple
     transporters: tuple  # pairs (coordinate, label)
     m: int
     orbit_ranks: tuple
@@ -286,7 +285,6 @@ def orbit_decompose_from_thetas(labelled_thetas, n, p, prefer=None):
         n=n,
         fixed=tuple(c[0] for c in cells if len(c) == 1),
         orbits=orbits,
-        reps=tuple(o[0] for o in orbits),
         transporters=tuple(transporters),
         m=m,
         orbit_ranks=tuple(_p_exponent(len(o), p, "orbit") for o in orbits),
@@ -403,8 +401,8 @@ def g_bound_report(pair, decomp):
     trans = dict(decomp.transporters)
     kernel_inner = pair.kernel_inner
     containment_ok = all(
-        _relation_by_coordinate(pair, trans[i], np.array(kernel))[:, rep - 1].all()
-        for orbit, rep in zip(decomp.orbits, decomp.reps)
+        _relation_by_coordinate(pair, trans[i], np.array(kernel))[:, orbit[0] - 1].all()
+        for orbit in decomp.orbits
         for i in orbit
     )
     x0, r = len(decomp.fixed), decomp.r

@@ -322,6 +322,26 @@ def test_verify_fails_a_row_when_two_routes_disagree(capsys, monkeypatch):
     assert out == expected.replace("result\tpass", "result\tfail")
 
 
+def test_a_failed_internal_cross_check_is_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr("hopfgalois.holomorph.regular_subgroups_oracle", lambda *a, **k: [])
+    rc, out, err = run(capsys, "verify")
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: holomorph enumeration found 2 regular subgroups of Hol(s3), "
+        "the exhaustive oracle 0, and they must be the same\n"
+    )
+
+
+@pytest.mark.parametrize("fault", [RecursionError, NotImplementedError])
+def test_a_program_fault_is_not_a_failed_check(monkeypatch, fault):
+    def run_verification(level):
+        raise fault
+
+    monkeypatch.setattr("hopfgalois.cli.run_verification", run_verification)
+    with pytest.raises(fault):
+        main(["verify"])
+
+
 def test_unknown_group_is_exit_1(capsys):
     rc, _, err = run(capsys, "census", "brute", "--group", "zz", "--n", "1")
     assert rc == 1

@@ -13,7 +13,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 GOLDEN = {
     name: ROOT / "tests" / "data" / name.replace(".py", ".txt")
     for name in (
-        "holomorph_tour.py", "orbit_engine.py", "pair_graph_gallery.py", "witness_hunt.py"
+        "endomorphism_atlas.py", "group_zoo.py", "holomorph_tour.py", "orbit_engine.py",
+        "pair_graph_gallery.py", "witness_hunt.py",
     )
 }
 

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hol_reference import HolReference, compose_perm
 from hopfgalois.census import brute_F, formula_Einn
 from hopfgalois.endomorphisms import StructuredEndo, enumerate_end0
 from hopfgalois.fpf import FpfVerdict, construct_witness, decide_fpf, is_fpf_by_tree
@@ -18,7 +19,6 @@ from hopfgalois.groups import (
     BudgetError,
     FiniteGroup,
     automorphism_table_group,
-    compose_perm,
     crossed_homomorphisms,
     enumerate_homomorphisms,
     find_isomorphism,
@@ -85,31 +85,6 @@ def test_holomorph_order():
     assert holomorph_of(S3) is hol  # cached per group
 
 
-def test_group_laws_on_random_triples():
-    hol = holomorph_of(S3)
-    rng = random.Random(0x401)
-    elems = [hol.element_of_index(rng.randrange(36)) for _ in range(60)]
-    for _ in range(2000):
-        a, b, c = (rng.choice(elems) for _ in range(3))
-        assert hol.compose(hol.compose(a, b), c) == hol.compose(a, hol.compose(b, c))
-    for e in elems:
-        assert hol.compose(e, hol.inverse(e)) == hol.identity
-        assert hol.compose(hol.inverse(e), e) == hol.identity
-        assert hol.compose(e, hol.identity) == e
-
-
-def test_action_is_by_bijections_and_composes():
-    hol = holomorph_of(S3)
-    rng = random.Random(0xAC7)
-    for _ in range(200):
-        e1 = hol.element_of_index(rng.randrange(36))
-        e2 = hol.element_of_index(rng.randrange(36))
-        x = rng.randrange(6)
-        assert hol.action(hol.compose(e1, e2), x) == hol.action(e1, hol.action(e2, x))
-    images = {hol.action(e1, x) for x in range(6)}
-    assert images == set(range(6))
-
-
 def test_element_index_round_trip():
     hol = holomorph_of(S3)
     for k in range(36):
@@ -117,30 +92,30 @@ def test_element_index_round_trip():
 
 
 def test_lambda_rho_are_embeddings():
-    hol = holomorph_of(S3)
+    # the package's table, on the reference's left and right translations
+    hol, ref = holomorph_of(S3), HolReference(S3)
+    table = hol.as_table_group().mul
+    lam = [hol.index_of_element(ref.name[row]) for row in S3.mul]
+    rho = [hol.index_of_element(ref.name[col]) for col in zip(*S3.mul)]
     for s in range(6):
         for t in range(6):
-            st = S3.mul[s][t]
-            assert hol.compose(hol.lambda_embed(s), hol.lambda_embed(t)) == hol.lambda_embed(st)
-            assert hol.compose(hol.rho_embed(s), hol.rho_embed(t)) == hol.rho_embed(st)
+            assert table[lam[s]][lam[t]] == lam[S3.mul[s][t]]
+            assert table[rho[s]][rho[t]] == rho[S3.mul[t][s]]
             # left and right translations commute elementwise
-            assert hol.compose(hol.lambda_embed(s), hol.rho_embed(t)) == hol.compose(
-                hol.rho_embed(t), hol.lambda_embed(s)
-            )
+            assert table[lam[s]][rho[t]] == table[rho[t]][lam[s]]
 
 
 def test_lambda_rho_coincide_exactly_for_abelian():
-    hol_ab = holomorph_of(C4)
-    assert hol_ab.lambda_image() == hol_ab.rho_image()
-    hol = holomorph_of(S3)
-    assert hol.lambda_image() != hol.rho_image()
+    ab, ref = HolReference(C4), HolReference(S3)
+    assert ab.lambda_image() == ab.rho_image()
+    assert ref.lambda_image() != ref.rho_image()
 
 
 def test_lambda_and_rho_images_are_regular():
     for G in (S3, C4):
-        hol = holomorph_of(G)
-        assert _is_regular(hol, hol.lambda_image())
-        assert _is_regular(hol, hol.rho_image())
+        hol, ref = holomorph_of(G), HolReference(G)
+        assert _is_regular(hol, ref.lambda_image())
+        assert _is_regular(hol, ref.rho_image())
 
 
 def test_non_regular_subgroup_is_rejected_by_both_tests():
@@ -160,49 +135,45 @@ def test_closure_checks_reject_non_subgroups():
             check(broken)
 
 
-# Plain-Python references for the set-level checks, from the scalar
-# compose, action and xi alone.
+# Plain-Python references for the set-level checks, from the permutations
+# that the elements are.
 
 
-def _reference_escapes(hol, elements):
+def _reference_escapes(ref, elements):
     """Pairs of elements whose product leaves the set."""
     eset = set(elements)
-    return {(e1, e2) for e1 in eset for e2 in eset if hol.compose(e1, e2) not in eset}
+    return {(e1, e2) for e1 in eset for e2 in eset if ref.compose(e1, e2) not in eset}
 
 
-def _reference_regularity(hol, elements):
-    elements = list(elements)
-    m = hol.group.order
-    by_xi = len(elements) == m and len({hol.xi(e) for e in elements}) == m
-    transitive = len({hol.action(e, 0) for e in elements}) == m
-    free = all(
-        hol.action(e, x) != x for e in elements if e != hol.identity for x in range(m)
-    )
-    return by_xi, transitive and free and len(elements) == m
+def _reference_regularity(ref, elements):
+    perms, m = [ref.perm[e] for e in elements], ref.N.order
+    at_one = len({p[0] for p in perms}) == m  # the values xi, and the orbit of 1
+    free = all(p[x] != x for p in perms if p != tuple(range(m)) for x in range(m))
+    return at_one and len(perms) == m, at_one and free and len(perms) == m
 
 
-def _reference_closure(hol, seed):
-    have = {hol.identity, *seed}
+def _reference_closure(ref, seed):
+    have = {HolElement(0, 0), *seed}
     work = list(have)
     while work:
         x = work.pop()
         for y in list(have):
-            for z in (hol.compose(x, y), hol.compose(y, x)):
+            for z in (ref.compose(x, y), ref.compose(y, x)):
                 if z not in have:
                     have.add(z)
                     work.append(z)
     return have
 
 
-def _candidate_sets(hol, rng):
+def _candidate_sets(hol, ref, rng):
     """Closed subgroups (lambda, rho and small random closures), each also
     with one element removed, one added, one swapped for an element with
     the same translation part, the identity removed, and as a list with a
     repeat."""
-    subgroups = [set(hol.lambda_image()), set(hol.rho_image())]
+    subgroups = [set(ref.lambda_image()), set(ref.rho_image())]
     while len(subgroups) < 8:
         seed = [hol.element_of_index(rng.randrange(hol.order)) for _ in range(rng.randint(1, 2))]
-        sub = _reference_closure(hol, seed)
+        sub = _reference_closure(ref, seed)
         if len(sub) < min(48, hol.order):
             subgroups.append(sub)
     for sub in subgroups:
@@ -223,13 +194,14 @@ def _candidate_sets(hol, rng):
 
 @pytest.mark.parametrize("name", ["s3", "d4", "a4"])
 def test_set_checks_agree_with_the_scalar_reference(name):
-    hol = holomorph_of(load_group(name))
+    N = load_group(name)
+    hol, ref = holomorph_of(N), HolReference(N)
     rng = random.Random(f"set-checks-{name}")
-    for elements in _candidate_sets(hol, rng):
-        assert _regularity_tests(hol, elements) == _reference_regularity(hol, elements)
-        escapes = _reference_escapes(hol, elements)
+    for elements in _candidate_sets(hol, ref, rng):
+        assert _regularity_tests(hol, elements) == _reference_regularity(ref, elements)
+        escapes = _reference_escapes(ref, elements)
         closure_checks = (lambda e: _is_regular(hol, e), hol.subgroup_table_group)
-        if hol.identity not in elements:
+        if HolElement(0, 0) not in elements:
             for check in closure_checks:
                 with pytest.raises(ValueError, match="identity"):
                     check(elements)
@@ -241,17 +213,17 @@ def test_set_checks_agree_with_the_scalar_reference(name):
                 e1, e2 = (HolElement(int(t), int(a)) for t, a in named)
                 assert (e1, e2) in escapes
         else:
-            assert _is_regular(hol, elements) == _reference_regularity(hol, elements)[0]
+            assert _is_regular(hol, elements) == _reference_regularity(ref, elements)[0]
             table = hol.subgroup_table_group(elements)
             ordered = sorted(set(elements))
             for i, e1 in enumerate(ordered):
                 for j, e2 in enumerate(ordered):
-                    assert ordered[table.mul[i][j]] == hol.compose(e1, e2)
+                    assert ordered[table.mul[i][j]] == ref.compose(e1, e2)
     full = hol.as_table_group()
     for k in range(hol.order):
         e1 = hol.element_of_index(k)
         assert full.mul[k] == tuple(
-            hol.index_of_element(hol.compose(e1, hol.element_of_index(l)))
+            hol.index_of_element(ref.compose(e1, hol.element_of_index(l)))
             for l in range(hol.order)
         )
 
@@ -260,7 +232,7 @@ def test_table_group_and_subgroup_extraction():
     hol = holomorph_of(S3)
     table = hol.as_table_group()
     assert table.order == 36
-    sub = hol.subgroup_table_group(hol.lambda_image())
+    sub = hol.subgroup_table_group(HolReference(S3).lambda_image())
     assert sub.order == 6
     assert find_isomorphism(sub, S3) is not None
 
@@ -447,10 +419,10 @@ def test_regular_iff_g_bijective_over_every_crossed_map(name):
 
 
 def test_the_two_s3_structures_are_lambda_and_rho():
-    hol = holomorph_of(S3)
+    ref = HolReference(S3)
     subs = enumerate_regular_subgroups(S3)
     images = {frozenset(s.elements) for s in subs}
-    assert images == {hol.lambda_image(), hol.rho_image()}
+    assert images == {ref.lambda_image(), ref.rho_image()}
 
 
 def test_cyclic_structures_on_s3_and_the_translation():
@@ -549,8 +521,8 @@ def test_byott_translate_arithmetic():
 def test_c4_has_one_structure_of_its_own_type():
     subs = enumerate_regular_subgroups(C4)
     assert len(subs) == 1
-    hol = holomorph_of(C4)
-    assert frozenset(subs[0].elements) == hol.lambda_image() == hol.rho_image()
+    ref = HolReference(C4)
+    assert frozenset(subs[0].elements) == ref.lambda_image() == ref.rho_image()
     assert subs[0].classification == "inn"
 
 
@@ -558,15 +530,13 @@ def test_c4_has_one_structure_of_its_own_type():
 
 
 def test_identity_trivial_pair_gives_left_translations():
-    hol = holomorph_of(S3)
     elems = fpf_pair_to_subgroup(identity_endo(S3, 1), trivial_endo(S3, 1))
-    assert elems == hol.lambda_image()
+    assert elems == HolReference(S3).lambda_image()
 
 
 def test_trivial_identity_pair_gives_right_translations():
-    hol = holomorph_of(S3)
     elems = fpf_pair_to_subgroup(trivial_endo(S3, 1), identity_endo(S3, 1))
-    assert elems == hol.rho_image()
+    assert elems == HolReference(S3).rho_image()
 
 
 def test_non_fpf_pair_is_rejected_with_translation_counts():
@@ -606,7 +576,7 @@ def test_pair_route_matches_the_scalar_reference():
 def test_pair_route_keeps_its_priced_holomorph_but_never_a_refusal():
     T = FiniteGroup(S3.mul, name="s3")  # fresh, so nothing is kept on it yet
     elems = fpf_pair_to_subgroup(identity_endo(T, 1), trivial_endo(T, 1))
-    assert elems == holomorph_of(T).lambda_image()
+    assert elems == HolReference(T).lambda_image()
     assert T._memo["pair_route", 1][0] is holomorph_of(T)
     messages = []
     for _ in range(2):  # priced afresh, and refused before S3^3 is built, each time
@@ -696,7 +666,7 @@ def test_pair_to_subgroup_over_a_power():
     G = power_group(S3, 2)
     hol = holomorph_of(G)
     elems = fpf_pair_to_subgroup(identity_endo(S3, 2), trivial_endo(S3, 2))
-    assert elems == hol.lambda_image()
+    assert elems == HolReference(G).lambda_image()
     assert _is_regular(hol, elems)
 
 
@@ -714,10 +684,10 @@ def test_pair_store_keeps_one_checked_set_per_subgroup(monkeypatch):
     a5 = FiniteGroup(load_group("a5").mul, name="a5")  # fresh, so its store is empty
     endos = list(enumerate_end0(a5, 1))
     pairs = [(f, g) for f in endos for g in endos if is_fpf_by_tree(f, g).is_fpf]
-    hol = holomorph_of(a5)
+    ref = HolReference(a5)
     assert len(pairs) == 240
     built = [fpf_pair_to_subgroup(f, g) for f, g in pairs]
-    assert set(built) == {hol.lambda_image(), hol.rho_image()}
+    assert set(built) == {ref.lambda_image(), ref.rho_image()}
     store = a5._memo["pair_route", 1][-1]
     assert len(store) == 2
     # every pair of one subgroup gets back the one stored set itself
@@ -757,7 +727,7 @@ def test_s3_square_pairs_build_52_of_its_328_regular_subgroups():
 def test_a5_lambda_image_passes_both_regularity_tests():
     a5 = load_group("a5")
     hol = holomorph_of(a5)
-    by_xi, by_orbit = _regularity_tests(hol, hol.lambda_image())
+    by_xi, by_orbit = _regularity_tests(hol, HolReference(a5).lambda_image())
     assert by_xi and by_orbit
 
 

@@ -5,15 +5,10 @@ import random
 
 import pytest
 
+from hol_reference import compose_perm, invert_perm
 from hopfgalois.endomorphisms import StructuredEndo, enumerate_end0
 from hopfgalois.fpf import _tables, is_fpf_by_tree
-from hopfgalois.groups import (
-    automorphism_table_group,
-    catalog_names,
-    compose_perm,
-    invert_perm,
-    load_group,
-)
+from hopfgalois.groups import automorphism_table_group, catalog_names, load_group
 from hopfgalois import pairgraphs
 from hopfgalois.pairgraphs import (
     CONSTANT,
